@@ -62,7 +62,12 @@ type Front struct {
 	dag     *DAG
 	pending []int // remaining-predecessor counts
 	ready   []int // current front, ascending gate index
+	spare   []int // the next front is built here, then swapped with ready
 	done    int
+	// mark[g] == stamp marks gate g as in the front and stamp+1 as being
+	// resolved; Resolve advances stamp by 2, so no clearing is needed.
+	mark  []int
+	stamp int
 }
 
 // NewFront returns a cursor positioned at the initial front layer.
@@ -70,6 +75,7 @@ func (d *DAG) NewFront() *Front {
 	f := &Front{
 		dag:     d,
 		pending: append([]int(nil), d.npred...),
+		mark:    make([]int, len(d.succ)),
 	}
 	for i := range d.succ {
 		if f.pending[i] == 0 {
@@ -94,23 +100,25 @@ func (f *Front) Resolved() int { return f.done }
 // resolving a non-ready gate is a mapper bug that would silently corrupt
 // the schedule.
 func (f *Front) Resolve(gates ...int) {
-	inReady := make(map[int]bool, len(f.ready))
+	f.stamp += 2
+	inReady, toRemove := f.stamp, f.stamp+1
 	for _, g := range f.ready {
-		inReady[g] = true
+		f.mark[g] = inReady
 	}
-	toRemove := make(map[int]bool, len(gates))
 	for _, g := range gates {
-		if !inReady[g] {
+		switch f.mark[g] {
+		case inReady:
+			f.mark[g] = toRemove
+		case toRemove:
+			panic("circuit: duplicate gate in Resolve")
+		default:
 			panic("circuit: Resolve of gate not in front layer")
 		}
-		if toRemove[g] {
-			panic("circuit: duplicate gate in Resolve")
-		}
-		toRemove[g] = true
 	}
-	var next []int
+	// gates may alias ready, so the next front goes into the spare buffer.
+	next := f.spare[:0]
 	for _, g := range f.ready {
-		if !toRemove[g] {
+		if f.mark[g] != toRemove {
 			next = append(next, g)
 		}
 	}
@@ -123,7 +131,7 @@ func (f *Front) Resolve(gates ...int) {
 			}
 		}
 	}
-	f.ready = next
+	f.ready, f.spare = next, f.ready
 }
 
 // insertSorted inserts v into ascending slice s, preserving order.

@@ -74,15 +74,26 @@ func TestBarrierSerialises(t *testing.T) {
 }
 
 func TestResolvePanicsOnNonReady(t *testing.T) {
-	c := New("p", 1)
-	c.H(0).T(0)
-	f := NewDAG(c).NewFront()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic resolving non-ready gate")
-		}
-	}()
-	f.Resolve(1)
+	c := New("p", 2)
+	c.H(0).T(0).H(1)
+	for _, tc := range []struct {
+		name  string
+		gates []int
+		want  string
+	}{
+		{"non-ready gate", []int{1}, "circuit: Resolve of gate not in front layer"},
+		{"duplicate gate", []int{0, 0}, "circuit: duplicate gate in Resolve"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := NewDAG(c).NewFront()
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Fatalf("recovered %v, want panic %q", got, tc.want)
+				}
+			}()
+			f.Resolve(tc.gates...)
+		})
+	}
 }
 
 // TestFrontVisitsAllGatesOnce is a property test: for random circuits,

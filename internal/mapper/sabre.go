@@ -2,7 +2,6 @@ package mapper
 
 import (
 	"fmt"
-	"sort"
 
 	"qproc/internal/arch"
 	"qproc/internal/circuit"
@@ -85,8 +84,10 @@ func Map(c *circuit.Circuit, a *arch.Architecture, opt Options) (*Result, error)
 	// Two deterministic initial-mapping candidates: the coupling-driven
 	// greedy and the snake walk (perfect for chain-structured programs).
 	// Each is polished by SABRE forward-backward refinement; the final
-	// routing with the fewest gates wins.
-	rev := reversed(c)
+	// routing with the fewest gates wins. Refinement passes only move the
+	// mapping, so only the final pass emits a circuit.
+	r := newRouter(c, a, dm, opt)
+	fwd, bwd := newPass(c), newPass(reversed(c))
 	var best *Result
 	for _, seed := range []*Mapping{
 		InitialMapping(p, a, dm),
@@ -97,21 +98,23 @@ func Map(c *circuit.Circuit, a *arch.Architecture, opt Options) (*Result, error)
 		}
 		m := seed
 		for it := 0; it < opt.Iterations; it++ {
-			fwd := route(c, a, dm, m.Clone(), opt)
-			if fwd.swaps == 0 {
+			fm := m.Clone()
+			if r.route(fwd, fm, nil) == 0 {
 				break // already perfect; refinement cannot improve
 			}
-			bwd := route(rev, a, dm, fwd.finalMapping, opt)
-			m = bwd.finalMapping
+			r.route(bwd, fm, nil)
+			m = fm
 		}
 		initial := append([]int(nil), m.L2P...)
-		run := route(c, a, dm, m, opt)
+		out := circuit.New(c.Name+"@"+a.Name, a.NumQubits())
+		out.Gates = make([]circuit.Gate, 0, len(c.Gates))
+		swaps := r.route(fwd, m, out)
 		res := &Result{
-			Mapped:    run.out,
+			Mapped:    out,
 			Initial:   initial,
-			Final:     append([]int(nil), run.finalMapping.L2P...),
-			Swaps:     run.swaps,
-			GateCount: run.out.GateCount(),
+			Final:     append([]int(nil), m.L2P...),
+			Swaps:     swaps,
+			GateCount: out.GateCount(),
 		}
 		if best == nil || res.GateCount < best.GateCount {
 			best = res
@@ -206,106 +209,158 @@ func reversed(c *circuit.Circuit) *circuit.Circuit {
 	return out
 }
 
-type routeResult struct {
-	out          *circuit.Circuit
-	finalMapping *Mapping
-	swaps        int
+// pass is one routing direction: a circuit and its dependency DAG, built
+// once per Map and shared by every routing pass in that direction.
+type pass struct {
+	c   *circuit.Circuit
+	dag *circuit.DAG
 }
 
-// route executes the SABRE routing loop with the given starting mapping,
-// mutating it in place and returning it as finalMapping.
-func route(c *circuit.Circuit, a *arch.Architecture, dm *Distances, m *Mapping, opt Options) routeResult {
-	out := circuit.New(c.Name+"@"+a.Name, a.NumQubits())
-	dag := circuit.NewDAG(c)
-	front := dag.NewFront()
-	edges := a.Edges()
-	decay := make([]float64, a.NumQubits())
-	resetDecay := func() {
-		for i := range decay {
-			decay[i] = 1
-		}
+func newPass(c *circuit.Circuit) pass { return pass{c, circuit.NewDAG(c)} }
+
+// router holds what the routing passes of one Map call share: the coupling
+// graph, the options, and scratch buffers reused across decisions and
+// passes, so the routing loop does not allocate per decision.
+type router struct {
+	arch  string
+	dm    *Distances
+	opt   Options
+	edges []arch.Edge // sorted by (A, B)
+	adj   [][]int
+
+	decay []float64
+	exec  []int
+	// frontCX and extended are the blocked front's CX gates and the
+	// look-ahead set as flat logical pairs (q0, q1, q0, q1, ...).
+	frontCX, extended []int
+	queue             []int
+	cands             []arch.Edge
+	// gateSeen[g] == gen (physSeen[p] == gen) marks gate g (physical qubit
+	// p) as visited by the current search; bumping gen clears both.
+	gateSeen, physSeen []int
+	gen                int
+	// slab is the backing array emitted gates' qubit lists are cut from.
+	slab []int
+}
+
+func newRouter(c *circuit.Circuit, a *arch.Architecture, dm *Distances, opt Options) *router {
+	return &router{
+		arch:     a.Name,
+		dm:       dm,
+		opt:      opt,
+		edges:    a.Edges(),
+		adj:      a.AdjList(),
+		decay:    make([]float64, a.NumQubits()),
+		gateSeen: make([]int, len(c.Gates)),
+		physSeen: make([]int, a.NumQubits()),
 	}
-	resetDecay()
+}
+
+// route executes the SABRE routing loop from mapping m, mutating it in
+// place into the final mapping, and returns the number of SWAPs inserted.
+// The physical circuit is appended to out unless out is nil.
+func (r *router) route(p pass, m *Mapping, out *circuit.Circuit) int {
+	front := p.dag.NewFront()
+	r.resetDecay()
 	swaps, sinceReset := 0, 0
 	// stall counts SWAPs inserted since the last gate execution. If the
 	// heuristic oscillates (possible on adversarial inputs), forceProgress
 	// routes one blocked gate deterministically along a shortest path,
 	// which guarantees termination.
 	stall := 0
-	maxStall := 4 * (dm.N() + 4)
+	maxStall := 4 * (r.dm.N() + 4)
+	// SWAPs never change the front, so frontCX and extended are rebuilt
+	// only after it advances.
+	stale := true
 
 	for !front.Done() {
 		// Execute everything executable in the current front.
-		var exec []int
+		r.exec = r.exec[:0]
 		for _, gi := range front.Ready() {
-			g := c.Gates[gi]
-			if g.Kind != circuit.CX || dm.Between(m.L2P[g.Qubits[0]], m.L2P[g.Qubits[1]]) == 1 {
-				exec = append(exec, gi)
+			g := &p.c.Gates[gi]
+			if g.Kind != circuit.CX || r.dm.Between(m.L2P[g.Qubits[0]], m.L2P[g.Qubits[1]]) == 1 {
+				r.exec = append(r.exec, gi)
 			}
 		}
-		if len(exec) > 0 {
-			for _, gi := range exec {
-				emit(out, c.Gates[gi], m)
+		if len(r.exec) > 0 {
+			if out != nil {
+				for _, gi := range r.exec {
+					r.emit(out, p.c.Gates[gi], m)
+				}
 			}
-			front.Resolve(exec...)
-			resetDecay()
+			front.Resolve(r.exec...)
+			stale = true
+			r.resetDecay()
 			sinceReset = 0
 			stall = 0
 			continue
 		}
 
 		// Blocked: every front gate is a CX on a non-coupled pair.
-		frontCX := frontTwoQubit(c, front.Ready())
+		if stale {
+			r.frontCX = r.frontCX[:0]
+			for _, gi := range front.Ready() {
+				r.frontCX = append(r.frontCX, p.c.Gates[gi].Qubits...)
+			}
+			r.extendedSet(p, front)
+			stale = false
+		}
 		if stall >= maxStall {
-			swaps += forceProgress(out, a, dm, m, frontCX[0])
+			swaps += r.forceProgress(out, m, r.frontCX[0], r.frontCX[1])
 			stall = 0
 			continue
 		}
-		extended := extendedSet(c, dag, front, opt.ExtendedSize)
-		cands := candidateSwaps(edges, m, frontCX)
+		cands := r.candidateSwaps(m)
 		if len(cands) == 0 {
 			// No swap touches a front qubit: disconnected placement.
 			// This cannot happen on connected coupling graphs; fail loudly.
-			panic(fmt.Sprintf("mapper: no candidate swaps for %q on %q", c.Name, a.Name))
+			panic(fmt.Sprintf("mapper: no candidate swaps for %q on %q", p.c.Name, r.arch))
 		}
 		best, bestScore := cands[0], 0.0
 		for i, sw := range cands {
-			s := swapScore(sw, m, dm, frontCX, extended, decay, opt)
+			s := r.swapScore(sw, m)
 			if i == 0 || s < bestScore {
 				best, bestScore = sw, s
 			}
 		}
 		m.Swap(best.A, best.B)
-		emitSwap(out, best.A, best.B)
+		if out != nil {
+			r.emitSwap(out, best.A, best.B)
+		}
 		swaps++
-		decay[best.A] += opt.DecayDelta
-		decay[best.B] += opt.DecayDelta
+		r.decay[best.A] += r.opt.DecayDelta
+		r.decay[best.B] += r.opt.DecayDelta
 		sinceReset++
 		stall++
-		if opt.DecayReset > 0 && sinceReset >= opt.DecayReset {
-			resetDecay()
+		if r.opt.DecayReset > 0 && sinceReset >= r.opt.DecayReset {
+			r.resetDecay()
 			sinceReset = 0
 		}
 	}
-	return routeResult{out: out, finalMapping: m, swaps: swaps}
+	return swaps
 }
 
-// forceProgress moves the control qubit of gate g along a shortest path
-// toward its target until the pair is coupled, emitting the SWAPs, and
-// returns the number inserted. It is the deterministic termination
-// fallback for heuristic oscillation.
-func forceProgress(out *circuit.Circuit, a *arch.Architecture, dm *Distances, m *Mapping, g circuit.Gate) int {
-	adj := a.AdjList()
+func (r *router) resetDecay() {
+	for i := range r.decay {
+		r.decay[i] = 1
+	}
+}
+
+// forceProgress moves the physical qubit of logical qubit lc along a
+// shortest path toward that of lt until the pair is coupled, emitting the
+// SWAPs unless out is nil, and returns the number inserted. It is the
+// deterministic termination fallback for heuristic oscillation.
+func (r *router) forceProgress(out *circuit.Circuit, m *Mapping, lc, lt int) int {
 	inserted := 0
 	for {
-		pc, pt := m.L2P[g.Qubits[0]], m.L2P[g.Qubits[1]]
-		d := dm.Between(pc, pt)
+		pc, pt := m.L2P[lc], m.L2P[lt]
+		d := r.dm.Between(pc, pt)
 		if d <= 1 {
 			return inserted
 		}
 		next := -1
-		for _, nb := range adj[pc] { // ascending ⇒ deterministic
-			if dm.Between(nb, pt) == d-1 {
+		for _, nb := range r.adj[pc] { // ascending ⇒ deterministic
+			if r.dm.Between(nb, pt) == d-1 {
 				next = nb
 				break
 			}
@@ -314,99 +369,96 @@ func forceProgress(out *circuit.Circuit, a *arch.Architecture, dm *Distances, m 
 			panic(fmt.Sprintf("mapper: no shortest-path step from %d to %d", pc, pt))
 		}
 		m.Swap(pc, next)
-		emitSwap(out, pc, next)
+		if out != nil {
+			r.emitSwap(out, pc, next)
+		}
 		inserted++
 	}
 }
 
 // emit appends gate g rewritten onto physical qubits.
-func emit(out *circuit.Circuit, g circuit.Gate, m *Mapping) {
-	ng := g
-	ng.Qubits = make([]int, len(g.Qubits))
+func (r *router) emit(out *circuit.Circuit, g circuit.Gate, m *Mapping) {
+	qs := r.qubits(len(g.Qubits))
 	for i, q := range g.Qubits {
-		ng.Qubits[i] = m.L2P[q]
+		qs[i] = m.L2P[q]
 	}
+	g.Qubits = qs
 	if g.Params != nil {
-		ng.Params = append([]float64(nil), g.Params...)
+		g.Params = append([]float64(nil), g.Params...)
 	}
-	out.Append(ng)
+	out.Append(g)
 }
 
 // emitSwap appends a SWAP on physical qubits p1, p2 as its 3-CX expansion,
 // keeping the output in the hardware basis.
-func emitSwap(out *circuit.Circuit, p1, p2 int) {
-	out.CX(p1, p2).CX(p2, p1).CX(p1, p2)
-}
-
-// frontTwoQubit returns the CX gates of the current front.
-func frontTwoQubit(c *circuit.Circuit, ready []int) []circuit.Gate {
-	var out []circuit.Gate
-	for _, gi := range ready {
-		if c.Gates[gi].Kind == circuit.CX {
-			out = append(out, c.Gates[gi])
-		}
+func (r *router) emitSwap(out *circuit.Circuit, p1, p2 int) {
+	for _, cx := range [3][2]int{{p1, p2}, {p2, p1}, {p1, p2}} {
+		qs := r.qubits(2)
+		qs[0], qs[1] = cx[0], cx[1]
+		out.Append(circuit.Gate{Kind: circuit.CX, Qubits: qs})
 	}
-	return out
 }
 
-// extendedSet collects up to size CX gates reachable from the front in the
-// DAG (breadth-first over successors), the look-ahead window of the SABRE
-// heuristic.
-func extendedSet(c *circuit.Circuit, dag *circuit.DAG, front *circuit.Front, size int) []circuit.Gate {
+// qubits returns a length-n qubit list cut from the shared slab. Its
+// capacity is n, so appending to it never overwrites a neighbour.
+func (r *router) qubits(n int) []int {
+	if len(r.slab)+n > cap(r.slab) {
+		r.slab = make([]int, 0, max(n, 4096))
+	}
+	i := len(r.slab)
+	r.slab = r.slab[:i+n]
+	return r.slab[i : i+n : i+n]
+}
+
+// extendedSet fills r.extended with the pairs of up to ExtendedSize CX
+// gates reachable from the front in the DAG (breadth-first over
+// successors), the look-ahead window of the SABRE heuristic.
+func (r *router) extendedSet(p pass, front *circuit.Front) {
+	r.extended = r.extended[:0]
+	size := r.opt.ExtendedSize
 	if size <= 0 {
-		return nil
+		return
 	}
-	var out []circuit.Gate
-	visited := map[int]bool{}
-	queue := append([]int(nil), front.Ready()...)
+	r.gen++
+	queue := append(r.queue[:0], front.Ready()...)
 	for _, gi := range queue {
-		visited[gi] = true
+		r.gateSeen[gi] = r.gen
 	}
-	for len(queue) > 0 && len(out) < size {
-		gi := queue[0]
-		queue = queue[1:]
-		for _, s := range dag.Successors(gi) {
-			if visited[s] {
+	n := 0
+	for head := 0; head < len(queue) && n < size; head++ {
+		for _, s := range p.dag.Successors(queue[head]) {
+			if r.gateSeen[s] == r.gen {
 				continue
 			}
-			visited[s] = true
-			if c.Gates[s].Kind == circuit.CX {
-				out = append(out, c.Gates[s])
-				if len(out) >= size {
+			r.gateSeen[s] = r.gen
+			if g := &p.c.Gates[s]; g.Kind == circuit.CX {
+				r.extended = append(r.extended, g.Qubits...)
+				n++
+				if n >= size {
 					break
 				}
 			}
 			queue = append(queue, s)
 		}
 	}
-	return out
+	r.queue = queue
 }
-
-// swapCandidate is a physical SWAP on a coupling-graph edge.
-type swapCandidate struct{ A, B int }
 
 // candidateSwaps returns the coupling edges that touch at least one
 // physical qubit occupied by a logical qubit of a blocked front CX, in
-// deterministic edge order.
-func candidateSwaps(edges []arch.Edge, m *Mapping, frontCX []circuit.Gate) []swapCandidate {
-	active := map[int]bool{}
-	for _, g := range frontCX {
-		active[m.L2P[g.Qubits[0]]] = true
-		active[m.L2P[g.Qubits[1]]] = true
+// (A, B) order. The slice is reused by the next call.
+func (r *router) candidateSwaps(m *Mapping) []arch.Edge {
+	r.gen++
+	for _, l := range r.frontCX {
+		r.physSeen[m.L2P[l]] = r.gen
 	}
-	var out []swapCandidate
-	for _, e := range edges {
-		if active[e.A] || active[e.B] {
-			out = append(out, swapCandidate{e.A, e.B})
+	r.cands = r.cands[:0]
+	for _, e := range r.edges {
+		if r.physSeen[e.A] == r.gen || r.physSeen[e.B] == r.gen {
+			r.cands = append(r.cands, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	return out
+	return r.cands
 }
 
 // swapScore evaluates the SABRE heuristic for applying sw to mapping m:
@@ -415,31 +467,35 @@ func candidateSwaps(edges []arch.Edge, m *Mapping, frontCX []circuit.Gate) []swa
 //
 // where dist' is the post-swap coupling distance between the physical
 // qubits of each gate's logical pair.
-func swapScore(sw swapCandidate, m *Mapping, dm *Distances, frontCX, extended []circuit.Gate, decay []float64, opt Options) float64 {
-	phys := func(l int) int {
-		p := m.L2P[l]
-		switch p {
-		case sw.A:
-			return sw.B
-		case sw.B:
-			return sw.A
-		}
-		return p
-	}
-	sum := func(gs []circuit.Gate) float64 {
-		if len(gs) == 0 {
-			return 0
-		}
-		t := 0
-		for _, g := range gs {
-			t += dm.Between(phys(g.Qubits[0]), phys(g.Qubits[1]))
-		}
-		return float64(t) / float64(len(gs))
-	}
-	score := sum(frontCX) + opt.ExtendedWeight*sum(extended)
-	d := decay[sw.A]
-	if decay[sw.B] > d {
-		d = decay[sw.B]
+func (r *router) swapScore(sw arch.Edge, m *Mapping) float64 {
+	score := r.meanDistance(r.frontCX, sw, m) + r.opt.ExtendedWeight*r.meanDistance(r.extended, sw, m)
+	d := r.decay[sw.A]
+	if r.decay[sw.B] > d {
+		d = r.decay[sw.B]
 	}
 	return d * score
+}
+
+// meanDistance is the mean post-swap coupling distance over the flat
+// logical pairs; 0 when there are none.
+func (r *router) meanDistance(pairs []int, sw arch.Edge, m *Mapping) float64 {
+	if len(pairs) == 0 {
+		return 0
+	}
+	t := 0
+	for i := 0; i < len(pairs); i += 2 {
+		t += r.dm.Between(swapped(m.L2P[pairs[i]], sw), swapped(m.L2P[pairs[i+1]], sw))
+	}
+	return float64(t) / float64(len(pairs)/2)
+}
+
+// swapped returns where physical qubit p's occupant sits after sw.
+func swapped(p int, sw arch.Edge) int {
+	switch p {
+	case sw.A:
+		return sw.B
+	case sw.B:
+		return sw.A
+	}
+	return p
 }

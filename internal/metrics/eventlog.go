@@ -61,7 +61,7 @@ func OpenEventLog(path string, cfg EventLogConfig) (*EventLog, error) {
 		buf = append(buf, line...)
 		buf = append(buf, '\n')
 	}
-	if err := atomicWrite(path, buf); err != nil {
+	if err := AtomicWrite(path, buf); err != nil {
 		return nil, fmt.Errorf("metrics: eventlog: %w", err)
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -169,9 +169,10 @@ func (l *EventLog) Close() error {
 	return err
 }
 
-// atomicWrite writes data to path via a temp file + rename in the same
-// directory, so a crash never leaves a half-written file.
-func atomicWrite(path string, data []byte) error {
+// AtomicWrite writes data to path via a temp file + rename in the same
+// directory, so a crash never leaves a half-written file and readers only
+// ever see complete ones.
+func AtomicWrite(path string, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-")
 	if err != nil {
 		return err

@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"qproc/internal/faultinject"
+	"qproc/internal/metrics"
 )
 
 // Entry describes one stored run.
@@ -182,30 +183,7 @@ func (s *Store) saveIndexLocked(exclude ...string) error {
 	if err != nil {
 		return err
 	}
-	return atomicWrite(s.indexPath(), raw)
-}
-
-// atomicWrite writes data to path via a temp file + rename in the same
-// directory, so readers only ever see complete files.
-func atomicWrite(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-")
-	if err != nil {
-		return err
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return werr
-		}
-		return cerr
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return metrics.AtomicWrite(s.indexPath(), raw)
 }
 
 // Put stores payload under key, atomically: the payload lands first,
@@ -231,14 +209,14 @@ func (s *Store) Put(key, kind, summary string, payload []byte) (Entry, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return Entry{}, fmt.Errorf("runstore: %w", err)
 	}
-	if err := atomicWrite(filepath.Join(dir, "outcome.json"), payload); err != nil {
+	if err := metrics.AtomicWrite(filepath.Join(dir, "outcome.json"), payload); err != nil {
 		return Entry{}, fmt.Errorf("runstore: writing payload: %w", err)
 	}
 	rawEntry, err := json.MarshalIndent(e, "", "  ")
 	if err != nil {
 		return Entry{}, err
 	}
-	if err := atomicWrite(filepath.Join(dir, "entry.json"), rawEntry); err != nil {
+	if err := metrics.AtomicWrite(filepath.Join(dir, "entry.json"), rawEntry); err != nil {
 		return Entry{}, fmt.Errorf("runstore: writing entry: %w", err)
 	}
 	s.mu.Lock()
