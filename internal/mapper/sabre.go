@@ -87,7 +87,8 @@ func Map(c *circuit.Circuit, a *arch.Architecture, opt Options) (*Result, error)
 	// routing with the fewest gates wins. Refinement passes only move the
 	// mapping, so only the final pass emits a circuit.
 	r := newRouter(c, a, dm, opt)
-	fwd, bwd := newPass(c), newPass(reversed(c))
+	// The DAGs of both directions are shared by every pass.
+	fwd, bwd := circuit.NewDAG(c), circuit.NewDAG(reversed(c))
 	var best *Result
 	for _, seed := range []*Mapping{
 		InitialMapping(p, a, dm),
@@ -209,20 +210,11 @@ func reversed(c *circuit.Circuit) *circuit.Circuit {
 	return out
 }
 
-// pass is one routing direction: a circuit and its dependency DAG, built
-// once per Map and shared by every routing pass in that direction.
-type pass struct {
-	c   *circuit.Circuit
-	dag *circuit.DAG
-}
-
-func newPass(c *circuit.Circuit) pass { return pass{c, circuit.NewDAG(c)} }
-
 // router holds what the routing passes of one Map call share: the coupling
 // graph, the options, and scratch buffers reused across decisions and
 // passes, so the routing loop does not allocate per decision.
 type router struct {
-	arch  string
+	arch  string // architecture name, for panic messages
 	dm    *Distances
 	opt   Options
 	edges []arch.Edge // sorted by (A, B)
@@ -239,8 +231,6 @@ type router struct {
 	// p) as visited by the current search; bumping gen clears both.
 	gateSeen, physSeen []int
 	gen                int
-	// slab is the backing array emitted gates' qubit lists are cut from.
-	slab []int
 }
 
 func newRouter(c *circuit.Circuit, a *arch.Architecture, dm *Distances, opt Options) *router {
@@ -256,11 +246,13 @@ func newRouter(c *circuit.Circuit, a *arch.Architecture, dm *Distances, opt Opti
 	}
 }
 
-// route executes the SABRE routing loop from mapping m, mutating it in
-// place into the final mapping, and returns the number of SWAPs inserted.
-// The physical circuit is appended to out unless out is nil.
-func (r *router) route(p pass, m *Mapping, out *circuit.Circuit) int {
-	front := p.dag.NewFront()
+// route executes the SABRE routing loop over the circuit of dag from
+// mapping m, mutating it in place into the final mapping, and returns the
+// number of SWAPs inserted. The physical circuit is appended to out
+// unless out is nil.
+func (r *router) route(dag *circuit.DAG, m *Mapping, out *circuit.Circuit) int {
+	c := dag.Circuit()
+	front := dag.NewFront()
 	r.resetDecay()
 	swaps, sinceReset := 0, 0
 	// stall counts SWAPs inserted since the last gate execution. If the
@@ -277,7 +269,7 @@ func (r *router) route(p pass, m *Mapping, out *circuit.Circuit) int {
 		// Execute everything executable in the current front.
 		r.exec = r.exec[:0]
 		for _, gi := range front.Ready() {
-			g := &p.c.Gates[gi]
+			g := &c.Gates[gi]
 			if g.Kind != circuit.CX || r.dm.Between(m.L2P[g.Qubits[0]], m.L2P[g.Qubits[1]]) == 1 {
 				r.exec = append(r.exec, gi)
 			}
@@ -285,7 +277,7 @@ func (r *router) route(p pass, m *Mapping, out *circuit.Circuit) int {
 		if len(r.exec) > 0 {
 			if out != nil {
 				for _, gi := range r.exec {
-					r.emit(out, p.c.Gates[gi], m)
+					emit(out, c.Gates[gi], m)
 				}
 			}
 			front.Resolve(r.exec...)
@@ -300,9 +292,9 @@ func (r *router) route(p pass, m *Mapping, out *circuit.Circuit) int {
 		if stale {
 			r.frontCX = r.frontCX[:0]
 			for _, gi := range front.Ready() {
-				r.frontCX = append(r.frontCX, p.c.Gates[gi].Qubits...)
+				r.frontCX = append(r.frontCX, c.Gates[gi].Qubits...)
 			}
-			r.extendedSet(p, front)
+			r.extendedSet(dag, front)
 			stale = false
 		}
 		if stall >= maxStall {
@@ -314,7 +306,7 @@ func (r *router) route(p pass, m *Mapping, out *circuit.Circuit) int {
 		if len(cands) == 0 {
 			// No swap touches a front qubit: disconnected placement.
 			// This cannot happen on connected coupling graphs; fail loudly.
-			panic(fmt.Sprintf("mapper: no candidate swaps for %q on %q", p.c.Name, r.arch))
+			panic(fmt.Sprintf("mapper: no candidate swaps for %q on %q", c.Name, r.arch))
 		}
 		best, bestScore := cands[0], 0.0
 		for i, sw := range cands {
@@ -325,7 +317,7 @@ func (r *router) route(p pass, m *Mapping, out *circuit.Circuit) int {
 		}
 		m.Swap(best.A, best.B)
 		if out != nil {
-			r.emitSwap(out, best.A, best.B)
+			emitSwap(out, best.A, best.B)
 		}
 		swaps++
 		r.decay[best.A] += r.opt.DecayDelta
@@ -370,50 +362,35 @@ func (r *router) forceProgress(out *circuit.Circuit, m *Mapping, lc, lt int) int
 		}
 		m.Swap(pc, next)
 		if out != nil {
-			r.emitSwap(out, pc, next)
+			emitSwap(out, pc, next)
 		}
 		inserted++
 	}
 }
 
 // emit appends gate g rewritten onto physical qubits.
-func (r *router) emit(out *circuit.Circuit, g circuit.Gate, m *Mapping) {
-	qs := r.qubits(len(g.Qubits))
+func emit(out *circuit.Circuit, g circuit.Gate, m *Mapping) {
+	ng := g
+	ng.Qubits = make([]int, len(g.Qubits))
 	for i, q := range g.Qubits {
-		qs[i] = m.L2P[q]
+		ng.Qubits[i] = m.L2P[q]
 	}
-	g.Qubits = qs
 	if g.Params != nil {
-		g.Params = append([]float64(nil), g.Params...)
+		ng.Params = append([]float64(nil), g.Params...)
 	}
-	out.Append(g)
+	out.Append(ng)
 }
 
 // emitSwap appends a SWAP on physical qubits p1, p2 as its 3-CX expansion,
 // keeping the output in the hardware basis.
-func (r *router) emitSwap(out *circuit.Circuit, p1, p2 int) {
-	for _, cx := range [3][2]int{{p1, p2}, {p2, p1}, {p1, p2}} {
-		qs := r.qubits(2)
-		qs[0], qs[1] = cx[0], cx[1]
-		out.Append(circuit.Gate{Kind: circuit.CX, Qubits: qs})
-	}
-}
-
-// qubits returns a length-n qubit list cut from the shared slab. Its
-// capacity is n, so appending to it never overwrites a neighbour.
-func (r *router) qubits(n int) []int {
-	if len(r.slab)+n > cap(r.slab) {
-		r.slab = make([]int, 0, max(n, 4096))
-	}
-	i := len(r.slab)
-	r.slab = r.slab[:i+n]
-	return r.slab[i : i+n : i+n]
+func emitSwap(out *circuit.Circuit, p1, p2 int) {
+	out.CX(p1, p2).CX(p2, p1).CX(p1, p2)
 }
 
 // extendedSet fills r.extended with the pairs of up to ExtendedSize CX
 // gates reachable from the front in the DAG (breadth-first over
 // successors), the look-ahead window of the SABRE heuristic.
-func (r *router) extendedSet(p pass, front *circuit.Front) {
+func (r *router) extendedSet(dag *circuit.DAG, front *circuit.Front) {
 	r.extended = r.extended[:0]
 	size := r.opt.ExtendedSize
 	if size <= 0 {
@@ -424,14 +401,15 @@ func (r *router) extendedSet(p pass, front *circuit.Front) {
 	for _, gi := range queue {
 		r.gateSeen[gi] = r.gen
 	}
+	gates := dag.Circuit().Gates
 	n := 0
 	for head := 0; head < len(queue) && n < size; head++ {
-		for _, s := range p.dag.Successors(queue[head]) {
+		for _, s := range dag.Successors(queue[head]) {
 			if r.gateSeen[s] == r.gen {
 				continue
 			}
 			r.gateSeen[s] = r.gen
-			if g := &p.c.Gates[s]; g.Kind == circuit.CX {
+			if g := &gates[s]; g.Kind == circuit.CX {
 				r.extended = append(r.extended, g.Qubits...)
 				n++
 				if n >= size {
