@@ -87,3 +87,37 @@ func (p Params) SpectatorProb(fj, fi, fk, sigma float64) float64 {
 	pr += windowProb(v, 0, p.T7, sd6)
 	return pr
 }
+
+// ExpectedCollisions returns the expected number of triggered condition
+// instances of the frequency assignment freqs over the coupling graph adj
+// under N(0, σ) noise: the design frequencies orient every gate and are
+// also the noise-free centres. It sums every pair marginal in edge order,
+// then every spectator marginal in edge order. freq.Allocate ranks
+// candidates by this sum and its tie-breaks reach the pinned arch hashes,
+// so the order is part of the contract.
+func ExpectedCollisions(adj [][]int, freqs []float64, sigma float64, p Params) float64 {
+	e := 0.0
+	for a, nbrs := range adj {
+		for _, b := range nbrs {
+			if b <= a {
+				continue
+			}
+			ctl, tgt := orient(a, b, freqs)
+			e += p.PairProb(freqs[ctl], freqs[tgt], sigma)
+		}
+	}
+	for a, nbrs := range adj {
+		for _, b := range nbrs {
+			if b <= a {
+				continue
+			}
+			ctl, tgt := orient(a, b, freqs)
+			for _, i := range adj[ctl] {
+				if i != tgt {
+					e += p.SpectatorProb(freqs[ctl], freqs[i], freqs[tgt], sigma)
+				}
+			}
+		}
+	}
+	return e
+}

@@ -4,11 +4,15 @@
 // Rosenblatt et al., APS'19).
 //
 // All frequencies are in GHz. Conditions 1-4 apply to a connected qubit
-// pair (j, k); because a cross-resonance gate may be driven in either
-// direction, the yield model evaluates them over both orientations of every
-// coupling-graph edge. Conditions 5-7 apply to two qubits i and k that both
-// connect to a common qubit j (spectator collisions) and are likewise
-// evaluated over all ordered spectator pairs.
+// pair (j, k), evaluated once per coupling-graph edge in the gate direction
+// the design fixes (see orient). Conditions 5-7 apply to two qubits i and k
+// that both connect to a common qubit j (spectator collisions), evaluated
+// for every other neighbour i of each gate's control j.
+//
+// Params.Pair and Params.Spectator are the reference spelling of the
+// conditions and Params.Collides the paper's loop over them; Kernel is
+// their one compiled form, and the analytic marginals (PairProb,
+// SpectatorProb) price the same conditions under Gaussian noise.
 package collision
 
 // Params holds the device constants of the collision model.
@@ -31,6 +35,20 @@ func DefaultParams() Params {
 		T1:    0.017, T2: 0.004, T3: 0.025,
 		T5: 0.017, T6: 0.025, T7: 0.017,
 	}
+}
+
+// orient fixes the gate direction of the coupled pair (a, b) from the
+// design (pre-fabrication) frequencies: the higher design frequency drives
+// (is the control of) the cross-resonance gate, IBM's convention, and
+// equal frequencies resolve to the lower index. The direction is a design
+// choice and does not move with fabrication noise. Checking both
+// directions instead would forbid every |Δf| ≤ −δ band, so no frequency
+// plan could be collision-free.
+func orient(a, b int, design []float64) (ctl, tgt int) {
+	if design[b] > design[a] || (design[b] == design[a] && b < a) {
+		return b, a
+	}
+	return a, b
 }
 
 func within(x, center, threshold float64) bool {
@@ -99,4 +117,31 @@ func (p Params) SpectatorConditions(fj, fi, fk float64) []int {
 		out = append(out, 7)
 	}
 	return out
+}
+
+// Collides reports whether the post-fabrication frequencies post trigger
+// any collision condition on the coupling graph adj, with every gate
+// oriented by the design frequencies. It is §4.3.1's check written out
+// literally — for each edge, conditions 1-4 on (control, target), then
+// conditions 5-7 for every other neighbour of the control — and is the
+// oracle the compiled Kernel and every Monte-Carlo fast path are tested
+// against.
+func (p Params) Collides(adj [][]int, design, post []float64) bool {
+	for a, nbrs := range adj {
+		for _, b := range nbrs {
+			if b <= a {
+				continue
+			}
+			ctl, tgt := orient(a, b, design)
+			if p.Pair(post[ctl], post[tgt]) {
+				return true
+			}
+			for _, i := range adj[ctl] {
+				if i != tgt && p.Spectator(post[ctl], post[i], post[tgt]) {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }

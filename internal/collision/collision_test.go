@@ -71,44 +71,74 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// TestCheckerOrientation verifies the control is the higher design
+// conditionCount counts the condition instances post triggers with the
+// gates oriented by design, through PairConditions and
+// SpectatorConditions: the per-fabrication quantity whose mean
+// ExpectedCollisions prices in closed form.
+func conditionCount(adj [][]int, design, post []float64, p Params) int {
+	n := 0
+	for a, nbrs := range adj {
+		for _, b := range nbrs {
+			if b <= a {
+				continue
+			}
+			ctl, tgt := orient(a, b, design)
+			n += len(p.PairConditions(post[ctl], post[tgt]))
+			for _, i := range adj[ctl] {
+				if i != tgt {
+					n += len(p.SpectatorConditions(post[ctl], post[i], post[tgt]))
+				}
+			}
+		}
+	}
+	return n
+}
+
+// TestCollidesOrientation verifies the control is the higher design
 // frequency: condition 2 (fj ≅ fk − δ/2) must be evaluated with j above.
-func TestCheckerOrientation(t *testing.T) {
+// Equal design frequencies hand the gate to the lower index.
+func TestCollidesOrientation(t *testing.T) {
 	p := DefaultParams()
 	adj := [][]int{{1}, {0}}
 	// Separation exactly 0.17: collides only in the high-controls-low
 	// orientation (cond2), which the design convention picks.
 	design := []float64{5.10, 5.27}
-	ch := NewChecker(adj, design, p)
-	if ch.NumPairs() != 1 || ch.NumTriples() != 0 {
-		t.Fatalf("pairs=%d triples=%d", ch.NumPairs(), ch.NumTriples())
+	k := NewKernel(adj, p)
+	if ctl, tgt, specs := k.Orient(0, design); k.NumEdges() != 1 || ctl != 1 || tgt != 0 || len(specs) != 0 {
+		t.Fatalf("edges=%d orient=(%d,%d) spectators=%v", k.NumEdges(), ctl, tgt, specs)
 	}
-	if !ch.Collides(design) {
+	if !p.Collides(adj, design, design) {
 		t.Fatal("0.17 separation must trigger condition 2 with the high-frequency control")
 	}
 	// Separation 0.10 is clean in the designated orientation.
 	clean := []float64{5.10, 5.20}
-	if NewChecker(adj, clean, p).Collides(clean) {
+	if p.Collides(adj, clean, clean) {
 		t.Fatal("0.10 separation should be collision-free")
+	}
+	tied := []float64{5.10, 5.10}
+	if ctl, tgt := orient(1, 0, tied); ctl != 0 || tgt != 1 {
+		t.Fatalf("tied orient(1, 0) = (%d, %d), want (0, 1)", ctl, tgt)
 	}
 }
 
-func TestCheckerSpectators(t *testing.T) {
+func TestCollidesSpectators(t *testing.T) {
 	p := DefaultParams()
 	// Star: hub 0 with leaves 1, 2. Hub frequency above both => hub
 	// controls both gates; each gate sees the other leaf as spectator.
 	adj := [][]int{{1, 2}, {0}, {0}}
 	design := []float64{5.30, 5.20, 5.21}
-	ch := NewChecker(adj, design, p)
-	if ch.NumTriples() != 2 {
-		t.Fatalf("triples = %d, want 2", ch.NumTriples())
+	k := NewKernel(adj, p)
+	for e := 0; e < k.NumEdges(); e++ {
+		if ctl, _, specs := k.Orient(e, design); ctl != 0 || len(specs) != 1 {
+			t.Fatalf("edge %d: control %d with spectators %v, want hub 0 with one", e, ctl, specs)
+		}
 	}
 	// Leaves 0.01 apart: spectator condition 5.
-	if !ch.Collides(design) {
+	if !p.Collides(adj, design, design) {
 		t.Fatal("near-degenerate spectators must collide")
 	}
 	spread := []float64{5.30, 5.12, 5.22}
-	if NewChecker(adj, spread, p).Collides(spread) {
+	if p.Collides(adj, spread, spread) {
 		t.Fatal("spread spectators should be clean")
 	}
 }
@@ -122,9 +152,8 @@ func TestCountMatchesCollides(t *testing.T) {
 		for i := range f {
 			f[i] = 5.0 + 0.4*rng.Float64()
 		}
-		ch := NewChecker(adj, f, p)
-		if (ch.Count(f) > 0) != ch.Collides(f) {
-			t.Fatalf("Count and Collides disagree on %v", f)
+		if (conditionCount(adj, f, f, p) > 0) != p.Collides(adj, f, f) {
+			t.Fatalf("condition count and Collides disagree on %v", f)
 		}
 	}
 }
@@ -136,8 +165,7 @@ func TestExpectedMatchesMonteCarlo(t *testing.T) {
 	adj := [][]int{{1, 2}, {0, 2}, {0, 1}}
 	design := []float64{5.05, 5.17, 5.29}
 	sigma := 0.030
-	ch := NewChecker(adj, design, p)
-	want := ch.Expected(design, sigma)
+	want := ExpectedCollisions(adj, design, sigma, p)
 
 	rng := rand.New(rand.NewSource(11))
 	const trials = 200000
@@ -147,7 +175,7 @@ func TestExpectedMatchesMonteCarlo(t *testing.T) {
 		for q := range post {
 			post[q] = design[q] + rng.NormFloat64()*sigma
 		}
-		sum += float64(ch.Count(post))
+		sum += float64(conditionCount(adj, design, post, p))
 	}
 	got := sum / trials
 	if math.Abs(got-want) > 0.02*math.Max(1, want)+0.01 {
@@ -163,7 +191,7 @@ func TestExpectedMonotoneInSigma(t *testing.T) {
 	design := []float64{5.06, 5.16, 5.26}
 	prev := -1.0
 	for _, sigma := range []float64{0.005, 0.015, 0.030, 0.060, 0.130} {
-		e := NewChecker(adj, design, p).Expected(design, sigma)
+		e := ExpectedCollisions(adj, design, sigma, p)
 		if e < prev {
 			t.Fatalf("expected count decreased at sigma=%.3f: %.4f < %.4f", sigma, e, prev)
 		}
@@ -192,10 +220,10 @@ func TestZeroSigmaDegeneratesToIndicator(t *testing.T) {
 	adj := [][]int{{1}, {0}}
 	collide := []float64{5.10, 5.10}
 	clean := []float64{5.10, 5.20}
-	if e := NewChecker(adj, collide, p).Expected(collide, 0); e < 1 {
+	if e := ExpectedCollisions(adj, collide, 0, p); e < 1 {
 		t.Fatalf("degenerate pair expected count = %.2f, want >= 1", e)
 	}
-	if e := NewChecker(adj, clean, p).Expected(clean, 0); e != 0 {
+	if e := ExpectedCollisions(adj, clean, 0, p); e != 0 {
 		t.Fatalf("clean pair expected count = %.2f, want 0", e)
 	}
 }
@@ -204,11 +232,8 @@ func TestOneShotHelpers(t *testing.T) {
 	p := DefaultParams()
 	adj := [][]int{{1}, {0}}
 	bad := []float64{5.10, 5.10}
-	if !Any(adj, bad, p) {
-		t.Fatal("Any missed a degenerate pair")
-	}
-	if Count(adj, bad, p) == 0 {
-		t.Fatal("Count missed a degenerate pair")
+	if !p.Collides(adj, bad, bad) {
+		t.Fatal("Collides missed a degenerate pair")
 	}
 	if ExpectedCollisions(adj, bad, 0.03, p) <= 0 {
 		t.Fatal("ExpectedCollisions returned nonpositive for colliding plan")

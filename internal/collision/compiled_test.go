@@ -6,71 +6,27 @@ import (
 	"testing"
 )
 
-// referenceCollides is the uncompiled per-condition implementation the
-// flat tables replaced: enumerate pairs and spectator triples exactly as
-// NewChecker does and delegate each to Params.Pair/Spectator. It is the
-// oracle of the differential tests — any divergence between it and the
-// compiled Checker is a kernel bug.
-func referenceCollides(adj [][]int, design, post []float64, p Params) bool {
-	pairs, triples := referenceConditions(adj, design)
-	for _, e := range pairs {
-		if p.Pair(post[e[0]], post[e[1]]) {
-			return true
-		}
+// edgeFails is edge e's kernel verdict for one fabrication: EdgeFailsBits
+// over a one-trial noise column, so qubit q's post-fabrication frequency
+// is design[q] + noise[q], formed exactly as the Monte-Carlo paths form it.
+func edgeFails(k *Kernel, e int, design, noise []float64) bool {
+	cols := make([][]float64, len(noise))
+	for q := range cols {
+		cols[q] = noise[q : q+1]
 	}
-	for _, t := range triples {
-		if p.Spectator(post[t[0]], post[t[1]], post[t[2]]) {
-			return true
-		}
-	}
-	return false
+	var bit [1]uint64
+	k.EdgeFailsBits(e, design, cols, 0, 1, bit[:])
+	return bit[0] != 0
 }
 
-// referenceCount mirrors Checker.Count through the same enumeration.
-func referenceCount(adj [][]int, design, post []float64, p Params) int {
-	pairs, triples := referenceConditions(adj, design)
-	n := 0
-	for _, e := range pairs {
-		n += len(p.PairConditions(post[e[0]], post[e[1]]))
-	}
-	for _, t := range triples {
-		n += len(p.SpectatorConditions(post[t[0]], post[t[1]], post[t[2]]))
-	}
-	return n
-}
-
-// referenceConditions enumerates the (control, target) pairs and
-// (control, spectator, target) triples with the design-orientation rule:
-// higher design frequency controls, ties to the lower index.
-func referenceConditions(adj [][]int, design []float64) (pairs [][2]int, triples [][3]int) {
-	control := func(a, b int) (int, int) {
-		if design[a] > design[b] || (design[a] == design[b] && a < b) {
-			return a, b
-		}
-		return b, a
-	}
-	for j, nbrs := range adj {
-		for _, k := range nbrs {
-			if k <= j {
-				continue
-			}
-			ctl, tgt := control(j, k)
-			pairs = append(pairs, [2]int{ctl, tgt})
-			for _, i := range adj[ctl] {
-				if i != tgt {
-					triples = append(triples, [3]int{ctl, i, tgt})
-				}
-			}
-		}
-	}
-	return pairs, triples
-}
-
-// TestCompiledCollidesMatchesReference drives the compiled flat-table
-// Checker against the per-condition reference on randomized graphs,
-// design assignments and noisy post-fabrication frequencies, including
-// near-threshold values where a single mis-rounded comparison would flip
-// the verdict. Both Collides and Count must agree exactly.
+// TestCompiledCollidesMatchesReference drives the compiled kernel's
+// OR-over-edges verdict against the literal per-condition loop,
+// Params.Collides, on randomized graphs, design assignments and noisy
+// post-fabrication frequencies. Each kernel is compiled once while design
+// frequencies move underneath it, so edge orientations flip and the
+// kernel must re-derive its spectator sets; every fifth fabrication puts
+// one gate exactly onto the condition-1 boundary, where a single
+// mis-rounded comparison would flip the verdict.
 func TestCompiledCollidesMatchesReference(t *testing.T) {
 	p := DefaultParams()
 	rng := rand.New(rand.NewSource(1234))
@@ -78,58 +34,38 @@ func TestCompiledCollidesMatchesReference(t *testing.T) {
 		n := 2 + rng.Intn(10)
 		adj := randomGraph(rng, n)
 		design := randomFreqs(rng, n)
-		ch := NewChecker(adj, design, p)
-		for rep := 0; rep < 20; rep++ {
-			post := make([]float64, n)
-			for q := range post {
-				post[q] = design[q] + rng.NormFloat64()*0.03
-			}
-			if rep%5 == 4 && ch.NumPairs() > 0 {
-				// Push one pair exactly onto a condition boundary.
-				a, b := ch.pairCtl[0], ch.pairTgt[0]
-				post[a] = post[b] + p.T1
-			}
-			if got, want := ch.Collides(post), referenceCollides(adj, design, post, p); got != want {
-				t.Fatalf("trial %d rep %d: compiled Collides=%v, reference=%v\nadj=%v design=%v post=%v",
-					trial, rep, got, want, adj, design, post)
-			}
-			if got, want := ch.Count(post), referenceCount(adj, design, post, p); got != want {
-				t.Fatalf("trial %d rep %d: compiled Count=%d, reference=%d", trial, rep, got, want)
-			}
-		}
-	}
-}
-
-// TestKernelMatchesChecker checks the edge-bundle kernel's OR-over-edges
-// verdict equals the compiled Checker's Collides for the same design
-// orientation — including after design-frequency moves that flip edge
-// orientations, where the kernel re-derives the spectator sets and the
-// checker must be recompiled.
-func TestKernelMatchesChecker(t *testing.T) {
-	p := DefaultParams()
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 200; trial++ {
-		n := 2 + rng.Intn(10)
-		adj := randomGraph(rng, n)
-		design := randomFreqs(rng, n)
 		k := NewKernel(adj, p)
-		for rep := 0; rep < 10; rep++ {
-			// Move one design frequency (possibly flipping orientations).
-			design[rng.Intn(n)] = 5.00 + 0.34*rng.Float64()
-			ch := NewChecker(adj, design, p)
-			post := make([]float64, n)
+		noise := make([]float64, n)
+		post := make([]float64, n)
+		for rep := 0; rep < 20; rep++ {
+			if rep%2 == 1 {
+				design[rng.Intn(n)] = 5.00 + 0.34*rng.Float64()
+			}
+			for q := range noise {
+				noise[q] = rng.NormFloat64() * 0.03
+			}
+			boundary := rep%5 == 4 && k.NumEdges() > 0
+			var ctl, tgt int32
+			if boundary {
+				// post[ctl] = post[tgt] + T1. Both frequencies sit near
+				// 5 GHz, so the subtraction is exact (Sterbenz) and
+				// design[ctl] + noise[ctl] lands on the target bit for bit.
+				ctl, tgt, _ = k.Orient(0, design)
+				noise[ctl] = design[tgt] + noise[tgt] + p.T1 - design[ctl]
+			}
 			for q := range post {
-				post[q] = design[q] + rng.NormFloat64()*0.03
+				post[q] = design[q] + noise[q]
 			}
-			kernelFails := false
+			if boundary && post[ctl] != post[tgt]+p.T1 {
+				t.Fatalf("trial %d rep %d: boundary construction missed: %v vs %v", trial, rep, post[ctl], post[tgt]+p.T1)
+			}
+			kernel := false
 			for e := 0; e < k.NumEdges(); e++ {
-				if k.EdgeFails(e, design, post) {
-					kernelFails = true
-				}
+				kernel = kernel || edgeFails(k, e, design, noise)
 			}
-			if got := ch.Collides(post); got != kernelFails {
-				t.Fatalf("trial %d rep %d: checker=%v kernel=%v\nadj=%v design=%v post=%v",
-					trial, rep, got, kernelFails, adj, design, post)
+			if want := p.Collides(adj, design, post); kernel != want {
+				t.Fatalf("trial %d rep %d: kernel=%v reference=%v\nadj=%v design=%v post=%v",
+					trial, rep, kernel, want, adj, design, post)
 			}
 		}
 	}
@@ -146,18 +82,18 @@ func TestKernelDepsCoverVerdictChanges(t *testing.T) {
 		n := 3 + rng.Intn(8)
 		adj := randomGraph(rng, n)
 		design := randomFreqs(rng, n)
-		post := make([]float64, n)
-		for q := range post {
-			post[q] = design[q] + rng.NormFloat64()*0.03
+		noise := make([]float64, n)
+		for q := range noise {
+			noise[q] = rng.NormFloat64() * 0.03
 		}
 		k := NewKernel(adj, p)
 		before := make([]bool, k.NumEdges())
 		for e := range before {
-			before[e] = k.EdgeFails(e, design, post)
+			before[e] = edgeFails(k, e, design, noise)
 		}
 		q := rng.Intn(n)
 		design[q] = 5.00 + 0.34*rng.Float64()
-		post[q] = design[q] + rng.NormFloat64()*0.03
+		noise[q] = rng.NormFloat64() * 0.03
 		dep := map[int32]bool{}
 		for _, e := range k.Deps(q) {
 			dep[e] = true
@@ -166,7 +102,7 @@ func TestKernelDepsCoverVerdictChanges(t *testing.T) {
 			if dep[int32(e)] {
 				continue
 			}
-			if got := k.EdgeFails(e, design, post); got != before[e] {
+			if got := edgeFails(k, e, design, noise); got != before[e] {
 				t.Fatalf("trial %d: edge %d outside Deps(%d) changed verdict %v -> %v",
 					trial, e, q, before[e], got)
 			}
@@ -312,13 +248,13 @@ func TestPreviewMatchesSetRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCountSurvivorsMatchesChecker is the batch one-shot differential:
+// TestCountSurvivorsMatchesReference is the batch one-shot differential:
 // CountSurvivors over column-major noise must agree exactly with a
-// scalar per-trial Checker.Collides loop — across random graphs and
+// scalar per-trial Params.Collides loop — across random graphs and
 // design assignments, trial counts straddling every word boundary (the
 // trailing-word masking invariant), and arbitrary word-aligned chunk
 // splits (the invariant the parallel estimate relies on).
-func TestCountSurvivorsMatchesChecker(t *testing.T) {
+func TestCountSurvivorsMatchesReference(t *testing.T) {
 	p := DefaultParams()
 	rng := rand.New(rand.NewSource(41))
 	trialCounts := []int{1, 63, 64, 65, 127, 128, 200}
@@ -327,7 +263,6 @@ func TestCountSurvivorsMatchesChecker(t *testing.T) {
 		adj := randomGraph(rng, n)
 		design := randomFreqs(rng, n)
 		k := NewKernel(adj, p)
-		ch := NewChecker(adj, design, p)
 		trials := trialCounts[round%len(trialCounts)]
 		if round >= len(trialCounts)*2 {
 			trials = 1 + rng.Intn(300)
@@ -345,12 +280,12 @@ func TestCountSurvivorsMatchesChecker(t *testing.T) {
 			for q := range post {
 				post[q] = design[q] + cols[q][ti]
 			}
-			if !ch.Collides(post) {
+			if !p.Collides(adj, design, post) {
 				want++
 			}
 		}
 		if got := k.CountSurvivors(design, cols, 0, trials); got != want {
-			t.Fatalf("round %d: CountSurvivors=%d, checker loop=%d\nadj=%v design=%v trials=%d",
+			t.Fatalf("round %d: CountSurvivors=%d, reference loop=%d\nadj=%v design=%v trials=%d",
 				round, got, want, adj, design, trials)
 		}
 		// Word-aligned chunk splits must sum to the whole-range count.

@@ -7,14 +7,13 @@ package collision
 // run; recomputing every closed-form marginal each time would make the
 // surrogate as expensive as the Monte-Carlo estimate it replaces.
 //
-// Terms are grouped per undirected coupling edge into a bundle: the pair
-// conditions 1-4 of the edge in its current orientation (control = higher
-// design frequency, ties to the lower index — the same rule NewChecker
-// compiles) plus the spectator conditions 5-7 of every (control, spectator,
-// target) triple the edge generates. A bundle's score depends only on the
-// frequencies of the edge's endpoints and their neighbours, so each qubit
-// carries a precomputed list of dependent bundles and an update touches
-// just those. Orientation flips caused by an update are handled naturally:
+// Terms are grouped per edge bundle of the compiled Kernel: the pair
+// conditions 1-4 of the edge in its current orientation (see orient) plus
+// the spectator conditions 5-7 of every (control, spectator, target)
+// triple the edge generates. A bundle's score depends only on the
+// frequencies of the edge's endpoints and their neighbours, so an update
+// touches just the bundles in the Kernel's dependency list of each moved
+// qubit. Orientation flips caused by an update are handled naturally:
 // affected bundles are re-scored from scratch, re-deriving their control.
 //
 // Within a bundle, the individual term values (the pair marginal and each
@@ -33,25 +32,19 @@ package collision
 // accumulated floating-point drift, and bit-identical across any update
 // history that ends in the same assignment.
 type Incremental struct {
-	params Params
-	sigma  float64
-	adj    [][]int
-	freqs  []float64
-	// edges lists the undirected coupling edges (a < b); edgeE holds the
-	// current bundle score per edge.
-	edges [][2]int
+	kern  *Kernel
+	sigma float64
+	adj   [][]int
+	freqs []float64
+	// edgeE holds the current bundle score per kernel edge.
 	edgeE []float64
-	// deps[q] lists the edge bundles whose score depends on freqs[q].
-	deps [][]int
 	// terms caches the current marginal values of every bundle:
 	// terms[termOff[e]] is edge e's pair term and the following slots its
-	// spectator terms in adj[control] order; specQ (indexed by
-	// termOff[e]-e, one slot fewer per edge) names the spectator qubit of
-	// each spectator term. Slots are sized for the worse of the two
-	// orientations; the live count follows the current control's degree.
+	// spectator terms, in the order of the spectators Kernel.Orient
+	// returns for the current control. Slots are sized for the worse of
+	// the two orientations.
 	termOff []int32
 	terms   []float64
-	specQ   []int32
 	// mark/stamp deduplicate bundle re-scores within one update; scratch
 	// holds previewed bundle scores without committing them to edgeE.
 	mark     []int
@@ -65,86 +58,50 @@ type Incremental struct {
 // NewIncremental compiles the incremental scorer for the coupling graph
 // adj under the initial design frequencies freqs (copied, not retained).
 func NewIncremental(adj [][]int, freqs []float64, sigma float64, p Params) *Incremental {
+	k := NewKernel(adj, p)
+	m := k.NumEdges()
 	inc := &Incremental{
-		params: p,
-		sigma:  sigma,
-		adj:    adj,
-		freqs:  append([]float64(nil), freqs...),
-		deps:   make([][]int, len(adj)),
+		kern:    k,
+		sigma:   sigma,
+		adj:     adj,
+		freqs:   append([]float64(nil), freqs...),
+		edgeE:   make([]float64, m),
+		termOff: make([]int32, m+1),
+		mark:    make([]int, m),
+		scratch: make([]float64, m),
 	}
-	inc.termOff = append(inc.termOff, 0)
-	for a, nbrs := range adj {
-		for _, b := range nbrs {
-			if b <= a {
-				continue
-			}
-			e := len(inc.edges)
-			inc.edges = append(inc.edges, [2]int{a, b})
-			// Dependents: the endpoints and every neighbour of either
-			// endpoint (spectators come from the control's adjacency, and
-			// either endpoint can be the control).
-			seen := map[int]bool{a: true, b: true}
-			inc.deps[a] = append(inc.deps[a], e)
-			inc.deps[b] = append(inc.deps[b], e)
-			for _, end := range [2]int{a, b} {
-				for _, nb := range adj[end] {
-					if !seen[nb] {
-						seen[nb] = true
-						inc.deps[nb] = append(inc.deps[nb], e)
-					}
-				}
-			}
-			// One pair slot plus spectator slots for the larger of the
-			// two orientations (the control's neighbours minus the target).
-			maxSpec := len(adj[a])
-			if len(adj[b]) > maxSpec {
-				maxSpec = len(adj[b])
-			}
-			inc.termOff = append(inc.termOff, inc.termOff[e]+int32(maxSpec)) // 1 pair + (maxSpec-1) spectators
-		}
+	for e := 0; e < m; e++ {
+		// One pair slot plus the spectator slots of the larger of the two
+		// orientations' spectator lists.
+		spec := max(k.offB[e]-k.offA[e], k.offA[e+1]-k.offB[e])
+		inc.termOff[e+1] = inc.termOff[e] + 1 + spec
 	}
-	total := int(inc.termOff[len(inc.edges)])
-	inc.terms = make([]float64, total)
-	inc.specQ = make([]int32, total-len(inc.edges))
-	inc.edgeE = make([]float64, len(inc.edges))
-	inc.mark = make([]int, len(inc.edges))
-	inc.scratch = make([]float64, len(inc.edges))
-	for e := range inc.edges {
-		inc.edgeE[e] = inc.scoreBundle(e)
+	inc.terms = make([]float64, inc.termOff[m])
+	for e := range inc.edgeE {
+		inc.edgeE[e] = inc.scoreBundle(e, true)
 	}
 	return inc
 }
 
-// orient resolves edge e's control and target under the current
-// frequencies (higher design frequency controls, ties to the lower
-// index — edges store a < b).
-func (inc *Incremental) orient(e int) (ctl, tgt int) {
-	a, b := inc.edges[e][0], inc.edges[e][1]
-	if inc.freqs[b] > inc.freqs[a] {
-		return b, a
-	}
-	return a, b
-}
-
-// scoreBundle recomputes every marginal of edge e from the current
+// scoreBundle computes every marginal of edge e from the current
 // frequencies — pair conditions in the current orientation plus every
-// spectator triple around the control — committing the term values and
-// returning their sum.
-func (inc *Incremental) scoreBundle(e int) float64 {
-	ctl, tgt := inc.orient(e)
-	base := int(inc.termOff[e])
-	sbase := base - e
-	s := inc.params.PairProb(inc.freqs[ctl], inc.freqs[tgt], inc.sigma)
-	inc.terms[base] = s
-	j := 0
-	for _, i := range inc.adj[ctl] {
-		if i != tgt {
-			v := inc.params.SpectatorProb(inc.freqs[ctl], inc.freqs[i], inc.freqs[tgt], inc.sigma)
-			inc.terms[base+1+j] = v
-			inc.specQ[sbase+j] = int32(i)
-			s += v
-			j++
+// spectator triple around the control — and returns their sum. commit
+// writes the term values back to the cache; previews leave it alone.
+func (inc *Incremental) scoreBundle(e int, commit bool) float64 {
+	ctl, tgt, specs := inc.kern.Orient(e, inc.freqs)
+	p := &inc.kern.params
+	fj, fk := inc.freqs[ctl], inc.freqs[tgt]
+	terms := inc.terms[inc.termOff[e]:]
+	s := p.PairProb(fj, fk, inc.sigma)
+	if commit {
+		terms[0] = s
+	}
+	for j, i := range specs {
+		v := p.SpectatorProb(fj, inc.freqs[i], fk, inc.sigma)
+		if commit {
+			terms[1+j] = v
 		}
+		s += v
 	}
 	inc.rescored++
 	return s
@@ -153,16 +110,14 @@ func (inc *Incremental) scoreBundle(e int) float64 {
 // resumBundle re-adds edge e's cached terms in the committed order —
 // the same float additions scoreBundle performed — optionally with the
 // spectator term of qubit swapQ replaced by swapV (swapQ < 0 disables
-// the swap). The caller guarantees the cached terms are current.
-func (inc *Incremental) resumBundle(e int, swapQ int, swapV float64) float64 {
-	ctl, _ := inc.orient(e)
-	base := int(inc.termOff[e])
-	sbase := base - e
-	s := inc.terms[base]
-	nspec := len(inc.adj[ctl]) - 1
-	for j := 0; j < nspec; j++ {
-		v := inc.terms[base+1+j]
-		if int(inc.specQ[sbase+j]) == swapQ {
+// the swap). specs is the current control's spectator list; the caller
+// guarantees the cached terms are current.
+func (inc *Incremental) resumBundle(e int, specs []int32, swapQ int, swapV float64) float64 {
+	terms := inc.terms[inc.termOff[e]:]
+	s := terms[0]
+	for j, i := range specs {
+		v := terms[1+j]
+		if int(i) == swapQ {
 			v = swapV
 		}
 		s += v
@@ -177,47 +132,26 @@ func (inc *Incremental) resumBundle(e int, swapQ int, swapV float64) float64 {
 // closed form. commit controls whether the new term and bundle score are
 // written back.
 func (inc *Incremental) rescoreFor(e, q int, commit bool) float64 {
-	if q == inc.edges[e][0] || q == inc.edges[e][1] {
-		if commit {
-			return inc.scoreBundle(e)
-		}
-		return inc.previewBundle(e)
+	if q == int(inc.kern.edgeA[e]) || q == int(inc.kern.edgeB[e]) {
+		return inc.scoreBundle(e, commit)
 	}
 	inc.rescored++
 	inc.partials++
-	ctl, tgt := inc.orient(e)
-	base := int(inc.termOff[e])
-	sbase := base - e
-	nspec := len(inc.adj[ctl]) - 1
-	for j := 0; j < nspec; j++ {
-		if int(inc.specQ[sbase+j]) != q {
+	ctl, tgt, specs := inc.kern.Orient(e, inc.freqs)
+	for j, i := range specs {
+		if int(i) != q {
 			continue
 		}
-		v := inc.params.SpectatorProb(inc.freqs[ctl], inc.freqs[q], inc.freqs[tgt], inc.sigma)
+		v := inc.kern.params.SpectatorProb(inc.freqs[ctl], inc.freqs[q], inc.freqs[tgt], inc.sigma)
 		if commit {
-			inc.terms[base+1+j] = v
-			return inc.resumBundle(e, -1, 0)
+			inc.terms[int(inc.termOff[e])+1+j] = v
+			return inc.resumBundle(e, specs, -1, 0)
 		}
-		return inc.resumBundle(e, q, v)
+		return inc.resumBundle(e, specs, q, v)
 	}
 	// q neighbours only the target: no term involves it and the score is
 	// unchanged (a full re-score would recompute identical marginals).
 	return inc.edgeE[e]
-}
-
-// previewBundle computes edge e's bundle score from the current
-// frequencies without committing terms — the full-recompute arm of
-// previews.
-func (inc *Incremental) previewBundle(e int) float64 {
-	ctl, tgt := inc.orient(e)
-	s := inc.params.PairProb(inc.freqs[ctl], inc.freqs[tgt], inc.sigma)
-	for _, i := range inc.adj[ctl] {
-		if i != tgt {
-			s += inc.params.SpectatorProb(inc.freqs[ctl], inc.freqs[i], inc.freqs[tgt], inc.sigma)
-		}
-	}
-	inc.rescored++
-	return s
 }
 
 // Score returns the expected collision count of the current assignment,
@@ -253,17 +187,17 @@ func (inc *Incremental) Set(qubits []int, vals []float64) {
 	inc.stamp++
 	if len(qubits) == 1 {
 		q := qubits[0]
-		for _, e := range inc.deps[q] {
+		for _, e := range inc.kern.Deps(q) {
 			inc.mark[e] = inc.stamp
-			inc.edgeE[e] = inc.rescoreFor(e, q, true)
+			inc.edgeE[e] = inc.rescoreFor(int(e), q, true)
 		}
 		return
 	}
 	for _, q := range qubits {
-		for _, e := range inc.deps[q] {
+		for _, e := range inc.kern.Deps(q) {
 			if inc.mark[e] != inc.stamp {
 				inc.mark[e] = inc.stamp
-				inc.edgeE[e] = inc.scoreBundle(e)
+				inc.edgeE[e] = inc.scoreBundle(int(e), true)
 			}
 		}
 	}
@@ -290,9 +224,9 @@ func (inc *Incremental) Preview1(q int, f float64) float64 {
 	}
 	inc.freqs[q] = f
 	inc.stamp++
-	for _, e := range inc.deps[q] {
+	for _, e := range inc.kern.Deps(q) {
 		inc.mark[e] = inc.stamp
-		inc.scratch[e] = inc.rescoreFor(e, q, false)
+		inc.scratch[e] = inc.rescoreFor(int(e), q, false)
 	}
 	inc.freqs[q] = old
 	total := 0.0
@@ -309,15 +243,14 @@ func (inc *Incremental) Preview1(q int, f float64) float64 {
 }
 
 // Clone returns an independent copy sharing the (immutable) adjacency and
-// dependency structure.
+// compiled kernel.
 func (inc *Incremental) Clone() *Incremental {
 	c := *inc
 	c.freqs = append([]float64(nil), inc.freqs...)
 	c.edgeE = append([]float64(nil), inc.edgeE...)
 	c.terms = append([]float64(nil), inc.terms...)
-	c.specQ = append([]int32(nil), inc.specQ...)
-	c.mark = make([]int, len(inc.edges))
-	c.scratch = make([]float64, len(inc.edges))
+	c.mark = make([]int, len(inc.edgeE))
+	c.scratch = make([]float64, len(inc.edgeE))
 	c.stamp = 0
 	return &c
 }
@@ -331,4 +264,4 @@ func (inc *Incremental) Rescored() uint64 { return inc.rescored }
 func (inc *Incremental) Partials() uint64 { return inc.partials }
 
 // NumBundles returns the number of edge bundles compiled.
-func (inc *Incremental) NumBundles() int { return len(inc.edges) }
+func (inc *Incremental) NumBundles() int { return inc.kern.NumEdges() }

@@ -1,29 +1,28 @@
 package collision
 
 import (
+	"math"
 	"math/bits"
 	"sort"
 )
 
-// Kernel is the edge-bundle compilation of the collision conditions for
-// one coupling graph, the structural core of both Monte-Carlo batch
-// paths: the incremental estimator (yield.TrialState) and the one-shot
-// batch estimate (CountSurvivors). Where Checker fixes the gate orientation
-// at compile time from one design-frequency assignment, Kernel compiles
-// only the topology — per undirected edge, the two endpoints and the
-// spectator candidate list of either orientation — and resolves the
-// orientation per call from whatever design frequencies the caller holds.
-// A design-frequency move can flip an edge's orientation (and with it the
-// spectator set conditions 5-7 range over), so the bundle, not the single
-// condition, is the unit of incremental re-evaluation: re-checking every
-// bundle within reach of a moved qubit re-derives its orientation
-// naturally.
+// Kernel is the compiled form of the collision conditions for one
+// coupling graph, shared by every estimator: the incremental Monte-Carlo
+// state (yield.TrialState), the one-shot batch estimate (CountSurvivors)
+// and the analytic scorer (Incremental). It compiles only the topology —
+// per undirected edge, the two endpoints and the spectator candidate list
+// of either orientation — and resolves the orientation per call from
+// whatever design frequencies the caller holds. A design-frequency move
+// can flip an edge's orientation (and with it the spectator set conditions
+// 5-7 range over), so the bundle, not the single condition, is the unit of
+// incremental re-evaluation: re-checking every bundle within reach of a
+// moved qubit re-derives its orientation naturally.
 //
-// A trial's verdict is the OR over edges of EdgeFails, which equals
-// NewChecker(adj, design, p).Collides(post) exactly: both evaluate the
+// A trial's verdict is the OR over edges of the bundle verdicts, which
+// equals Params.Collides(adj, design, post) exactly: both evaluate the
 // same pair and spectator conditions with the same float arithmetic, and
-// a boolean OR is order-independent. TestKernelMatchesChecker enforces
-// the equivalence.
+// a boolean OR is order-independent. TestCompiledCollidesMatchesReference
+// enforces the equivalence.
 type Kernel struct {
 	params    Params
 	halfDelta float64
@@ -94,25 +93,23 @@ func (k *Kernel) NumEdges() int { return len(k.edgeA) }
 // Callers must not mutate the returned slice.
 func (k *Kernel) Deps(q int) []int32 { return k.deps[q] }
 
-// Orient resolves edge e's gate direction under the design frequencies:
-// the control is the higher design-frequency endpoint, ties to the lower
-// index (the NewChecker rule). It returns the control, the target and the
-// control's spectator candidates.
+// Orient resolves edge e's gate direction under the design frequencies
+// (see orient). It returns the control, the target and the control's
+// spectator candidates: its neighbours other than the target, in
+// adjacency order.
 func (k *Kernel) Orient(e int, design []float64) (ctl, tgt int32, specs []int32) {
 	a, b := k.edgeA[e], k.edgeB[e]
-	if design[b] > design[a] {
+	if c, _ := orient(int(a), int(b), design); c == int(b) {
 		return b, a, k.specs[k.offB[e]:k.offA[e+1]]
 	}
 	return a, b, k.specs[k.offA[e]:k.offB[e]]
 }
 
-// EdgeFails reports whether edge e's bundle triggers any collision
-// condition: pair conditions 1-4 of the edge oriented by the design
-// frequencies, and spectator conditions 5-7 of every (control, spectator,
-// target) triple, all evaluated on the post-fabrication frequencies.
-func (k *Kernel) EdgeFails(e int, design, post []float64) bool {
-	ctl, tgt, specs := k.Orient(e, design)
-	return k.FailsOriented(ctl, tgt, specs, post)
+func abs(x float64) float64 {
+	// math.Abs is a compiler intrinsic (branchless sign-bit clear); a
+	// branchy spelling mispredicts half the time on zero-mean inputs,
+	// which the hot condition loops feel directly.
+	return math.Abs(x)
 }
 
 // EdgeFailsBits evaluates edge e's bundle across trials [lo, hi),
@@ -124,8 +121,8 @@ func (k *Kernel) EdgeFails(e int, design, post []float64) bool {
 // hoisted out of the trial loop. Each post-fabrication frequency is
 // formed as design[q] + cols[q][t] — the same single addition the
 // row-major Monte-Carlo loop performs — and the condition arithmetic
-// matches Checker.Collides operation for operation, so verdicts are
-// bit-identical to the one-shot path.
+// matches Params.Pair and Params.Spectator operation for operation, so
+// verdicts are bit-identical to the reference loop.
 func (k *Kernel) EdgeFailsBits(e int, design []float64, cols [][]float64, lo, hi int, out []uint64) {
 	ctl, tgt, specs := k.Orient(e, design)
 	p := &k.params
@@ -202,10 +199,10 @@ func (k *Kernel) EdgeFailsBits(e int, design []float64, cols [][]float64, lo, hi
 // a trial's verdict is an order-independent OR over bundles, so the
 // returned count — and therefore the yield — is bit-identical to
 // evaluating every bundle on every trial in any order, which in turn
-// equals the scalar NewChecker(adj, design, p).Collides verdict per
-// trial (TestCountSurvivorsMatchesChecker enforces the equivalence).
-// The condition arithmetic matches Checker.Collides operation for
-// operation.
+// equals the scalar Params.Collides verdict per trial
+// (TestCountSurvivorsMatchesReference enforces the equivalence). The
+// condition arithmetic matches Params.Pair and Params.Spectator
+// operation for operation.
 //
 // CountSurvivors keeps no state on the kernel, so concurrent chunks may
 // share one compiled kernel.
@@ -394,39 +391,4 @@ func (k *Kernel) designMargin(e int, design []float64) float64 {
 		}
 	}
 	return m
-}
-
-// FailsOriented is EdgeFails with the orientation pre-resolved, so a
-// trial loop re-checking one edge across thousands of fabrications pays
-// for Orient once. The condition arithmetic matches Checker.Collides
-// operation for operation, keeping verdicts bit-identical.
-func (k *Kernel) FailsOriented(ctl, tgt int32, specs []int32, post []float64) bool {
-	p := &k.params
-	fj, fk := post[ctl], post[tgt]
-	if d := abs(fj - fk); d < p.T1 {
-		return true
-	}
-	if d := abs(fj - (fk - k.halfDelta)); d < p.T2 {
-		return true
-	}
-	base := fk - p.Delta
-	if d := abs(fj - base); d < p.T3 {
-		return true
-	}
-	if fj > base {
-		return true
-	}
-	for _, s := range specs {
-		fi := post[s]
-		if d := abs(fi - fk); d < p.T5 {
-			return true
-		}
-		if d := abs(fi - (fk - p.Delta)); d < p.T6 {
-			return true
-		}
-		if d := abs(2*fj + p.Delta - (fk + fi)); d < p.T7 {
-			return true
-		}
-	}
-	return false
 }

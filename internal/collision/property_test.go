@@ -18,9 +18,13 @@ func TestExpectedNonNegativeAndBounded(t *testing.T) {
 		for i := range freqs {
 			freqs[i] = 5.0 + 0.34*rng.Float64()
 		}
-		ch := NewChecker(adj, freqs, p)
-		e := ch.Expected(freqs, 0.02+0.1*rng.Float64())
-		bound := float64(4*ch.NumPairs() + 3*ch.NumTriples())
+		e := ExpectedCollisions(adj, freqs, 0.02+0.1*rng.Float64(), p)
+		k := NewKernel(adj, p)
+		bound := 0.0
+		for i := 0; i < k.NumEdges(); i++ {
+			_, _, specs := k.Orient(i, freqs)
+			bound += float64(4 + 3*len(specs))
+		}
 		return e >= 0 && e <= bound
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -42,7 +46,7 @@ func TestExpectedMonotoneUnderEdges(t *testing.T) {
 			freqs[i] = 5.0 + 0.34*rng.Float64()
 		}
 		sigma := 0.03
-		base := NewChecker(adj, freqs, p).Expected(freqs, sigma)
+		base := ExpectedCollisions(adj, freqs, sigma, p)
 		// Add one absent edge, if any.
 		var a, b int
 		found := false
@@ -66,7 +70,7 @@ func TestExpectedMonotoneUnderEdges(t *testing.T) {
 		}
 		adj[a] = append(adj[a], b)
 		adj[b] = append(adj[b], a)
-		grown := NewChecker(adj, freqs, p).Expected(freqs, sigma)
+		grown := ExpectedCollisions(adj, freqs, sigma, p)
 		if grown < base-1e-12 {
 			t.Fatalf("adding edge (%d,%d) reduced expected collisions: %.6f -> %.6f", a, b, base, grown)
 		}
@@ -85,9 +89,8 @@ func TestCollidesConsistentWithExpectedZero(t *testing.T) {
 		for i := range freqs {
 			freqs[i] = 5.0 + 0.34*rng.Float64()
 		}
-		ch := NewChecker(adj, freqs, p)
-		e := ch.Expected(freqs, 0)
-		collides := ch.Collides(freqs)
+		e := ExpectedCollisions(adj, freqs, 0, p)
+		collides := p.Collides(adj, freqs, freqs)
 		if (e > 0) != collides {
 			t.Fatalf("E(σ=0)=%.3f but Collides=%v for %v", e, collides, freqs)
 		}

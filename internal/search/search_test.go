@@ -221,10 +221,10 @@ func TestStateRepairNeverWorsens(t *testing.T) {
 	}
 }
 
-// TestIncrementalAgreesWithCheckerOnStates cross-checks the surrogate on
+// TestIncrementalAgreesWithOneShotOnStates cross-checks the surrogate on
 // real generated architectures, not just random graphs: a state's
 // Expected must match the one-shot analytic computation.
-func TestIncrementalAgreesWithCheckerOnStates(t *testing.T) {
+func TestIncrementalAgreesWithOneShotOnStates(t *testing.T) {
 	c := testCircuit(t)
 	opt := testOptions(Anneal)
 	p, err := newProblem(c, opt)

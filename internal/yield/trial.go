@@ -22,12 +22,11 @@ import (
 // The bookkeeping is a per-edge bitset over trials (fail[e] bit t set =
 // bundle e fails in fabrication t) plus a per-trial failing-bundle count;
 // a trial survives iff its count is zero. Bundle verdicts are recomputed
-// with the exact arithmetic of the compiled checker, so incremental and
-// full estimation agree to the last bit (enforced by
-// TestReEstimateMatchesFull*).
+// by the same compiled kernel the one-shot estimate sweeps, with the same
+// arithmetic, so incremental and full estimation agree to the last bit
+// (enforced by TestReEstimateMatchesFull*).
 type TrialState struct {
 	kern   *collision.Kernel
-	adj    [][]int
 	freqs  []float64
 	trials int
 	// cols are the noise matrix's column-major slices (cols[q][t] =
@@ -70,7 +69,6 @@ func (s *Simulator) NewTrialStateKeyed(topoKey string, adj [][]int, freqs []floa
 	noise := s.noise(len(freqs))
 	st := &TrialState{
 		kern:   s.kernel(topoKey, adj),
-		adj:    adj,
 		freqs:  append([]float64(nil), freqs...),
 		trials: noise.Trials(),
 		words:  (noise.Trials() + 63) / 64,

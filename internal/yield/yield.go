@@ -231,20 +231,19 @@ func (s *Simulator) estimateWithNoiseKeyed(topoKey string, adj [][]int, freqs []
 	return float64(total) / float64(trials)
 }
 
-// ReferenceEstimate is the retained scalar reference loop: row-major
-// trials through the compiled Checker, exactly the shape of the paper's
-// §4.3.1 description — per trial, add the noise row to the design
-// frequencies and ask whether any collision condition triggers. It is
-// deliberately unoptimised (always serial, gathers each row from the
-// column-major matrix) and exists as the differential-test oracle every
-// fast path must match bit for bit.
+// ReferenceEstimate is the retained scalar reference loop, exactly the
+// shape of the paper's §4.3.1 description: per trial, add the noise row to
+// the design frequencies and ask the literal per-condition check
+// (collision.Params.Collides) whether any collision condition triggers.
+// It is deliberately unoptimised (always serial, gathers each row from
+// the column-major matrix) and exists as the differential-test oracle
+// every fast path must match bit for bit.
 func (s *Simulator) ReferenceEstimate(adj [][]int, freqs []float64, noise *NoiseMatrix) float64 {
 	trials := noise.Trials()
 	if trials == 0 {
 		return 0
 	}
 	n := len(freqs)
-	checker := collision.NewChecker(adj, freqs, s.Params)
 	post := make([]float64, n)
 	row := make([]float64, n)
 	ok := 0
@@ -253,7 +252,7 @@ func (s *Simulator) ReferenceEstimate(adj [][]int, freqs []float64, noise *Noise
 		for q := 0; q < n; q++ {
 			post[q] = freqs[q] + row[q]
 		}
-		if !checker.Collides(post) {
+		if !s.Params.Collides(adj, freqs, post) {
 			ok++
 		}
 	}
@@ -311,9 +310,8 @@ func (s *Simulator) canceled() bool {
 
 // Subgraph extracts the induced coupling subgraph on the qubit set keep
 // (arbitrary order, no duplicates) from adj, returning the re-indexed
-// adjacency lists and, for convenience, the mapping from new index to old
-// qubit id (= keep itself). Frequency allocation uses it to simulate a
-// qubit's local region only.
+// adjacency lists: new index i is qubit keep[i]. Frequency allocation uses
+// it to simulate a qubit's local region only.
 func Subgraph(adj [][]int, keep []int) [][]int {
 	index := make(map[int]int, len(keep))
 	for i, q := range keep {
