@@ -26,9 +26,13 @@ func edgeFails(k *Kernel, e int, design, noise []float64) bool {
 // frequencies move underneath it, so edge orientations flip and the
 // kernel must re-derive its spectator sets; every fifth fabrication puts
 // one gate exactly onto the condition-1 boundary, where a single
-// mis-rounded comparison would flip the verdict.
+// mis-rounded or non-strict comparison would flip the verdict.
 func TestCompiledCollidesMatchesReference(t *testing.T) {
 	p := DefaultParams()
+	// A dyadic T1 (15.6 MHz, near Fig. 3's 17) keeps post[tgt] + T1 exact
+	// at 5 GHz, so a boundary fabrication has |fj − fk| = T1 exactly; with
+	// 0.017 the sum rounds and the boundary is never hit.
+	p.T1 = 1.0 / 64
 	rng := rand.New(rand.NewSource(1234))
 	for trial := 0; trial < 300; trial++ {
 		n := 2 + rng.Intn(10)
@@ -49,15 +53,15 @@ func TestCompiledCollidesMatchesReference(t *testing.T) {
 			if boundary {
 				// post[ctl] = post[tgt] + T1. Both frequencies sit near
 				// 5 GHz, so the subtraction is exact (Sterbenz) and
-				// design[ctl] + noise[ctl] lands on the target bit for bit.
+				// design[ctl] + noise[ctl] lands on the sum bit for bit.
 				ctl, tgt, _ = k.Orient(0, design)
 				noise[ctl] = design[tgt] + noise[tgt] + p.T1 - design[ctl]
 			}
 			for q := range post {
 				post[q] = design[q] + noise[q]
 			}
-			if boundary && post[ctl] != post[tgt]+p.T1 {
-				t.Fatalf("trial %d rep %d: boundary construction missed: %v vs %v", trial, rep, post[ctl], post[tgt]+p.T1)
+			if boundary && post[ctl]-post[tgt] != p.T1 {
+				t.Fatalf("trial %d rep %d: boundary construction missed: %v - %v != T1", trial, rep, post[ctl], post[tgt])
 			}
 			kernel := false
 			for e := 0; e < k.NumEdges(); e++ {
@@ -252,10 +256,13 @@ func TestPreviewMatchesSetRoundTrip(t *testing.T) {
 // CountSurvivors over column-major noise must agree exactly with a
 // scalar per-trial Params.Collides loop — across random graphs and
 // design assignments, trial counts straddling every word boundary (the
-// trailing-word masking invariant), and arbitrary word-aligned chunk
-// splits (the invariant the parallel estimate relies on).
+// trailing-word masking invariant), arbitrary word-aligned chunk splits
+// (the invariant the parallel estimate relies on), and every third trial
+// on the condition-1 boundary of one gate, as in
+// TestCompiledCollidesMatchesReference.
 func TestCountSurvivorsMatchesReference(t *testing.T) {
 	p := DefaultParams()
+	p.T1 = 1.0 / 64
 	rng := rand.New(rand.NewSource(41))
 	trialCounts := []int{1, 63, 64, 65, 127, 128, 200}
 	for round := 0; round < 40; round++ {
@@ -272,6 +279,12 @@ func TestCountSurvivorsMatchesReference(t *testing.T) {
 			cols[q] = make([]float64, trials)
 			for ti := range cols[q] {
 				cols[q][ti] = rng.NormFloat64() * 0.03
+			}
+		}
+		if k.NumEdges() > 0 {
+			ctl, tgt, _ := k.Orient(0, design)
+			for ti := 0; ti < trials; ti += 3 {
+				cols[ctl][ti] = design[tgt] + cols[tgt][ti] + p.T1 - design[ctl]
 			}
 		}
 		want := 0
