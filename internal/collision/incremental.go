@@ -73,7 +73,8 @@ func NewIncremental(adj [][]int, freqs []float64, sigma float64, p Params) *Incr
 	for e := 0; e < m; e++ {
 		// One pair slot plus the spectator slots of the larger of the two
 		// orientations' spectator lists.
-		spec := max(k.offB[e]-k.offA[e], k.offA[e+1]-k.offB[e])
+		ed := k.edges[e]
+		spec := max(ed.offB-ed.offA, ed.end-ed.offB)
 		inc.termOff[e+1] = inc.termOff[e] + 1 + spec
 	}
 	inc.terms = make([]float64, inc.termOff[m])
@@ -132,7 +133,7 @@ func (inc *Incremental) resumBundle(e int, specs []int32, swapQ int, swapV float
 // closed form. commit controls whether the new term and bundle score are
 // written back.
 func (inc *Incremental) rescoreFor(e, q int, commit bool) float64 {
-	if q == int(inc.kern.edgeA[e]) || q == int(inc.kern.edgeB[e]) {
+	if ed := &inc.kern.edges[e]; q == int(ed.a) || q == int(ed.b) {
 		return inc.scoreBundle(e, commit)
 	}
 	inc.rescored++

@@ -26,18 +26,19 @@ import (
 type Kernel struct {
 	params    Params
 	halfDelta float64
-	// edgeA/edgeB are the undirected coupling edges, edgeA[e] < edgeB[e].
-	edgeA, edgeB []int32
-	// specs holds the flattened spectator candidate lists: when edgeA[e]
-	// controls, its spectators (neighbours of A excluding B) are
-	// specs[offA[e]:offB[e]]; when edgeB[e] controls, its spectators are
-	// specs[offB[e]:offA[e+1]].
-	specs      []int32
-	offA, offB []int32
+	// edges are the undirected coupling edges; specs holds their
+	// flattened spectator candidate lists.
+	edges []kernelEdge
+	specs []int32
 	// deps[q] lists the edges whose verdict depends on qubit q's
 	// frequency: q is an endpoint or a spectator candidate of the edge.
 	deps [][]int32
 }
+
+// kernelEdge is one undirected coupling edge a < b. When a controls, its
+// spectators (neighbours of a other than b) are specs[offA:offB]; when b
+// controls, they are specs[offB:end].
+type kernelEdge struct{ a, b, offA, offB, end int32 }
 
 // NewKernel compiles the edge bundles of the coupling graph adj.
 func NewKernel(adj [][]int, p Params) *Kernel {
@@ -50,44 +51,43 @@ func NewKernel(adj [][]int, p Params) *Kernel {
 			if b <= a {
 				continue
 			}
-			e := int32(len(k.edgeA))
-			k.edgeA = append(k.edgeA, int32(a))
-			k.edgeB = append(k.edgeB, int32(b))
-			k.offA = append(k.offA, int32(len(k.specs)))
+			e := int32(len(k.edges))
+			ed := kernelEdge{a: int32(a), b: int32(b), offA: int32(len(k.specs))}
 			for _, i := range adj[a] {
 				if i != b {
 					k.specs = append(k.specs, int32(i))
 				}
 			}
-			k.offB = append(k.offB, int32(len(k.specs)))
+			ed.offB = int32(len(k.specs))
 			for _, i := range adj[b] {
 				if i != a {
 					k.specs = append(k.specs, int32(i))
 				}
 			}
+			ed.end = int32(len(k.specs))
+			k.edges = append(k.edges, ed)
 			// Dependents: endpoints plus every spectator candidate of
 			// either orientation, each edge recorded once per qubit.
 			mark[a], mark[b] = true, true
 			k.deps[a] = append(k.deps[a], e)
 			k.deps[b] = append(k.deps[b], e)
-			for _, i := range k.specs[k.offA[e]:] {
+			for _, i := range k.specs[ed.offA:] {
 				if !mark[i] {
 					mark[i] = true
 					k.deps[i] = append(k.deps[i], e)
 				}
 			}
 			mark[a], mark[b] = false, false
-			for _, i := range k.specs[k.offA[e]:] {
+			for _, i := range k.specs[ed.offA:] {
 				mark[i] = false
 			}
 		}
 	}
-	k.offA = append(k.offA, int32(len(k.specs)))
 	return k
 }
 
 // NumEdges returns the number of edge bundles compiled.
-func (k *Kernel) NumEdges() int { return len(k.edgeA) }
+func (k *Kernel) NumEdges() int { return len(k.edges) }
 
 // Deps returns the edges whose verdict depends on qubit q's frequency.
 // Callers must not mutate the returned slice.
@@ -98,11 +98,11 @@ func (k *Kernel) Deps(q int) []int32 { return k.deps[q] }
 // spectator candidates: its neighbours other than the target, in
 // adjacency order.
 func (k *Kernel) Orient(e int, design []float64) (ctl, tgt int32, specs []int32) {
-	a, b := k.edgeA[e], k.edgeB[e]
-	if c, _ := orient(int(a), int(b), design); c == int(b) {
-		return b, a, k.specs[k.offB[e]:k.offA[e+1]]
+	ed := &k.edges[e]
+	if c, _ := orient(int(ed.a), int(ed.b), design); c == int(ed.b) {
+		return ed.b, ed.a, k.specs[ed.offB:ed.end]
 	}
-	return a, b, k.specs[k.offA[e]:k.offB[e]]
+	return ed.a, ed.b, k.specs[ed.offA:ed.offB]
 }
 
 func abs(x float64) float64 {
@@ -342,7 +342,7 @@ const denseWordThreshold = 48
 // running time only: a trial's verdict is an order-independent OR over
 // bundles.
 func (k *Kernel) lethalOrder(design []float64) []int32 {
-	m := len(k.edgeA)
+	m := len(k.edges)
 	order := make([]int32, m)
 	margin := make([]float64, m)
 	for e := 0; e < m; e++ {

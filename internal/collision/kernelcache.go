@@ -37,11 +37,11 @@ func TopoKey(adj [][]int) string {
 }
 
 // Bytes returns the compiled kernel's data footprint: every int32 of the
-// edge lists, the flattened spectator table, the orientation offsets and
-// the per-qubit dependency lists. Used by KernelCache for byte-bounded
-// eviction.
+// edge records (endpoints and spectator offsets), the flattened spectator
+// table and the per-qubit dependency lists. Used by KernelCache for
+// byte-bounded eviction.
 func (k *Kernel) Bytes() int64 {
-	n := len(k.edgeA) + len(k.edgeB) + len(k.specs) + len(k.offA) + len(k.offB)
+	n := 5*len(k.edges) + len(k.specs)
 	for _, d := range k.deps {
 		n += len(d)
 	}
