@@ -75,6 +75,55 @@ func TestCompiledCollidesMatchesReference(t *testing.T) {
 	}
 }
 
+// TestKernelMatchesChecker checks the edge-bundle kernel's OR-over-edges
+// verdict equals the reference collision check, Params.Collides, while a
+// design-frequency move before every fabrication flips edge orientations
+// under a kernel compiled once: the kernel must re-derive each gate's
+// control and spectator set per call, exactly as the reference loop
+// re-orients from the current design. The flips must actually happen,
+// otherwise the test proves nothing about re-orientation.
+func TestKernelMatchesChecker(t *testing.T) {
+	p := DefaultParams()
+	rng := rand.New(rand.NewSource(99))
+	flips := 0
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.Intn(10)
+		adj := randomGraph(rng, n)
+		design := randomFreqs(rng, n)
+		k := NewKernel(adj, p)
+		ctls := make([]int32, k.NumEdges())
+		for e := range ctls {
+			ctls[e], _, _ = k.Orient(e, design)
+		}
+		noise := make([]float64, n)
+		post := make([]float64, n)
+		for rep := 0; rep < 10; rep++ {
+			design[rng.Intn(n)] = 5.00 + 0.34*rng.Float64()
+			for e := range ctls {
+				if ctl, _, _ := k.Orient(e, design); ctl != ctls[e] {
+					ctls[e] = ctl
+					flips++
+				}
+			}
+			for q := range noise {
+				noise[q] = rng.NormFloat64() * 0.03
+				post[q] = design[q] + noise[q]
+			}
+			kernel := false
+			for e := 0; e < k.NumEdges(); e++ {
+				kernel = kernel || edgeFails(k, e, design, noise)
+			}
+			if want := p.Collides(adj, design, post); kernel != want {
+				t.Fatalf("trial %d rep %d: kernel=%v checker=%v\nadj=%v design=%v post=%v",
+					trial, rep, kernel, want, adj, design, post)
+			}
+		}
+	}
+	if flips == 0 {
+		t.Fatal("no design move ever flipped an edge orientation")
+	}
+}
+
 // TestKernelDepsCoverVerdictChanges property-checks the dependency lists:
 // moving one qubit's design frequency must leave every edge outside
 // Deps(q) with an unchanged verdict (the contract incremental

@@ -117,7 +117,8 @@ func (p *Pool) ForEachCtx(ctx context.Context, n int, fn func(int)) error {
 	// shared by unrelated jobs) nor deadlock the caller. Each runner
 	// recovers, the first panic is captured with its stack, dispatch
 	// stops, and the caller re-panics with a *PanicError once all
-	// in-flight work has drained.
+	// in-flight work has drained. The abort is raised before the stack is
+	// captured so peers stop taking indices as early as possible.
 	var (
 		next      atomic.Int64
 		aborted   atomic.Bool
@@ -127,10 +128,10 @@ func (p *Pool) ForEachCtx(ctx context.Context, n int, fn func(int)) error {
 	safe := func(i int) {
 		defer func() {
 			if v := recover(); v != nil {
+				aborted.Store(true)
 				panicOnce.Do(func() {
 					pe = &PanicError{Value: v, Stack: debug.Stack()}
 				})
-				aborted.Store(true)
 			}
 		}()
 		fn(i)

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"qproc/internal/faultinject"
 )
@@ -178,16 +179,27 @@ func TestPanicInHelperSurfacesToCaller(t *testing.T) {
 
 // TestPanicStopsDispatch: after the first panic no further index is
 // handed out, so a poisoned batch fails fast instead of running every
-// remaining body.
+// remaining body. Once the poison has fired, every other body pauses
+// before returning, so the panicking runner records the abort before its
+// peers ask for their next index even when it is descheduled under load;
+// without the pause two peers can drain all n trivial bodies in the few
+// microseconds between the panic and the abort.
 func TestPanicStopsDispatch(t *testing.T) {
 	p := New(2)
 	var ran atomic.Int64
 	const n = 100000
+	poisoned := make(chan struct{})
 	func() {
 		defer func() { _ = recover() }()
 		p.ForEach(n, func(i int) {
 			if ran.Add(1) == 5 {
+				close(poisoned)
 				panic("poison")
+			}
+			select {
+			case <-poisoned:
+				time.Sleep(100 * time.Microsecond)
+			default:
 			}
 		})
 	}()
