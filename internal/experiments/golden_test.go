@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -9,6 +10,7 @@ import (
 
 	"qproc/internal/core"
 	"qproc/internal/gen"
+	"qproc/internal/search"
 )
 
 // The constants below were captured from the pre-topology-refactor tree
@@ -50,6 +52,9 @@ func TestGoldenJobKeys(t *testing.T) {
 		{"sweep", SweepJob{Spec: sweepSpec}, "d2d83bdfd957c9963ec48b8d93acb761c343aed041c6aa796a4728ab8e5db727"},
 		{"search", SearchJob{Spec: searchSpec}, "95fdff811045b7b39b50e9d809a0fa32812be5da6a55902786b11ce2a9c51cb1"},
 		{"sweep-default", SweepJob{}, "9a590575bc1c6a3114319630d93c04ad6990a9398d1f504a58d1b63d185898af"},
+		{"portfolio", PortfolioJob{Spec: PortfolioSpec{SearchSpec: searchSpec}}, "5473c9143043b5ca5a9097aa9dd1f57bc7036a0b7b37940f243f12cb3e505b28"},
+		{"portfolio-1-lane", PortfolioJob{Spec: PortfolioSpec{SearchSpec: searchSpec, Lanes: 1}}, "1375979bea19b1c0be49d8b142dac69ec19dc8ae5950d43f3b06048362240f75"},
+		{"portfolio-exchange", PortfolioJob{Spec: PortfolioSpec{SearchSpec: searchSpec, Lanes: 3, ExchangeEvery: 10}}, "e0713f0c12dbb1bb6a4b89058efba3eece791219accf42c2212a8be07055591e"},
 	}
 	for _, c := range cases {
 		got, err := JobKey(c.job, opt)
@@ -71,6 +76,11 @@ func TestGoldenJobKeys(t *testing.T) {
 	sqs.Topology = "square"
 	if got, err := JobKey(SearchJob{Spec: sqs}, opt); err != nil || got != cases[1].want {
 		t.Errorf("JobKey(search, topology=square) = %s (%v), want %s", got, err, cases[1].want)
+	}
+	// Spelling the default lane count out is the same work as omitting it.
+	dl := PortfolioSpec{SearchSpec: searchSpec, Lanes: search.DefaultLanes}
+	if got, err := JobKey(PortfolioJob{Spec: dl}, opt); err != nil || got != cases[3].want {
+		t.Errorf("JobKey(portfolio, lanes=%d) = %s (%v), want %s", search.DefaultLanes, got, err, cases[3].want)
 	}
 	// A non-square family is different work and must not collide.
 	ch := searchSpec
@@ -202,6 +212,77 @@ func TestGoldenSweepPoints(t *testing.T) {
 				t.Errorf("topology=%q point %d: %s yield=%.10g gates=%d, want %s yield=%s gates=%d",
 					topo, i, p.Label, p.Yield, p.GateCount, want[i].label, want[i].yield, want[i].gates)
 			}
+		}
+	}
+}
+
+// TestGoldenJobOutcomeBytes pins whole search and portfolio jobs byte
+// for byte: the SHA-256 of each outcome's WriteJSON encoding and of its
+// progress-event stream (one JSON line per event). The field-level
+// goldens above would not notice a field appearing in every outcome,
+// nor a changed event cadence; stored runs and streamed events are
+// served to clients as these bytes.
+func TestGoldenJobOutcomeBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full search runs in -short mode")
+	}
+	anneal := SearchSpec{Benchmark: "sym6_145", Strategy: "anneal", MaxEvals: 4, Steps: 40, Proposals: 4}
+	beam := SearchSpec{Benchmark: "sym6_145", Strategy: "beam", MaxEvals: 4, BeamWidth: 4, Depth: 3}
+	wideBeam := SearchSpec{Benchmark: "sym6_145", Strategy: "beam", MaxEvals: 9, BeamWidth: 4, Depth: 6}
+	coupler := SearchSpec{Benchmark: "sym6_145", Strategy: "anneal", Topology: "coupler", MaxEvals: 4, Steps: 20, Proposals: 4}
+	portfolioAnneal := anneal
+	portfolioAnneal.MaxEvals = 8
+	cases := []struct {
+		name            string
+		job             Job
+		outcome, events string
+	}{
+		{"search-anneal", SearchJob{Spec: anneal},
+			"7ab5d765b2a5476e55cf5cf40476b47f1de01e139274bde887f03f292e29524e",
+			"0045e9d0911b33f617819055f3eecc313ad9aa24bcfd3e826e4aae7ee503dd77"},
+		{"search-beam", SearchJob{Spec: beam},
+			"e4db035ab259f798cb4326b00f5facb2c611c807244d26076df5f4035d400d5c",
+			"3a8d3bb16465318368a0ad3c4caa5c7e3b9482795157f39ecc2cd6d2241d656e"},
+		{"search-coupler", SearchJob{Spec: coupler},
+			"0032ccfcb3f77c68d650f59fd7eb7e6b6c32f6327b5a4781ce609a3ab6c5ad8f",
+			"30f3f0400768ff253a34edd7acdef74db65ffddecc3d4b9da77682fb5316eaa7"},
+		{"portfolio-4-anneal", PortfolioJob{Spec: PortfolioSpec{SearchSpec: portfolioAnneal, Lanes: 4}},
+			"6c5ccf7b9ae95e683a40383dbbab598b593e5941f0adb7545363ce597d320edc",
+			"f9b41dacaa531515ffa920a712aada53be649ae962902ef6286cddf017b49083"},
+		{"portfolio-1-anneal", PortfolioJob{Spec: PortfolioSpec{SearchSpec: anneal, Lanes: 1}},
+			"226c254b5516c71b72d8857cbd5609495212fa6ccf2315e4d9c538cc1432c25a",
+			"7b5b025f5a5431108f1ec2ec0850218928eddb16eeef7c2e289a0f250591516a"},
+		{"portfolio-1-beam", PortfolioJob{Spec: PortfolioSpec{SearchSpec: beam, Lanes: 1}},
+			"f472942d48ae7ab5b96839957677b0ed3b4cf34f24d00293a20c3b7fcef338f5",
+			"ebf7a4b85055452d12497814a4e2b15110775420c8a0aac4b4c537c924a97766"},
+		{"portfolio-3-beam-exchange-2", PortfolioJob{Spec: PortfolioSpec{SearchSpec: wideBeam, Lanes: 3, ExchangeEvery: 2}},
+			"5c5713fefb639f408e407c93e9faa61485c27f3ae4eda2cfa48412224db924d8",
+			"d3c0270ac60a87984d87c1b0c5fd6b56caba4fe433eeb961014ff84255524d46"},
+		{"portfolio-2-coupler", PortfolioJob{Spec: PortfolioSpec{SearchSpec: coupler, Lanes: 2}},
+			"bfe1ea96edf13441f668cd0f3cbeacff4e084f5a0c84ecea098640f09120b134",
+			"40318666d9e3178112fc02435041beb54ff1b65b9344d067f7befa594daf52af"},
+	}
+	r := NewRunner(QuickOptions())
+	for _, c := range cases {
+		var events bytes.Buffer
+		enc := json.NewEncoder(&events)
+		out, err := c.job.Run(context.Background(), r, func(e Event) {
+			if err := enc.Encode(e); err != nil {
+				t.Error(err)
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var body bytes.Buffer
+		if err := out.WriteJSON(&body); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(body.Bytes())); got != c.outcome {
+			t.Errorf("%s: outcome hash %s, want %s", c.name, got, c.outcome)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(events.Bytes())); got != c.events {
+			t.Errorf("%s: event-stream hash %s, want %s", c.name, got, c.events)
 		}
 	}
 }

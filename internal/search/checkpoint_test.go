@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"qproc/internal/yield"
@@ -303,4 +305,51 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestCheckpointFormatCompatibility resumes checkpoints committed under
+// testdata, written by an earlier release of the engine: a single-lane
+// anneal saved at step 28 with Every 7, and a 3-lane portfolio saved at
+// barrier 20 with ExchangeEvery 10 (it still carries the retired
+// "portfolio" flag). A service keeps checkpoints across restarts, so an
+// in-flight job's checkpoint must survive an upgrade and resume to the
+// uninterrupted result.
+func TestCheckpointFormatCompatibility(t *testing.T) {
+	c := testCircuit(t)
+	read := func(name string) []byte {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+
+	t.Run("single-lane", func(t *testing.T) {
+		opt := testOptions(Anneal)
+		base, err := Run(context.Background(), c, opt, yield.NewNoiseCache(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resultsEqual(t, base, resumeFrom(t, opt, read("checkpoint-anneal-unit28.json")))
+	})
+
+	t.Run("portfolio", func(t *testing.T) {
+		opt := portfolioOptions()
+		pf := PortfolioOptions{Lanes: 3, ExchangeEvery: 10}
+		base, err := RunPortfolio(context.Background(), c, opt, pf, yield.NewNoiseCache(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := DecodeCheckpoint(read("checkpoint-portfolio3-barrier20.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.Checkpoint = &CheckpointOptions{Resume: cp}
+		resumed, err := RunPortfolio(context.Background(), c, opt, pf, yield.NewNoiseCache(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		portfolioResultsEqual(t, base, resumed)
+	})
 }
