@@ -10,6 +10,7 @@ import (
 
 	"qproc/internal/mapper"
 	"qproc/internal/runstore"
+	"qproc/internal/search"
 )
 
 // Job is the unit of work the evaluation engine executes. Sweep, Search
@@ -187,6 +188,9 @@ func ParseJob(kind string, spec json.RawMessage) (Job, error) {
 		var s PortfolioSpec
 		if err := decodeStrict(spec, &s); err != nil {
 			return nil, fmt.Errorf("experiments: portfolio spec: %w", err)
+		}
+		if s.Lanes > search.MaxLanes {
+			return nil, fmt.Errorf("experiments: portfolio spec: lanes %d exceeds the maximum of %d", s.Lanes, search.MaxLanes)
 		}
 		return PortfolioJob{Spec: s}, nil
 	}

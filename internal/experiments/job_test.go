@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"qproc/internal/core"
+	"qproc/internal/search"
 )
 
 func TestJobKeyCanonical(t *testing.T) {
@@ -133,5 +135,21 @@ func TestSchemaVersionStamp(t *testing.T) {
 	}
 	if back.SchemaVersion != 0 || len(back.Points) != len(res.Points) {
 		t.Fatalf("legacy decode: version %d, %d points", back.SchemaVersion, len(back.Points))
+	}
+}
+
+// TestParseJobBoundsLanes: a portfolio spec may ask for at most
+// search.MaxLanes lanes; beyond that ParseJob refuses it, naming the
+// field, before any lane is built.
+func TestParseJobBoundsLanes(t *testing.T) {
+	spec := func(lanes int) json.RawMessage {
+		return json.RawMessage(fmt.Sprintf(`{"benchmark":"sym6_145","lanes":%d}`, lanes))
+	}
+	if _, err := ParseJob("portfolio", spec(search.MaxLanes)); err != nil {
+		t.Fatalf("lanes = MaxLanes rejected: %v", err)
+	}
+	_, err := ParseJob("portfolio", spec(search.MaxLanes+1))
+	if err == nil || !strings.Contains(err.Error(), "lanes") {
+		t.Fatalf("lanes = MaxLanes+1: err = %v, want an error naming lanes", err)
 	}
 }

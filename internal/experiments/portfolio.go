@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"qproc/internal/gen"
 	"qproc/internal/search"
-	"qproc/internal/topology"
 )
 
 // PortfolioSpec describes a portfolio search: a base SearchSpec run as
@@ -25,14 +23,12 @@ type PortfolioSpec struct {
 }
 
 // withDefaults fills the empty axes on top of the embedded search spec.
-func (s PortfolioSpec) withDefaults(opt Options) (PortfolioSpec, search.Options, search.PortfolioOptions) {
-	var so search.Options
-	s.SearchSpec, so = s.SearchSpec.withDefaults(opt)
+func (s PortfolioSpec) withDefaults(opt Options) PortfolioSpec {
+	s.SearchSpec, _ = s.SearchSpec.withDefaults(opt)
 	if s.Lanes <= 0 {
 		s.Lanes = search.DefaultLanes
 	}
-	pf := search.PortfolioOptions{Lanes: s.Lanes, ExchangeEvery: s.ExchangeEvery}
-	return s, so, pf
+	return s
 }
 
 // PortfolioJob runs a portfolio of concurrent search lanes.
@@ -43,7 +39,7 @@ type PortfolioJob struct {
 func (j PortfolioJob) Kind() string { return "portfolio" }
 
 func (j PortfolioJob) Normalize(opt Options) Job {
-	j.Spec, _, _ = j.Spec.withDefaults(opt)
+	j.Spec = j.Spec.withDefaults(opt)
 	return j
 }
 
@@ -77,35 +73,7 @@ func (j PortfolioJob) Timeout() time.Duration { return time.Duration(j.Spec.Time
 // fixed barriers. Parallel and serial runs are bit-identical; ctx
 // cancels cooperatively under the same contract as Search.
 func (r *Runner) Portfolio(ctx context.Context, spec PortfolioSpec, progress func(SearchProgress)) (*SearchOutcome, error) {
-	b, err := gen.Get(spec.Benchmark)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: portfolio: %w", err)
-	}
-	if _, err := topology.Parse(spec.Topology); err != nil {
-		return nil, fmt.Errorf("experiments: portfolio: %w", err)
-	}
-	c := b.Build()
-	spec, so, pf := spec.withDefaults(r.opt)
-	so.Pool = r.pool
-	so.Kernels = r.kernels
-	pf.Counters = r.lanes
-	if ck, ok := checkpointControl(ctx); ok {
-		so.Checkpoint = &search.CheckpointOptions{Every: ck.every, Resume: ck.resume, Save: ck.save}
-	}
-
-	var cb func(search.Progress)
-	if progress != nil {
-		cb = func(p search.Progress) {
-			progress(SearchProgress(p))
-		}
-	}
-	res, err := search.RunPortfolio(ctx, c, so, pf, r.cache, cb)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: portfolio %s: %w", spec.Benchmark, err)
-	}
-
-	out := searchOutcome(c, spec.SearchSpec, r.opt, res)
-	out.Lanes = res.Lanes
-	out.Exchanges = res.Exchanges
-	return out, nil
+	spec = spec.withDefaults(r.opt)
+	pf := search.PortfolioOptions{Lanes: spec.Lanes, ExchangeEvery: spec.ExchangeEvery, Counters: r.lanes}
+	return r.runSearch(ctx, "portfolio", spec.SearchSpec, &pf, progress)
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"qproc/internal/arch"
-	"qproc/internal/circuit"
 	"qproc/internal/gen"
 	"qproc/internal/search"
 	"qproc/internal/topology"
@@ -151,8 +150,9 @@ type SearchOutcome struct {
 	Trace       []search.TracePoint `json:"trace"`
 	// Lanes / Exchanges are present on portfolio runs only: per-lane
 	// incumbents and traces (the raw material for Pareto extraction
-	// across lanes), and the number of elite-exchange barriers at which a
-	// broadcast happened.
+	// across lanes), and the number of barriers before the end at which
+	// some lane had an incumbent to broadcast. A one-lane portfolio has
+	// no lane to broadcast to, yet counts those barriers all the same.
 	Lanes     []search.LaneResult `json:"lanes,omitempty"`
 	Exchanges int                 `json:"exchanges,omitempty"`
 
@@ -184,12 +184,20 @@ func ReadSearchJSON(r io.Reader) (*SearchOutcome, error) {
 // proposal batch or Monte-Carlo trial chunk and returns an error
 // wrapping ctx.Err(); an uncancelled ctx never changes the result.
 func (r *Runner) Search(ctx context.Context, spec SearchSpec, progress func(SearchProgress)) (*SearchOutcome, error) {
+	return r.runSearch(ctx, "search", spec, nil, progress)
+}
+
+// runSearch is the one body behind Search and Portfolio: it runs
+// search.Run, or search.RunPortfolio when pf is non-nil, on the runner's
+// shared resources and renders the result in outcome form. kind names
+// the entry point in errors.
+func (r *Runner) runSearch(ctx context.Context, kind string, spec SearchSpec, pf *search.PortfolioOptions, progress func(SearchProgress)) (*SearchOutcome, error) {
 	b, err := gen.Get(spec.Benchmark)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: search: %w", err)
+		return nil, fmt.Errorf("experiments: %s: %w", kind, err)
 	}
 	if _, err := topology.Parse(spec.Topology); err != nil {
-		return nil, fmt.Errorf("experiments: search: %w", err)
+		return nil, fmt.Errorf("experiments: %s: %w", kind, err)
 	}
 	c := b.Build()
 	spec, so := spec.withDefaults(r.opt)
@@ -208,19 +216,18 @@ func (r *Runner) Search(ctx context.Context, spec SearchSpec, progress func(Sear
 			progress(SearchProgress(p))
 		}
 	}
-	res, err := search.Run(ctx, c, so, r.cache, cb)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: search %s: %w", spec.Benchmark, err)
+	var res *search.Result
+	if pf == nil {
+		res, err = search.Run(ctx, c, so, r.cache, cb)
+	} else {
+		res, err = search.RunPortfolio(ctx, c, so, *pf, r.cache, cb)
 	}
-	return searchOutcome(c, spec, r.opt, res), nil
-}
-
-// searchOutcome renders a search result in outcome form — shared by the
-// single-lane Search and the portfolio entry point.
-func searchOutcome(c *circuit.Circuit, spec SearchSpec, opt Options, res *search.Result) *SearchOutcome {
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s %s: %w", kind, spec.Benchmark, err)
+	}
 	return &SearchOutcome{
 		Spec:    spec,
-		Options: opt,
+		Options: r.opt,
 		Best: SweepPoint{
 			Point: Point{
 				Benchmark:   c.Name,
@@ -245,6 +252,8 @@ func searchOutcome(c *circuit.Circuit, spec SearchSpec, opt Options, res *search
 		CondChecks:  res.CondChecks,
 		CondSkipped: res.CondSkipped,
 		Trace:       res.Trace,
+		Lanes:       res.Lanes,
+		Exchanges:   res.Exchanges,
 		Result:      res,
-	}
+	}, nil
 }

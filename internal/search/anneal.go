@@ -77,9 +77,6 @@ func (l *annealLane) promote(step int, st *State) error {
 	return nil
 }
 
-// units returns the lane's step budget.
-func (l *annealLane) units() int { return l.p.opt.Steps }
-
 // unit returns the lane's current step.
 func (l *annealLane) unit() int { return l.step }
 

@@ -77,9 +77,6 @@ func (l *beamLane) evalFrontier(ctx context.Context, depth int) error {
 	return nil
 }
 
-// units returns the lane's depth budget.
-func (l *beamLane) units() int { return l.p.opt.Depth }
-
 // unit returns the lane's current depth.
 func (l *beamLane) unit() int { return l.depth }
 

@@ -25,10 +25,11 @@ var ErrBadCheckpoint = errors.New("search: bad checkpoint")
 
 // CheckpointOptions wires checkpointing into Run / RunPortfolio.
 type CheckpointOptions struct {
-	// Every is the single-lane checkpoint cadence in search units
-	// (annealing steps / beam depths); <= 0 disables saves. Portfolio
-	// runs ignore it and save at every exchange barrier instead — the
-	// barrier is the natural consistency point.
+	// Every is Run's checkpoint cadence in search units (annealing steps
+	// / beam depths); <= 0 disables Run's saves. RunPortfolio ignores it
+	// and saves at its exchange barriers instead — the barrier is the
+	// natural consistency point. Either way a barrier saves only while
+	// some lane still has work.
 	Every int
 	// Resume, when non-nil, restores the run from a prior checkpoint
 	// instead of starting cold. The options must match the ones the
@@ -97,19 +98,20 @@ type LaneCheckpoint struct {
 }
 
 // Checkpoint is the full resumable state of a Run or RunPortfolio at a
-// unit barrier. It is pure data — json round-trips it exactly (float64
-// values encode at full precision) — and resuming from it produces a
-// final Result bit-identical to the uninterrupted run.
+// unit barrier; both write this one shape, Run with a single lane. It
+// is pure data — json round-trips it exactly (float64 values encode at
+// full precision) — and resuming from it produces a final Result
+// bit-identical to the uninterrupted run. Checkpoints from releases
+// that also carried a "portfolio" flag decode and resume unchanged: the
+// lane count says the same.
 type Checkpoint struct {
 	Schema   int      `json:"schema"`
 	Strategy Strategy `json:"strategy"`
-	// Portfolio marks a RunPortfolio checkpoint (Lanes holds every lane;
-	// Unit is the barrier crossed, Exchanges the elite exchanges so far).
-	Portfolio bool `json:"portfolio,omitempty"`
-	Unit      int  `json:"unit"`
-	Exchanges int  `json:"exchanges,omitempty"`
-	// Memo is the Monte-Carlo evaluation memo, sorted by state key. On a
-	// portfolio checkpoint it is the post-merge union every lane shares.
+	// Unit is the barrier crossed, Exchanges the elite exchanges so far.
+	Unit      int `json:"unit"`
+	Exchanges int `json:"exchanges,omitempty"`
+	// Memo is the Monte-Carlo evaluation memo, sorted by state key: the
+	// post-merge union every lane shares.
 	Memo  []EvalRecord     `json:"memo,omitempty"`
 	Lanes []LaneCheckpoint `json:"lanes"`
 }
@@ -288,25 +290,13 @@ func snapshotLane(p *Problem, ev *evaluator, ln lane) LaneCheckpoint {
 	return lc
 }
 
-// checkpointSingle assembles a single-lane checkpoint.
-func checkpointSingle(strategy Strategy, p *Problem, ev *evaluator, ln lane) *Checkpoint {
-	return &Checkpoint{
-		Schema:   CheckpointSchema,
-		Strategy: strategy,
-		Unit:     ln.unit(),
-		Memo:     ev.snapshotMemo(),
-		Lanes:    []LaneCheckpoint{snapshotLane(p, ev, ln)},
-	}
-}
-
-// checkpointPortfolio assembles a portfolio checkpoint at barrier
-// `unit`. Called after the memo merge, so every lane's memo is the same
-// union and lane 0's copy stands for all.
-func checkpointPortfolio(strategy Strategy, lanes []*laneRun, unit, exchanges int) *Checkpoint {
+// checkpointAt assembles the checkpoint at barrier unit. Called after
+// the memo merge, so every lane's memo is the same union and lane 0's
+// copy stands for all.
+func checkpointAt(strategy Strategy, lanes []*laneRun, unit, exchanges int) *Checkpoint {
 	cp := &Checkpoint{
 		Schema:    CheckpointSchema,
 		Strategy:  strategy,
-		Portfolio: true,
 		Unit:      unit,
 		Exchanges: exchanges,
 		Memo:      lanes[0].ev.snapshotMemo(),
@@ -315,32 +305,6 @@ func checkpointPortfolio(strategy Strategy, lanes []*laneRun, unit, exchanges in
 		cp.Lanes = append(cp.Lanes, snapshotLane(lr.p, lr.ev, lr.ln))
 	}
 	return cp
-}
-
-// resumeLane restores a single-lane run from cp: memo, estimator state,
-// proposal counter, then the strategy-specific lane. It never re-runs
-// seed promotion or frontier evaluation, so no budget is re-spent.
-func resumeLane(p *Problem, ev *evaluator, progress func(Progress), cp *Checkpoint, strategy Strategy) (lane, error) {
-	if cp.Portfolio || len(cp.Lanes) != 1 {
-		return nil, fmt.Errorf("%w: not a single-lane checkpoint", ErrBadCheckpoint)
-	}
-	if cp.Strategy != strategy {
-		return nil, fmt.Errorf("%w: strategy %s, want %s", ErrBadCheckpoint, cp.Strategy, strategy)
-	}
-	if err := ev.restoreMemo(cp.Memo); err != nil {
-		return nil, err
-	}
-	lc := &cp.Lanes[0]
-	if err := ev.warm(lc); err != nil {
-		return nil, err
-	}
-	p.proposals = lc.Proposals
-	switch lc.Strategy {
-	case Beam:
-		return resumeBeamLane(p, ev, progress, lc)
-	default:
-		return resumeAnnealLane(p, ev, progress, lc)
-	}
 }
 
 // resumeAnnealLane rebuilds an anneal lane at its checkpointed step:

@@ -14,6 +14,12 @@ import (
 // unset.
 const DefaultLanes = 4
 
+// MaxLanes bounds the portfolio lane count. Every lane owns a problem,
+// an evaluator and its per-lane state, so the cost of a run grows with
+// its lanes; with the default temperatures, every even anneal lane from
+// 12 on already runs the same clamped schedule, T0 = Tend.
+const MaxLanes = 64
+
 // PortfolioOptions configures RunPortfolio on top of a base Options.
 type PortfolioOptions struct {
 	// Lanes is the number of concurrent search lanes; <= 0 means
@@ -73,7 +79,7 @@ type LaneResult struct {
 	Trace []TracePoint `json:"trace"`
 }
 
-// lane is the resumable per-strategy search loop RunPortfolio drives:
+// lane is the resumable per-strategy search loop the driver advances:
 // advance runs to a barrier, inject offers it the global elite, and
 // finished reports budget exhaustion. Implemented by annealLane and
 // beamLane.
@@ -82,7 +88,6 @@ type lane interface {
 	inject(e *evaluated) error
 	incumbent() *evaluated
 	result() (*evaluated, []TracePoint)
-	units() int
 	// unit is the lane's current position in units (steps / depths).
 	unit() int
 	finished() bool
@@ -200,6 +205,77 @@ type laneRun struct {
 	finished bool
 }
 
+// newLaneRun builds lane i of n over c: the lane's options, problem and
+// evaluator, then the strategy lane itself — restored from resume when
+// one is given, else fresh, with its memo pre-seeded from preSeed.
+// Restoring never re-runs seed promotion or frontier evaluation, so no
+// budget is re-spent; pre-seeding hands over evaluations that, under
+// common random numbers, this lane would reproduce bit for bit.
+func newLaneRun(ctx context.Context, c *circuit.Circuit, base Options, i, n int, cache *yield.NoiseCache,
+	progress func(Progress), preSeed map[string]*evaluated, resume *Checkpoint) (*laneRun, error) {
+	lopt := laneOptions(base, i, n)
+	if err := lopt.Validate(); err != nil {
+		return nil, err
+	}
+	p, err := newProblem(c, lopt)
+	if err != nil {
+		return nil, err
+	}
+	ev, err := newEvaluator(p, cache)
+	if err != nil {
+		return nil, err
+	}
+	// The Monte-Carlo tier inherits the signal, so a cancel lands within
+	// one trial chunk even mid-evaluation.
+	ev.sim.Ctx = ctx
+	lr := &laneRun{opt: lopt, p: p, ev: ev}
+	if resume != nil {
+		lc := &resume.Lanes[i]
+		if err := ev.restoreMemo(resume.Memo); err != nil {
+			return nil, err
+		}
+		if err := ev.warm(lc); err != nil {
+			return nil, err
+		}
+		p.proposals = lc.Proposals
+		if lopt.Strategy == Beam {
+			lr.ln, err = resumeBeamLane(p, ev, progress, lc)
+		} else {
+			lr.ln, err = resumeAnnealLane(p, ev, progress, lc)
+		}
+	} else {
+		for k, e := range preSeed {
+			cp := *e
+			ev.seen[k] = &cp
+		}
+		if lopt.Strategy == Beam {
+			lr.ln, err = newBeamLane(ctx, p, ev, progress)
+		} else {
+			lr.ln, err = newAnnealLane(p, ev, progress)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return lr, nil
+}
+
+// lanePlan is all that tells Run and RunPortfolio apart: how many lanes
+// the driver builds, where their barriers fall, and who reports
+// progress.
+type lanePlan struct {
+	lanes int
+	// every is the barrier cadence in units; <= 0 derives a quarter of
+	// the longest lane's budget.
+	every int
+	// laneProgress receives every unit's progress from the lanes
+	// themselves, so it suits one lane only: per-unit events from
+	// concurrent lanes would interleave non-deterministically. merged
+	// receives run-wide progress at every barrier instead.
+	laneProgress, merged func(Progress)
+	counters             *LaneCounters
+}
+
 // RunPortfolio searches the design space of the decomposed program c
 // with pf.Lanes deterministic lanes advancing concurrently on the
 // shared worker pool, exchanging elites at fixed step barriers. Every
@@ -217,26 +293,43 @@ type laneRun struct {
 //
 // The merged Result is the winning lane's design with run-wide totals
 // (evals, proposals, condition statistics) and per-lane traces in
-// Result.Lanes for Pareto extraction. cache and progress follow Run's
-// contract; opt.Kernels (when set) is shared by every lane, so a
-// topology compiled in one lane is served from cache in all others.
+// Result.Lanes for Pareto extraction. cache follows Run's contract;
+// progress receives merged progress at every barrier. opt.Kernels (when
+// set) is shared by every lane, so a topology compiled in one lane is
+// served from cache in all others. More than MaxLanes lanes is an
+// error.
 func RunPortfolio(ctx context.Context, c *circuit.Circuit, opt Options, pf PortfolioOptions, cache *yield.NoiseCache, progress func(Progress)) (*Result, error) {
+	n := pf.Lanes
+	if n <= 0 {
+		n = DefaultLanes
+	}
+	if n > MaxLanes {
+		return nil, fmt.Errorf("search: %d lanes exceed the maximum of %d", n, MaxLanes)
+	}
+	return drive(ctx, c, opt, cache, lanePlan{lanes: n, every: pf.ExchangeEvery, merged: progress, counters: pf.Counters})
+}
+
+// drive is the one search loop behind Run and RunPortfolio. It builds
+// pl.lanes lanes (or restores them from opt.Checkpoint.Resume), advances
+// them together from barrier to barrier, and at each barrier before the
+// end exchanges the global elite, merges the lanes' memos, rebudgets and
+// checkpoints. With one lane the exchange, merge and rebudget change
+// nothing: there is no other lane to receive, and the single cap equals
+// the budget.
+func drive(ctx context.Context, c *circuit.Circuit, opt Options, cache *yield.NoiseCache, pl lanePlan) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	n := pf.Lanes
-	if n <= 0 {
-		n = DefaultLanes
-	}
+	n := pl.lanes
 	ck := opt.Checkpoint
 	var resume *Checkpoint
 	if ck != nil && ck.Resume != nil {
 		resume = ck.Resume
-		if !resume.Portfolio || len(resume.Lanes) != n {
-			return nil, fmt.Errorf("%w: not a %d-lane portfolio checkpoint", ErrBadCheckpoint, n)
+		if len(resume.Lanes) != n {
+			return nil, fmt.Errorf("%w: %d lanes, want %d", ErrBadCheckpoint, len(resume.Lanes), n)
 		}
 		if resume.Strategy != opt.Strategy {
 			return nil, fmt.Errorf("%w: strategy %s, want %s", ErrBadCheckpoint, resume.Strategy, opt.Strategy)
@@ -246,98 +339,17 @@ func RunPortfolio(ctx context.Context, c *circuit.Circuit, opt Options, pf Portf
 	lanes := make([]*laneRun, n)
 	errs := make([]error, n)
 	build := func(i int, preSeed map[string]*evaluated) {
-		lopt := laneOptions(opt, i, n)
-		if err := lopt.Validate(); err != nil {
-			errs[i] = err
-			return
-		}
-		p, err := newProblem(c, lopt)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		ev, err := newEvaluator(p, cache)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		ev.sim.Ctx = ctx
-		// Pre-seed the lane's memo with lane 0's construction-time
-		// evaluations: every lane starts from the same seed states (same
-		// Problem seed), and under common random numbers a memo hit is
-		// bit-identical to re-evaluating — so duplicate seeds across lanes
-		// stop costing Monte-Carlo budget.
-		for k, e := range preSeed {
-			cp := *e
-			ev.seen[k] = &cp
-		}
-		lr := &laneRun{opt: lopt, p: p, ev: ev}
-		// Lane progress callbacks stay nil: per-step events from
-		// concurrent lanes would interleave non-deterministically, so the
-		// portfolio reports merged progress at barriers instead.
-		switch lopt.Strategy {
-		case Beam:
-			lr.ln, errs[i] = newBeamLane(ctx, p, ev, nil)
-		default:
-			lr.ln, errs[i] = newAnnealLane(p, ev, nil)
-		}
-		if errs[i] == nil {
-			lanes[i] = lr
-		}
-	}
-	// buildResumed restores lane i from the checkpoint instead: memo
-	// union, estimator state and proposal counter first, then the
-	// strategy-specific lane at its saved unit. No seed promotion or
-	// frontier evaluation runs, so no budget is re-spent. Independent
-	// per lane — all n fan out concurrently.
-	buildResumed := func(i int) {
-		lopt := laneOptions(opt, i, n)
-		if err := lopt.Validate(); err != nil {
-			errs[i] = err
-			return
-		}
-		lc := &resume.Lanes[i]
-		if lc.Strategy != lopt.Strategy {
-			errs[i] = fmt.Errorf("%w: lane %d strategy %s, want %s", ErrBadCheckpoint, i, lc.Strategy, lopt.Strategy)
-			return
-		}
-		p, err := newProblem(c, lopt)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		ev, err := newEvaluator(p, cache)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		ev.sim.Ctx = ctx
-		if err := ev.restoreMemo(resume.Memo); err != nil {
-			errs[i] = err
-			return
-		}
-		if err := ev.warm(lc); err != nil {
-			errs[i] = err
-			return
-		}
-		p.proposals = lc.Proposals
-		lr := &laneRun{opt: lopt, p: p, ev: ev}
-		switch lopt.Strategy {
-		case Beam:
-			lr.ln, errs[i] = resumeBeamLane(p, ev, nil, lc)
-		default:
-			lr.ln, errs[i] = resumeAnnealLane(p, ev, nil, lc)
-		}
-		if errs[i] == nil {
-			lanes[i] = lr
-		}
+		lanes[i], errs[i] = newLaneRun(ctx, c, opt, i, n, cache, pl.laneProgress, preSeed, resume)
 	}
 	if resume != nil {
-		opt.forEach(ctx, n, buildResumed)
+		// Restored lanes are independent: all n fan out concurrently.
+		opt.forEach(ctx, n, func(i int) { build(i, nil) })
 	} else {
 		// Lane 0 builds first so its seed evaluations can pre-seed every
-		// other lane; the rest fan out concurrently (independent per lane,
-		// landing by index).
+		// other lane: every lane starts from the same seed states (same
+		// Problem seed), so duplicate seeds across lanes stop costing
+		// Monte-Carlo budget. The rest fan out concurrently (independent
+		// per lane, landing by index).
 		build(0, nil)
 		if errs[0] != nil {
 			return nil, errs[0]
@@ -353,12 +365,12 @@ func RunPortfolio(ctx context.Context, c *circuit.Circuit, opt Options, pf Portf
 		return nil, err
 	}
 
-	if pf.Counters != nil {
-		pf.Counters.live.Add(int64(n))
+	if pl.counters != nil {
+		pl.counters.live.Add(int64(n))
 		defer func() {
 			for _, lr := range lanes {
 				if !lr.finished {
-					pf.Counters.live.Add(-1)
+					pl.counters.live.Add(-1)
 				}
 			}
 		}()
@@ -367,9 +379,9 @@ func RunPortfolio(ctx context.Context, c *circuit.Circuit, opt Options, pf Portf
 		for _, lr := range lanes {
 			if !lr.finished && lr.ln.finished() {
 				lr.finished = true
-				if pf.Counters != nil {
-					pf.Counters.live.Add(-1)
-					pf.Counters.done.Add(1)
+				if pl.counters != nil {
+					pl.counters.live.Add(-1)
+					pl.counters.done.Add(1)
 				}
 			}
 		}
@@ -390,25 +402,24 @@ func RunPortfolio(ctx context.Context, c *circuit.Circuit, opt Options, pf Portf
 
 	units := 0
 	for _, lr := range lanes {
-		if u := lr.ln.units(); u > units {
+		if u := lr.opt.units(); u > units {
 			units = u
 		}
 	}
-	ex := pf.ExchangeEvery
+	ex := pl.every
 	if ex <= 0 {
 		ex = (units + 3) / 4
-	}
-	if ex < 1 {
-		ex = 1
 	}
 
 	exchanges := 0
 	startUnit := 0
 	if resume != nil {
-		// A portfolio checkpoint is only ever taken at a crossed barrier
-		// strictly before the end, so a valid resume point divides the
-		// exchange cadence and leaves work to do.
-		if resume.Unit%ex != 0 || resume.Unit < 0 || resume.Unit >= units {
+		// A checkpoint is only ever taken at a crossed barrier strictly
+		// before the end. Several lanes exchange at multiples of the
+		// cadence, so their resume point must divide it; a single lane
+		// has no exchange points, and its barriers fall every ex units
+		// from wherever it resumes.
+		if resume.Unit < 0 || resume.Unit >= units || (n > 1 && resume.Unit%ex != 0) {
 			return nil, fmt.Errorf("%w: barrier %d does not align with exchange cadence %d over %d units",
 				ErrBadCheckpoint, resume.Unit, ex, units)
 		}
@@ -469,12 +480,13 @@ func RunPortfolio(ctx context.Context, c *circuit.Circuit, opt Options, pf Portf
 			rebudget(lanes, opt.MaxEvals)
 			// Checkpoint after the merge and rebudget: every lane's memo
 			// is the shared union and every cap is final, so this barrier
-			// is an exact resume point.
-			if ck != nil && ck.Save != nil {
-				ck.Save(checkpointPortfolio(opt.Strategy, lanes, until, exchanges))
+			// is an exact resume point. Once every lane is out of work,
+			// later barriers would only save copies of the same state.
+			if ck != nil && ck.Save != nil && !allFinished(lanes) {
+				ck.Save(checkpointAt(opt.Strategy, lanes, until, exchanges))
 			}
 		}
-		if progress != nil {
+		if pl.merged != nil {
 			pr := Progress{Step: until, Total: units}
 			for _, lr := range lanes {
 				pr.Evals += lr.ev.evals
@@ -491,7 +503,7 @@ func RunPortfolio(ctx context.Context, c *circuit.Circuit, opt Options, pf Portf
 				pr.BestYield = best.yield
 				pr.BestExpected = best.state.Expected
 			}
-			progress(pr)
+			pl.merged(pr)
 		}
 	}
 
@@ -535,4 +547,14 @@ func RunPortfolio(ctx context.Context, c *circuit.Circuit, opt Options, pf Portf
 	}
 	res.Exchanges = exchanges
 	return res, nil
+}
+
+// allFinished reports whether no lane has work left.
+func allFinished(lanes []*laneRun) bool {
+	for _, lr := range lanes {
+		if !lr.ln.finished() {
+			return false
+		}
+	}
+	return true
 }

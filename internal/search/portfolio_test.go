@@ -218,3 +218,14 @@ func TestPortfolioCountersAndLaneResults(t *testing.T) {
 		t.Error("winning lane trace is empty")
 	}
 }
+
+// TestRunPortfolioBoundsLanes: more than MaxLanes lanes is refused up
+// front — before any lane's problem or evaluator exists (the nil
+// circuit would panic in the first one built).
+func TestRunPortfolioBoundsLanes(t *testing.T) {
+	_, err := RunPortfolio(context.Background(), nil, portfolioOptions(),
+		PortfolioOptions{Lanes: MaxLanes + 1}, yield.NewNoiseCache(), nil)
+	if err == nil {
+		t.Fatalf("%d lanes accepted", MaxLanes+1)
+	}
+}

@@ -246,6 +246,15 @@ func (o Options) Validate() error {
 	return nil
 }
 
+// units returns the run's budget in search units: annealing steps or
+// beam depths.
+func (o Options) units() int {
+	if o.Strategy == Beam {
+		return o.Depth
+	}
+	return o.Steps
+}
+
 // workers resolves the effective worker count.
 func (o Options) workers() int {
 	if o.Workers > 0 {
@@ -366,15 +375,22 @@ type Result struct {
 	// single-lane runs): each lane's configuration, incumbent and full
 	// trace, the raw material for Pareto-front extraction across lanes.
 	Lanes []LaneResult `json:"lanes,omitempty"`
-	// Exchanges counts the elite-exchange barriers a portfolio run
-	// crossed.
+	// Exchanges counts the barriers before the end at which a portfolio
+	// run had an incumbent to broadcast; a one-lane portfolio counts them
+	// too, though it has no lane to send to. Zero on Run.
 	Exchanges int `json:"exchanges,omitempty"`
 }
 
 // Run searches the design space of the decomposed program c and returns
 // the best design found. cache may be nil; passing a shared
 // yield.NoiseCache lets several runs (or a surrounding sweep) reuse the
-// common-random-numbers matrices. progress may be nil.
+// common-random-numbers matrices. progress may be nil; it fires once
+// per annealing step or beam depth.
+//
+// Run is a one-lane portfolio whose barriers fall every
+// opt.Checkpoint.Every units when it saves checkpoints, and nowhere
+// before the end when it does not; its Result carries no Lanes and no
+// Exchanges.
 //
 // ctx is a cooperative cancellation signal: a cancelled run stops within
 // one proposal batch (annealing step / beam depth) or Monte-Carlo trial
@@ -383,69 +399,16 @@ type Result struct {
 // release — cancellation checks never touch the RNG stream or the
 // scoring order.
 func Run(ctx context.Context, c *circuit.Circuit, opt Options, cache *yield.NoiseCache, progress func(Progress)) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	every := opt.units()
+	if ck := opt.Checkpoint; ck != nil && ck.Save != nil && ck.Every > 0 {
+		every = ck.Every
 	}
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	p, err := newProblem(c, opt)
+	res, err := drive(ctx, c, opt, cache, lanePlan{lanes: 1, every: every, laneProgress: progress})
 	if err != nil {
 		return nil, err
 	}
-	ev, err := newEvaluator(p, cache)
-	if err != nil {
-		return nil, err
-	}
-	// The Monte-Carlo tier inherits the signal, so a cancel lands within
-	// one trial chunk even mid-evaluation.
-	ev.sim.Ctx = ctx
-	ck := opt.Checkpoint
-	var ln lane
-	if ck != nil && ck.Resume != nil {
-		ln, err = resumeLane(p, ev, progress, ck.Resume, opt.Strategy)
-	} else {
-		switch opt.Strategy {
-		case Beam:
-			ln, err = newBeamLane(ctx, p, ev, progress)
-		default:
-			ln, err = newAnnealLane(p, ev, progress)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	units := ln.units()
-	if ck == nil || ck.Save == nil || ck.Every <= 0 {
-		if err := ln.advance(ctx, units); err != nil {
-			return nil, err
-		}
-	} else {
-		// Segmented drive: advance Every units at a time and hand a
-		// checkpoint to Save between segments. Segment boundaries never
-		// touch the RNG stream or the scoring order, so the result is
-		// bit-identical to the single advance above.
-		for !ln.finished() {
-			until := ln.unit() + ck.Every
-			if until > units {
-				until = units
-			}
-			if err := ln.advance(ctx, until); err != nil {
-				return nil, err
-			}
-			if !ln.finished() && ln.unit() < units {
-				ck.Save(checkpointSingle(opt.Strategy, p, ev, ln))
-			}
-		}
-	}
-	best, trace := ln.result()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if best == nil {
-		return nil, fmt.Errorf("search: no design evaluated (MaxEvals=%d)", opt.MaxEvals)
-	}
-	return p.finish(ev, best, trace)
+	res.Lanes, res.Exchanges = nil, 0
+	return res, nil
 }
 
 // finish maps the winning state and assembles the Result. When

@@ -690,6 +690,10 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxSubmitBytes caps a POST /v1/jobs body. A job spec is a few hundred
+// bytes; a larger body is refused with 413 before it is buffered.
+const maxSubmitBytes = 1 << 20
+
 // submitRequest is the POST /v1/jobs body.
 type submitRequest struct {
 	Kind string          `json:"kind"`
@@ -756,10 +760,15 @@ func (j *job) statusNow() string {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	parsed, err := experiments.ParseJob(req.Kind, req.Spec)

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -15,6 +16,7 @@ import (
 
 	"qproc/internal/experiments"
 	"qproc/internal/runstore"
+	"qproc/internal/search"
 )
 
 // tinyOptions keeps Monte-Carlo budgets small enough for fast tests.
@@ -1077,5 +1079,48 @@ func TestPortfolioJobEndToEnd(t *testing.T) {
 	}
 	if stats.Lanes.Live != 0 || stats.Lanes.Done != 3 {
 		t.Errorf("stats lanes %d live / %d done, want 0/3", stats.Lanes.Live, stats.Lanes.Done)
+	}
+}
+
+// TestSubmitAdmissionBounds: a submission whose cost is unbounded is
+// refused before it is queued — a portfolio asking for more than
+// search.MaxLanes lanes with 400, a body over the size cap with 413 —
+// and the server keeps admitting valid work afterwards.
+func TestSubmitAdmissionBounds(t *testing.T) {
+	_, ts := newTestServer(t, nil, 4)
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	lanes := fmt.Sprintf(`{"kind":"portfolio","spec":{"benchmark":"sym6_145","lanes":%d}}`, search.MaxLanes+1)
+	if got := post(lanes); got != http.StatusBadRequest {
+		t.Errorf("portfolio with %d lanes: status %d, want 400", search.MaxLanes+1, got)
+	}
+	huge := `{"kind":"sweep","spec":{"benchmarks":["` + strings.Repeat("x", 2*maxSubmitBytes) + `"]}}`
+	if got := post(huge); got != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status %d, want 413", got)
+	}
+
+	var listing struct {
+		Jobs []jobStatus `json:"jobs"`
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&listing); err != nil {
+		t.Fatal(err)
+	}
+	if len(listing.Jobs) != 0 {
+		t.Fatalf("refused submissions left %d jobs behind", len(listing.Jobs))
+	}
+	if v := submit(t, ts.URL, sweepBody); v.ID == "" {
+		t.Fatal("valid submission after the refusals got no job id")
 	}
 }

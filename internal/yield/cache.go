@@ -1,9 +1,6 @@
 package yield
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "qproc/internal/memo"
 
 // NoiseCache memoises the Gaussian noise matrices GenNoise draws, keyed
 // by everything that determines their content: seed, trial count, σ and
@@ -23,16 +20,10 @@ import (
 // the generated bytes exceed the limit, the least-recently-used matrices
 // are dropped (regeneration on a later request is pure, so eviction can
 // never change an estimate — it only costs time). Zero limit means
-// unbounded; Purge still drops everything eagerly.
+// unbounded; Purge still drops everything eagerly. Stats counts Noise
+// calls served from memory (hits) and generations (misses).
 type NoiseCache struct {
-	mu      sync.Mutex
-	entries map[noiseKey]*noiseEntry
-	limit   int64
-	bytes   int64
-	tick    uint64
-	hits    atomic.Uint64
-	misses  atomic.Uint64
-	evicted atomic.Uint64
+	memo.Cache[noiseKey, *NoiseMatrix]
 }
 
 type noiseKey struct {
@@ -42,36 +33,8 @@ type noiseKey struct {
 	n      int
 }
 
-type noiseEntry struct {
-	once sync.Once
-	mat  *NoiseMatrix
-	// size is the matrix's data footprint in bytes, recorded under the
-	// cache lock after generation; 0 while generation is in flight.
-	size int64
-	// used is the recency stamp, under the cache lock.
-	used uint64
-}
-
 // NewNoiseCache returns an empty, unbounded cache.
-func NewNoiseCache() *NoiseCache {
-	return &NoiseCache{entries: map[noiseKey]*noiseEntry{}}
-}
-
-// SetLimit bounds the cache's matrix bytes; 0 removes the bound. The
-// bound is enforced immediately and after every subsequent generation.
-func (c *NoiseCache) SetLimit(bytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.limit = bytes
-	c.evictLocked(nil)
-}
-
-// Limit returns the configured byte bound (0 = unbounded).
-func (c *NoiseCache) Limit() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.limit
-}
+func NewNoiseCache() *NoiseCache { return &NoiseCache{} }
 
 // Noise returns the matrix s.GenNoise(n) would return, generating it on
 // first use and serving the memoised copy afterwards. The matrix is
@@ -82,96 +45,7 @@ func (c *NoiseCache) Limit() int64 {
 // long as its holders keep it.
 func (c *NoiseCache) Noise(s *Simulator, n int) *NoiseMatrix {
 	k := noiseKey{seed: s.Seed, trials: s.Trials, sigma: s.Sigma, n: n}
-	c.mu.Lock()
-	c.tick++
-	e, ok := c.entries[k]
-	if !ok {
-		e = &noiseEntry{}
-		c.entries[k] = e
-	}
-	e.used = c.tick
-	c.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	generated := false
-	e.once.Do(func() {
-		e.mat = s.GenNoise(n)
-		generated = true
+	return c.Get(k, func() (*NoiseMatrix, int64) {
+		return s.GenNoise(n), int64(s.Trials) * int64(n) * 8
 	})
-	if generated {
-		c.mu.Lock()
-		// The entry may already have been evicted by a racing SetLimit;
-		// only account for it while it is still resident.
-		if c.entries[k] == e {
-			e.size = int64(s.Trials) * int64(n) * 8
-			c.bytes += e.size
-			c.evictLocked(e)
-		}
-		c.mu.Unlock()
-	}
-	return e.mat
-}
-
-// evictLocked drops generated matrices, least recently used first, until
-// the footprint fits the limit. keep, when non-nil, is never dropped —
-// evicting the matrix that was just requested would thrash. In-flight
-// generations (size 0) are skipped; they account for themselves on
-// completion. Callers hold c.mu.
-func (c *NoiseCache) evictLocked(keep *noiseEntry) {
-	if c.limit <= 0 {
-		return
-	}
-	for c.bytes > c.limit {
-		var victimKey noiseKey
-		var victim *noiseEntry
-		for k, e := range c.entries {
-			if e == keep || e.size == 0 {
-				continue
-			}
-			if victim == nil || e.used < victim.used {
-				victim, victimKey = e, k
-			}
-		}
-		if victim == nil {
-			return // nothing evictable (only keep and in-flight entries)
-		}
-		c.bytes -= victim.size
-		delete(c.entries, victimKey)
-		c.evicted.Add(1)
-	}
-}
-
-// Stats reports how many Noise calls were served from memory (hits) and
-// how many generated a fresh matrix (misses).
-func (c *NoiseCache) Stats() (hits, misses uint64) {
-	return c.hits.Load(), c.misses.Load()
-}
-
-// Evictions returns how many matrices the byte bound has dropped.
-func (c *NoiseCache) Evictions() uint64 { return c.evicted.Load() }
-
-// Bytes returns the data footprint of the generated matrices currently
-// held (in-flight generations join the count when they finish).
-func (c *NoiseCache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
-
-// Len returns the number of distinct matrices held.
-func (c *NoiseCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Purge drops every cached matrix (the statistics are kept).
-func (c *NoiseCache) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = map[noiseKey]*noiseEntry{}
-	c.bytes = 0
 }
