@@ -353,3 +353,35 @@ func TestCheckpointFormatCompatibility(t *testing.T) {
 		portfolioResultsEqual(t, base, resumed)
 	})
 }
+
+// TestCheckpointSavesOnlyWhileLanesHaveWork: once every lane has
+// converged, later barriers would only save copies of the same state,
+// so the driver stops saving; every checkpoint it does save still has a
+// lane with work left, and resuming from it reproduces the run.
+func TestCheckpointSavesOnlyWhileLanesHaveWork(t *testing.T) {
+	c := testCircuit(t)
+	opt := testOptions(Beam) // its budget runs out before Depth 6
+	pf := PortfolioOptions{Lanes: 1, ExchangeEvery: 1}
+	var saved []*Checkpoint
+	o := opt
+	o.Checkpoint = &CheckpointOptions{Save: func(cp *Checkpoint) { saved = append(saved, cp) }}
+	base, err := RunPortfolio(context.Background(), c, o, pf, yield.NewNoiseCache(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(saved) == 0 || len(saved) >= opt.Depth-1 {
+		t.Fatalf("%d checkpoints over %d barriers before the end, want some but not all", len(saved), opt.Depth-1)
+	}
+	for _, cp := range saved {
+		if cp.Lanes[0].Done {
+			t.Errorf("checkpoint at barrier %d saved after every lane converged", cp.Unit)
+		}
+		r := opt
+		r.Checkpoint = &CheckpointOptions{Resume: cp}
+		resumed, err := RunPortfolio(context.Background(), c, r, pf, yield.NewNoiseCache(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		portfolioResultsEqual(t, base, resumed)
+	}
+}
