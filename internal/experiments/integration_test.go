@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"strings"
 	"testing"
 
 	"qproc/internal/core"
@@ -24,6 +27,33 @@ func TestIntegrationAllBenchmarks(t *testing.T) {
 	}
 	if len(results) != 12 {
 		t.Fatalf("got %d benchmark results", len(results))
+	}
+
+	// Pin Figure 10 and the §5.3/§5.4 tables: the text cmd/experiments
+	// -all prints for them, and the results' JSON. Both were recorded
+	// before Figure 10 moved onto the sweep path, so any drift in how the
+	// reproduction's headline is computed fails here.
+	var text strings.Builder
+	for _, res := range results {
+		text.WriteString(FormatFig10(res) + "\n")
+	}
+	for _, s := range []string{
+		FormatOverall(SummaryOverall(results, o.YieldTrials)),
+		FormatLayout(SummaryLayout(results, o.YieldTrials)),
+		FormatBus(SummaryBus(results, o.YieldTrials)),
+		FormatFreq(SummaryFreq(results, o.YieldTrials)),
+	} {
+		text.WriteString(s + "\n")
+	}
+	const (
+		wantText = "f032c7470b47f73e685abad168c56ae6e667ab32ff8f7d40549cee26ea94aabd"
+		wantJSON = "8573e0e16ee84552001da1804e6de27b036782305a68a49e49c8af2f77a1b7f0"
+	)
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(text.String()))); got != wantText {
+		t.Errorf("Figure 10 and summary text SHA-256 = %s, want %s", got, wantText)
+	}
+	if got := goldenSHA(t, results); got != wantJSON {
+		t.Errorf("results JSON SHA-256 = %s, want %s", got, wantJSON)
 	}
 	for _, res := range results {
 		ibm := res.ByConfig(core.ConfigIBM)
