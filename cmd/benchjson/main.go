@@ -8,8 +8,6 @@
 //	benchjson -old bench_main.txt -new bench_head.txt \
 //	          -gate BenchmarkSweep,BenchmarkEstimateCached -threshold 15
 //	benchjson -history 'BENCH_*.json' -out BENCH_history.md
-//	benchjson -ingest 'BENCH_*.json' -metrics-dir runs/metrics
-//	benchjson -history-store -metrics-dir runs/metrics -out BENCH_history.md
 //
 // In gate mode the exit status is 1 when any gated benchmark's ns/op
 // geomean regressed by more than -threshold percent against the baseline
@@ -18,15 +16,6 @@
 // (a glob pattern or comma-separated list, ordered oldest-first when the
 // caller sorts by commit time) render as one markdown table, one row per
 // commit and one ns/op-geomean column per benchmark.
-//
-// Ingest mode appends each artifact's per-benchmark ns/op geomean into a
-// chunked metrics store as bench:<name> time series, one step per
-// commit; a bench_commits.ndjson sidecar in the store directory maps
-// steps back to commit SHAs, and artifacts whose commit is already in
-// the sidecar are skipped, so re-running over the same glob is
-// idempotent. -history-store renders the same trend table as -history
-// from those series, and a running qserve with the same store serves
-// them at GET /v1/metrics/bench.
 package main
 
 import (
@@ -38,11 +27,9 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"qproc/internal/benchparse"
 	"qproc/internal/cliutil"
-	"qproc/internal/metrics"
 )
 
 func main() {
@@ -57,10 +44,6 @@ func main() {
 		allowNew  = flag.Bool("allow-new", false, "gate mode: skip gated benchmarks missing from the baseline (new in this change) instead of failing")
 		history   = flag.String("history", "", "glob pattern or comma-separated list of BENCH_<sha>.json artifacts to aggregate into a markdown trend table")
 		names     = flag.String("names", "", "history mode: comma-separated benchmark columns (default: all present)")
-
-		ingest       = flag.String("ingest", "", "glob pattern or comma-separated list of BENCH_<sha>.json artifacts to append into the metrics store's bench: series (needs -metrics-dir)")
-		metricsDir   = flag.String("metrics-dir", "", "chunked metrics store directory for -ingest and -history-store")
-		historyStore = flag.Bool("history-store", false, "render the trend table from the metrics store's bench: series instead of artifact files (needs -metrics-dir)")
 	)
 	flag.Parse()
 
@@ -70,23 +53,10 @@ func main() {
 	if (*oldFile == "") != (*newFile == "") {
 		fatal(fmt.Errorf("gate mode needs both -old and -new"))
 	}
-	modes := 0
-	for _, on := range []bool{*history != "", *oldFile != "", *ingest != "", *historyStore} {
-		if on {
-			modes++
-		}
-	}
-	if modes > 1 {
-		fatal(fmt.Errorf("-history, gate mode, -ingest and -history-store are mutually exclusive"))
-	}
-	if (*ingest != "" || *historyStore) && *metricsDir == "" {
-		fatal(fmt.Errorf("-ingest and -history-store need -metrics-dir"))
+	if *history != "" && *oldFile != "" {
+		fatal(fmt.Errorf("-history and gate mode are mutually exclusive"))
 	}
 	switch {
-	case *ingest != "":
-		runIngest(*ingest, *metricsDir)
-	case *historyStore:
-		runHistoryStore(*metricsDir, *names, *out)
 	case *history != "":
 		runHistory(*history, *names, *out)
 	case *oldFile != "":
@@ -153,18 +123,18 @@ func runGate(oldFile, newFile, gate string, threshold float64, allowNew bool) {
 
 // resolveArtifacts expands a glob pattern or comma-separated list into
 // artifact paths, sorted for deterministic order when globbed.
-func resolveArtifacts(flagName, pattern string) []string {
+func resolveArtifacts(pattern string) []string {
 	files := cliutil.SplitList(pattern)
 	if len(files) == 1 && strings.ContainsAny(files[0], "*?[") {
 		matches, err := filepath.Glob(files[0])
 		if err != nil {
-			fatal(fmt.Errorf("bad %s pattern: %w", flagName, err))
+			fatal(fmt.Errorf("bad -history pattern: %w", err))
 		}
 		sort.Strings(matches)
 		files = matches
 	}
 	if len(files) == 0 {
-		fatal(fmt.Errorf("%s %q matched no artifacts", flagName, pattern))
+		fatal(fmt.Errorf("-history %q matched no artifacts", pattern))
 	}
 	return files
 }
@@ -196,139 +166,11 @@ func writeMarkdown(out, md string) {
 // markdown trend table.
 func runHistory(pattern, names, out string) {
 	var results []*benchparse.Result
-	for _, f := range resolveArtifacts("-history", pattern) {
+	for _, f := range resolveArtifacts(pattern) {
 		results = append(results, decodeArtifact(f))
 	}
 	writeMarkdown(out, benchparse.History(results, cliutil.SplitList(names)))
 	fmt.Fprintf(os.Stderr, "benchjson: history over %d artifacts\n", len(results))
-}
-
-// commitSidecar is the bench_commits.ndjson file next to the bench:
-// series: one line per ingested commit, mapping its series step back to
-// the SHA (points carry no strings). It doubles as the idempotency
-// ledger — an artifact whose commit is already recorded is skipped.
-const commitSidecar = "bench_commits.ndjson"
-
-type commitStep struct {
-	Step   int64  `json:"step"`
-	Commit string `json:"commit"`
-}
-
-// loadCommitSteps reads the sidecar; missing is an empty history.
-func loadCommitSteps(dir string) []commitStep {
-	data, err := os.ReadFile(filepath.Join(dir, commitSidecar))
-	if err != nil {
-		return nil
-	}
-	var steps []commitStep
-	for _, line := range strings.Split(string(data), "\n") {
-		if line == "" {
-			continue
-		}
-		var cs commitStep
-		if json.Unmarshal([]byte(line), &cs) == nil && cs.Commit != "" {
-			steps = append(steps, cs)
-		}
-	}
-	return steps
-}
-
-// runIngest appends each artifact's per-benchmark ns/op geomean into
-// the metrics store as bench:<name> series, one step per new commit.
-func runIngest(pattern, dir string) {
-	store, err := metrics.Open(dir, metrics.Retention{})
-	if err != nil {
-		fatal(err)
-	}
-	defer store.Close()
-	prior := loadCommitSteps(dir)
-	seen := map[string]bool{}
-	next := int64(0)
-	for _, cs := range prior {
-		seen[cs.Commit] = true
-		if cs.Step >= next {
-			next = cs.Step + 1
-		}
-	}
-	side, err := os.OpenFile(filepath.Join(dir, commitSidecar),
-		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		fatal(err)
-	}
-	defer side.Close()
-
-	ingested, skipped := 0, 0
-	now := time.Now().UTC()
-	for _, f := range resolveArtifacts("-ingest", pattern) {
-		res := decodeArtifact(f)
-		if res.Commit == "" {
-			fmt.Fprintf(os.Stderr, "benchjson: %s is unstamped (no commit); skipped\n", f)
-			skipped++
-			continue
-		}
-		if seen[res.Commit] {
-			skipped++
-			continue
-		}
-		step := next
-		next++
-		for _, n := range res.Names() {
-			v, ok := res.GeoMean(n, "ns/op")
-			if !ok {
-				continue
-			}
-			if err := store.Append("bench:"+n, metrics.Point{T: now, Step: step, V: v}); err != nil {
-				fatal(err)
-			}
-		}
-		line, _ := json.Marshal(commitStep{Step: step, Commit: res.Commit})
-		if _, err := side.Write(append(line, '\n')); err != nil {
-			fatal(err)
-		}
-		seen[res.Commit] = true
-		ingested++
-	}
-	fmt.Fprintf(os.Stderr, "benchjson: ingested %d artifact(s), skipped %d already-recorded\n", ingested, skipped)
-}
-
-// runHistoryStore renders the trend table by querying the bench: series
-// instead of re-reading artifact files: one row per ingested step, the
-// commit label resolved through the sidecar.
-func runHistoryStore(dir, names, out string) {
-	store, err := metrics.Open(dir, metrics.Retention{})
-	if err != nil {
-		fatal(err)
-	}
-	defer store.Close()
-	commitOf := map[int64]string{}
-	for _, cs := range loadCommitSteps(dir) {
-		commitOf[cs.Step] = cs.Commit
-	}
-	cells := map[int64]map[string]float64{}
-	for _, series := range store.SeriesNames("bench:") {
-		pts, err := store.Tail(series, 0)
-		if err != nil {
-			fatal(err)
-		}
-		name := strings.TrimPrefix(series, "bench:")
-		for _, p := range pts {
-			if cells[p.Step] == nil {
-				cells[p.Step] = map[string]float64{}
-			}
-			cells[p.Step][name] = p.V
-		}
-	}
-	steps := make([]int64, 0, len(cells))
-	for step := range cells {
-		steps = append(steps, step)
-	}
-	sort.Slice(steps, func(i, j int) bool { return steps[i] < steps[j] })
-	rows := make([]benchparse.HistoryRow, 0, len(steps))
-	for _, step := range steps {
-		rows = append(rows, benchparse.HistoryRow{Commit: commitOf[step], Cells: cells[step]})
-	}
-	writeMarkdown(out, benchparse.HistoryTable(rows, cliutil.SplitList(names)))
-	fmt.Fprintf(os.Stderr, "benchjson: history over %d ingested commit(s)\n", len(rows))
 }
 
 func parseFile(path string) *benchparse.Result {

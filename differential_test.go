@@ -89,11 +89,10 @@ func TestEstimatePathsBitIdenticalAcrossFamilies(t *testing.T) {
 			}
 
 			// The interface adapters must expose exactly these numbers.
-			for _, kind := range []string{"batch", "incremental"} {
-				est, err := yield.NewEstimator(kind, s)
-				if err != nil {
-					t.Fatal(err)
-				}
+			for kind, est := range map[string]yield.Estimator{
+				"batch":       yield.BatchEstimator{Sim: s},
+				"incremental": &yield.IncrementalEstimator{Sim: s},
+			} {
 				if got := est.Estimate(name, bed.adj, bed.freqs); got != ref {
 					t.Fatalf("%s adapter %v != reference %v", kind, got, ref)
 				}

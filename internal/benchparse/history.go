@@ -33,9 +33,7 @@ func History(results []*Result, names []string) string {
 }
 
 // HistoryRow is one trend-table row: a commit and its ns/op geomean per
-// benchmark. The artifact path (History) and the metrics-store path
-// (benchjson -history-store, querying bench: series) both normalise to
-// this shape before rendering.
+// benchmark, as History derives it from one BENCH_<sha>.json artifact.
 type HistoryRow struct {
 	Commit string
 	Cells  map[string]float64

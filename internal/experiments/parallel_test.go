@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"qproc/internal/gen"
@@ -105,7 +106,7 @@ func TestForEachCoversAllIndices(t *testing.T) {
 		r := NewRunner(o)
 		const n = 100
 		counts := make([]int32, n)
-		r.forEach(n, func(i int) { counts[i]++ })
+		r.forEachCtx(context.Background(), n, func(i int) { counts[i]++ })
 		for i, c := range counts {
 			if c != 1 {
 				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)

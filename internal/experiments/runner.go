@@ -12,7 +12,6 @@ import (
 	"sort"
 
 	"qproc/internal/arch"
-	"qproc/internal/circuit"
 	"qproc/internal/collision"
 	"qproc/internal/core"
 	"qproc/internal/gen"
@@ -39,10 +38,11 @@ type Options struct {
 	MaxBuses int
 	// Mapper holds the SABRE parameters.
 	Mapper mapper.Options
-	// Parallel enables every level of fan-out: benchmarks in RunAll,
-	// designs inside RunCircuit, groups inside Sweep, and trials inside
-	// the yield simulator. Results are bit-identical with Parallel off;
-	// only wall-clock time changes.
+	// Parallel enables every level of fan-out: (benchmark, aux) groups,
+	// series generation and design mapping inside Sweep (which RunAll and
+	// RunBenchmark run), search proposals, and trials inside the yield
+	// simulator. Results are bit-identical with Parallel off; only
+	// wall-clock time changes.
 	Parallel bool
 	// Workers sizes the runner's shared helper pool; 0 means GOMAXPROCS.
 	// Every fan-out level — benchmarks, designs, search proposals,
@@ -68,13 +68,6 @@ type Options struct {
 	// bit-identical — so it participates in neither job fingerprints nor
 	// serialised outcomes.
 	CheckpointEvery int `json:"-"`
-	// Estimator selects the yield estimator scoring every design:
-	// ""/"batch" (one-shot batch Monte-Carlo), "incremental" (Monte-Carlo
-	// through a trial-survivor state) or "analytic" (the closed-form
-	// exp(−E[collisions]) surrogate, no sampling). The two Monte-Carlo
-	// kinds return bit-identical numbers; "analytic" is a different,
-	// sampling-noise-free figure.
-	Estimator string `json:"estimator,omitempty"`
 }
 
 // workers resolves the effective worker count.
@@ -214,176 +207,68 @@ func (r *Runner) simulator() *yield.Simulator {
 	return s
 }
 
-// estimator builds the options-selected yield.Estimator over sim.
-// Callers construct one per scoring context (per design on the parallel
-// evaluation fan-out, per σ on the serial sweep loop) so that stateful
-// kinds are never shared across goroutines.
-func (r *Runner) estimator(sim *yield.Simulator) (yield.Estimator, error) {
-	return yield.NewEstimator(r.opt.Estimator, sim)
-}
-
-// estimateArch scores a finished design's architecture through est,
-// keyed by canonical topology so repeated evaluations of the same
-// coupling graph hit the shared compiled-kernel cache. It panics if the
-// architecture has no frequency assignment: estimating the yield of an
-// unfrequencied design is a flow-ordering bug.
-func estimateArch(est yield.Estimator, a *arch.Architecture) float64 {
+// estimateArch scores a finished design's architecture with the
+// one-shot batch Monte-Carlo estimate, keyed by canonical topology so
+// repeated evaluations of the same coupling graph hit the shared
+// compiled-kernel cache. It panics if the architecture has no frequency
+// assignment: estimating the yield of an unfrequencied design is a
+// flow-ordering bug.
+func estimateArch(sim *yield.Simulator, a *arch.Architecture) float64 {
 	if a.Freqs == nil {
 		panic(fmt.Sprintf("experiments: architecture %q has no frequency assignment", a.Name))
 	}
 	adj := a.AdjList()
-	return est.Estimate(collision.TopoKey(adj), adj, a.Freqs)
+	return sim.EstimateFreqsKeyed(collision.TopoKey(adj), adj, a.Freqs)
 }
 
-// forEach runs fn(0..n-1), drawing helpers from the runner's shared
-// bounded pool when the options ask for parallelism. Every index runs
+// forEachCtx runs fn(0..n-1) over the runner's shared bounded pool when
+// the options ask for parallelism, inline otherwise. Every index runs
 // exactly once; fn must write its result by index so that the outcome is
-// independent of scheduling.
-func (r *Runner) forEach(n int, fn func(int)) {
-	r.forEachCtx(context.Background(), n, fn)
-}
-
-// forEachCtx is forEach under a cooperative cancellation signal: once
-// ctx is cancelled no further index is dispatched, and the caller must
-// treat its result slots as incomplete (checking ctx.Err() right after).
-// A live ctx runs every index exactly once, identical to forEach.
+// independent of scheduling. Once ctx is cancelled no further index is
+// dispatched, and the caller must treat its result slots as incomplete
+// (checking ctx.Err() right after).
 func (r *Runner) forEachCtx(ctx context.Context, n int, fn func(int)) {
+	pool := r.pool
 	if !r.opt.Parallel || r.opt.workers() < 2 {
-		for i := 0; i < n; i++ {
-			if ctx != nil && ctx.Err() != nil {
-				return
-			}
-			fn(i)
-		}
-		return
+		pool = nil // a nil pool runs every index inline
 	}
-	_ = r.pool.ForEachCtx(ctx, n, fn)
+	_ = pool.ForEachCtx(ctx, n, fn)
 }
 
 // RunBenchmark evaluates all five configurations for the named benchmark
 // and returns the Figure 10 subplot data.
 func (r *Runner) RunBenchmark(name string) (*BenchmarkResult, error) {
-	b, err := gen.Get(name)
+	results, err := r.fig10([]string{name})
 	if err != nil {
 		return nil, err
 	}
-	return r.RunCircuit(b.Build())
+	return results[0], nil
 }
 
-// RunCircuit evaluates all five configurations for an arbitrary program
-// in the decomposed basis. Design generation fans out per configuration
-// and design evaluation (SABRE mapping + Monte-Carlo yield) fans out per
-// design over a bounded worker pool, so a single benchmark saturates all
-// cores; the result is bit-identical to a sequential run.
-func (r *Runner) RunCircuit(c *circuit.Circuit) (*BenchmarkResult, error) {
-	flow := r.flow()
-	sim := r.simulator()
-	res := &BenchmarkResult{Name: c.Name, Qubits: c.Qubits}
+// RunAll evaluates every benchmark of the suite, returning results in
+// Figure 10 order.
+func (r *Runner) RunAll() ([]*BenchmarkResult, error) { return r.fig10(gen.Names()) }
 
-	// ibm baselines: baseline (1) defines the normalisation.
-	baselines := flow.Baselines(c)
-	if len(baselines) == 0 {
-		return nil, fmt.Errorf("experiments: %s needs %d qubits, exceeding every baseline", c.Name, c.Qubits)
-	}
-
-	// Generate the four series. Each generator is deterministic and
-	// independent (seeded from the flow alone), so they run concurrently.
-	type seriesRun struct {
-		cfg     core.Config
-		designs []*core.Design
-		err     error
-	}
-	runs := []*seriesRun{
-		{cfg: core.ConfigEffFull},
-		{cfg: core.ConfigEffRdBus},
-		{cfg: core.ConfigEff5Freq},
-		{cfg: core.ConfigEffLayoutOnly},
-	}
-	r.forEach(len(runs), func(i int) {
-		run := runs[i]
-		run.designs, run.err = flow.SeriesConfig(c, run.cfg, r.opt.MaxBuses, 0, r.opt.RandomBusSamples)
-	})
-	for _, run := range runs {
-		if run.err != nil {
-			return nil, fmt.Errorf("experiments: %s/%s: %w", c.Name, run.cfg, run.err)
-		}
-	}
-
-	// Flatten baselines + series into one job list in output order, then
-	// evaluate every design over the worker pool. Points land by index,
-	// so the slice layout is scheduling-independent.
-	type job struct {
-		design *core.Design
-		label  string
-	}
-	var jobs []job
-	for i, d := range baselines {
-		jobs = append(jobs, job{d, fmt.Sprintf("(%d)", i+1)})
-	}
-	for _, run := range runs {
-		for _, d := range run.designs {
-			jobs = append(jobs, job{d, fmt.Sprintf("k=%d", d.Buses)})
-		}
-	}
-	points := make([]Point, len(jobs))
-	errs := make([]error, len(jobs))
-	r.forEach(len(jobs), func(i int) {
-		// One estimator per design keeps stateful kinds goroutine-local;
-		// construction is a struct allocation, noise off the shared cache.
-		est, err := r.estimator(sim)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		points[i], errs[i] = r.evaluate(c, jobs[i].design, est)
-		points[i].Label = jobs[i].label
-	})
-	for _, err := range errs {
+// fig10 runs the default sweep — all five configurations, aux 0,
+// σ = yield.DefaultSigma — over the named benchmarks, the same sweep a
+// qserve job runs, and regroups its points into one Figure 10 subplot
+// per benchmark, in the order given.
+func (r *Runner) fig10(names []string) ([]*BenchmarkResult, error) {
+	results := make([]*BenchmarkResult, len(names))
+	for i, name := range names {
+		b, err := gen.Get(name)
 		if err != nil {
 			return nil, err
 		}
+		results[i] = &BenchmarkResult{Name: name, Qubits: b.Qubits}
 	}
-
-	// Normalise performance to baseline (1).
-	baseGates := points[0].GateCount
-	for i := range points {
-		points[i].NormPerf = float64(baseGates) / float64(points[i].GateCount)
-	}
-	res.Points = points
-	return res, nil
-}
-
-// evaluate maps the program onto the design and scores its yield through
-// the estimator.
-func (r *Runner) evaluate(c *circuit.Circuit, d *core.Design, est yield.Estimator) (Point, error) {
-	mres, err := mapper.Map(c, d.Arch, r.opt.Mapper)
+	sr, err := r.Sweep(context.Background(), SweepSpec{Benchmarks: names}, nil)
 	if err != nil {
-		return Point{}, fmt.Errorf("experiments: mapping %s onto %s: %w", c.Name, d.Arch.Name, err)
+		return nil, err
 	}
-	return Point{
-		Benchmark:   c.Name,
-		Config:      d.Config,
-		Qubits:      d.Arch.NumQubits(),
-		Connections: d.Arch.NumConnections(),
-		Buses:       d.Buses,
-		GateCount:   mres.GateCount,
-		Swaps:       mres.Swaps,
-		Yield:       estimateArch(est, d.Arch),
-	}, nil
-}
-
-// RunAll evaluates every benchmark of the suite, optionally in parallel,
-// returning results in Figure 10 order.
-func (r *Runner) RunAll() ([]*BenchmarkResult, error) {
-	names := gen.Names()
-	results := make([]*BenchmarkResult, len(names))
-	errs := make([]error, len(names))
-	r.forEach(len(names), func(i int) {
-		results[i], errs[i] = r.RunBenchmark(names[i])
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", names[i], err)
+	for _, res := range results {
+		for _, p := range sr.ByCell(SweepCell{Benchmark: res.Name, Sigma: yield.DefaultSigma}) {
+			res.Points = append(res.Points, p.Point)
 		}
 	}
 	return results, nil

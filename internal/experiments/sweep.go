@@ -220,13 +220,16 @@ func (r *Runner) runGroup(ctx context.Context, bench string, aux int, spec Sweep
 	}
 
 	// Generate and map every design once: neither step depends on σ.
+	// Each configuration's generator is deterministic and seeded from the
+	// flow alone, so the series are generated concurrently; they land by
+	// index and are flattened in configuration order.
 	type mapped struct {
 		cfg          core.Config
 		design       *core.Design
 		label        string
 		gates, swaps int
 	}
-	var designs []mapped
+	var cfgs []core.Config
 	for _, cfg := range spec.Configs {
 		if !topology.IsSquare(fam) {
 			switch cfg {
@@ -242,14 +245,25 @@ func (r *Runner) runGroup(ctx context.Context, bench string, aux int, spec Sweep
 				continue // fixed chips / bare-layout ablations: aux = 0 only
 			}
 		}
-		ds, err := flow.SeriesConfig(c, cfg, r.opt.MaxBuses, aux, r.opt.RandomBusSamples)
-		if err != nil {
-			return fail(fmt.Errorf("%s: %w", cfg, err))
+		cfgs = append(cfgs, cfg)
+	}
+	series := make([][]*core.Design, len(cfgs))
+	genErrs := make([]error, len(cfgs))
+	r.forEachCtx(ctx, len(cfgs), func(i int) {
+		series[i], genErrs[i] = flow.SeriesConfig(c, cfgs[i], r.opt.MaxBuses, aux, r.opt.RandomBusSamples)
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	var designs []mapped
+	for i, cfg := range cfgs {
+		if genErrs[i] != nil {
+			return fail(fmt.Errorf("%s: %w", cfg, genErrs[i]))
 		}
-		for i, d := range ds {
+		for j, d := range series[i] {
 			label := fmt.Sprintf("k=%d", d.Buses)
 			if cfg == core.ConfigIBM {
-				label = fmt.Sprintf("(%d)", i+1)
+				label = fmt.Sprintf("(%d)", j+1)
 			}
 			designs = append(designs, mapped{cfg: cfg, design: d, label: label})
 		}
@@ -293,25 +307,15 @@ func (r *Runner) runGroup(ctx context.Context, bench string, aux int, spec Sweep
 		baseGates = mres.GateCount
 	}
 
-	// Score every σ; only the yield estimate depends on it. The estimator
-	// is rebuilt per σ because the analytic kind bakes σ in at
-	// construction; the loop is serial, so one estimator per σ is safe
-	// for stateful kinds too.
+	// Score every σ; only the yield estimate depends on it.
 	var out []SweepPoint
-	for si, sigma := range spec.Sigmas {
+	for _, sigma := range spec.Sigmas {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		sim := r.simulator()
 		sim.Sigma = sigma
 		sim.Ctx = ctx
-		est, err := r.estimator(sim)
-		if err != nil {
-			for _, s := range spec.Sigmas[si:] {
-				report(s, err)
-			}
-			return nil, err
-		}
 		for _, m := range designs {
 			out = append(out, SweepPoint{
 				Point: Point{
@@ -323,7 +327,7 @@ func (r *Runner) runGroup(ctx context.Context, bench string, aux int, spec Sweep
 					Buses:       m.design.Buses,
 					GateCount:   m.gates,
 					Swaps:       m.swaps,
-					Yield:       estimateArch(est, m.design.Arch),
+					Yield:       estimateArch(sim, m.design.Arch),
 					NormPerf:    float64(baseGates) / float64(m.gates),
 				},
 				AuxQubits: aux,

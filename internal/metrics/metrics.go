@@ -25,8 +25,8 @@
 // A torn final point (the process died mid-append) is truncated away on
 // open, never fatal.
 //
-// Series names follow two conventions: "job:<key>/<metric>" for
-// per-job progress metrics and "bench:<name>" for benchmark history.
+// Series names follow the convention "job:<key>/<metric>" for per-job
+// progress metrics.
 //
 // The companion EventLog type (eventlog.go) is the keyed, fold-on-open
 // variant of a series for JSON lifecycle records; runstore.Journal is a

@@ -62,7 +62,7 @@ type evaluator struct {
 	canon map[string]string
 }
 
-func newEvaluator(p *Problem, cache *yield.NoiseCache) (*evaluator, error) {
+func newEvaluator(p *Problem, cache *yield.NoiseCache) *evaluator {
 	// Seed offset mirrors experiments.Runner.simulator, so a search
 	// sharing a runner's cache scores designs under the exact noise
 	// matrices the exhaustive sweep used.
@@ -75,16 +75,12 @@ func newEvaluator(p *Problem, cache *yield.NoiseCache) (*evaluator, error) {
 	sim.Pool = p.opt.Pool
 	sim.Cache = cache
 	sim.Kernels = p.opt.Kernels
-	kind := "incremental"
+	var est yield.Estimator = &yield.IncrementalEstimator{Sim: sim}
 	if p.opt.FullEval {
-		kind = "batch"
-	}
-	est, err := yield.NewEstimator(kind, sim)
-	if err != nil {
-		return nil, err
+		est = yield.BatchEstimator{Sim: sim}
 	}
 	return &evaluator{p: p, sim: sim, est: est,
-		seen: map[string]*evaluated{}, canon: map[string]string{}}, nil
+		seen: map[string]*evaluated{}, canon: map[string]string{}}
 }
 
 // mcYield scores st's assignment through the evaluator's estimator,

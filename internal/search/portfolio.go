@@ -221,10 +221,7 @@ func newLaneRun(ctx context.Context, c *circuit.Circuit, base Options, i, n int,
 	if err != nil {
 		return nil, err
 	}
-	ev, err := newEvaluator(p, cache)
-	if err != nil {
-		return nil, err
-	}
+	ev := newEvaluator(p, cache)
 	// The Monte-Carlo tier inherits the signal, so a cancel lands within
 	// one trial chunk even mid-evaluation.
 	ev.sim.Ctx = ctx

@@ -29,8 +29,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"qproc/internal/circuit"
 	"qproc/internal/collision"
@@ -117,8 +115,8 @@ type Options struct {
 	// Pool, when non-nil, is the shared helper pool every fan-out level
 	// draws from — proposal construction here and trial-level chunking in
 	// the yield simulator — so a search embedded in a multi-job service
-	// respects one global core budget. Nil falls back to per-call
-	// goroutines bounded by Workers.
+	// respects one global core budget. Nil gives each fan-out a private
+	// pool of Workers helpers.
 	Pool *workpool.Pool
 	// Kernels, when non-nil, is the shared compiled-kernel cache the
 	// Monte-Carlo tier draws from: every evaluation keys its kernel by
@@ -263,51 +261,23 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// forEach runs fn(0..n-1), fanning out over the shared pool (when one is
-// attached) or a bounded per-call worker set when the options ask for
-// parallelism. fn must write its outcome by index so the result is
-// independent of scheduling. A cancelled ctx stops index dispatch —
-// in-flight bodies finish, the rest are skipped — and the caller is
-// expected to notice ctx.Err() and discard the partial batch; a live ctx
-// leaves the run bit-identical to an uncancelled one.
+// forEach runs fn(0..n-1) over the shared pool when one is attached, or
+// a private pool of Workers helpers, when the options ask for
+// parallelism; inline otherwise. fn must write its outcome by index so
+// the result is independent of scheduling. A panicking body reaches the
+// caller as a *workpool.PanicError. A cancelled ctx stops index
+// dispatch — in-flight bodies finish, the rest are skipped — and the
+// caller is expected to notice ctx.Err() and discard the partial batch;
+// a live ctx leaves the run bit-identical to an uncancelled one.
 func (o Options) forEach(ctx context.Context, n int, fn func(int)) {
-	canceled := func() bool { return ctx != nil && ctx.Err() != nil }
-	workers := o.workers()
-	if workers > n {
-		workers = n
-	}
-	if !o.Parallel || workers < 2 {
-		for i := 0; i < n; i++ {
-			if canceled() {
-				return
-			}
-			fn(i)
+	var pool *workpool.Pool // nil runs every index inline
+	if o.Parallel && o.workers() >= 2 {
+		pool = o.Pool
+		if pool == nil {
+			pool = workpool.New(o.workers())
 		}
-		return
 	}
-	if o.Pool != nil {
-		_ = o.Pool.ForEachCtx(ctx, n, fn)
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if canceled() {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	_ = pool.ForEachCtx(ctx, n, fn)
 }
 
 // Progress is delivered to the optional progress callback once per

@@ -9,6 +9,7 @@ import (
 	"qproc/internal/circuit"
 	"qproc/internal/collision"
 	"qproc/internal/gen"
+	"qproc/internal/workpool"
 	"qproc/internal/yield"
 )
 
@@ -264,6 +265,30 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if err := DefaultOptions().Validate(); err != nil {
 		t.Errorf("default options rejected: %v", err)
+	}
+}
+
+// TestForEachPanicSurfacesOnCaller: a proposal body that panics at one
+// index reaches the caller as a *workpool.PanicError even with no shared
+// pool attached, so a job supervisor can fail that one job instead of
+// the process dying on a helper goroutine.
+func TestForEachPanicSurfacesOnCaller(t *testing.T) {
+	o := Options{Parallel: true, Workers: 4}
+	var recovered any
+	func() {
+		defer func() { recovered = recover() }()
+		o.forEach(context.Background(), 64, func(i int) {
+			if i == 37 {
+				panic("proposal 37")
+			}
+		})
+	}()
+	pe, ok := recovered.(*workpool.PanicError)
+	if !ok {
+		t.Fatalf("recovered %T (%v), want *workpool.PanicError", recovered, recovered)
+	}
+	if pe.Value != "proposal 37" {
+		t.Fatalf("PanicError.Value = %v", pe.Value)
 	}
 }
 

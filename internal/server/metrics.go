@@ -16,9 +16,8 @@ import (
 //
 //	GET /v1/jobs/{id}/metrics                      list the job's metric names
 //	GET /v1/jobs/{id}/metrics?metric=yield&...     windowed aggregates of one metric
-//	GET /v1/metrics/bench                          whole-range aggregates of bench: series
 //
-// Query parameters on both: window (Go duration, wall-clock buckets),
+// Query parameters: window (Go duration, wall-clock buckets),
 // step_window (integer, step-aligned buckets), from/to (RFC3339 bounds),
 // agg (count|min|max|mean|last — copies that aggregate into each
 // bucket's "value" field for clients that want a single number).
@@ -152,41 +151,4 @@ func (s *Server) handleJobMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"job": j.id, "metric": metric, "buckets": bucketize(aggs, agg),
 	})
-}
-
-// benchSeriesView is one bench: series in the GET /v1/metrics/bench
-// response: its aggregates over the query range (whole-range single
-// bucket by default).
-type benchSeriesView struct {
-	Name    string          `json:"name"`
-	Buckets []metricsBucket `json:"buckets"`
-}
-
-// handleBenchMetrics serves GET /v1/metrics/bench: every series under
-// the bench: prefix (ingested benchmark history), aggregated with the
-// same window/agg parameters as the per-job endpoint.
-func (s *Server) handleBenchMetrics(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Metrics == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no metrics store configured"))
-		return
-	}
-	q, agg, err := parseMetricsQuery(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	const prefix = "bench:"
-	series := make([]benchSeriesView, 0)
-	for _, name := range s.cfg.Metrics.SeriesNames(prefix) {
-		aggs, err := s.cfg.Metrics.Query(name, q)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		series = append(series, benchSeriesView{
-			Name:    strings.TrimPrefix(name, prefix),
-			Buckets: bucketize(aggs, agg),
-		})
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"series": series})
 }

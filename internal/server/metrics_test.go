@@ -210,26 +210,9 @@ func TestJobMetricsEndpoint(t *testing.T) {
 		t.Fatalf("buckets cover %d points, series has %d", total, len(pts))
 	}
 
-	// Bench series surface through /v1/metrics/bench.
-	if err := mstore.Append("bench:BenchmarkSweep", metrics.Point{
-		T: time.Now().UTC(), Step: 0, V: 123456,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var bench struct {
-		Series []struct {
-			Name    string `json:"name"`
-			Buckets []struct {
-				Count int64   `json:"count"`
-				Last  float64 `json:"last"`
-			} `json:"buckets"`
-		} `json:"series"`
-	}
-	getJSON(t, ts.URL+"/v1/metrics/bench", http.StatusOK, &bench)
-	if len(bench.Series) != 1 || bench.Series[0].Name != "BenchmarkSweep" ||
-		len(bench.Series[0].Buckets) != 1 || bench.Series[0].Buckets[0].Last != 123456 {
-		t.Fatalf("bench metrics = %+v", bench)
-	}
+	// Benchmark history is not served: benchjson -history renders it
+	// from the artifact files.
+	getJSON(t, ts.URL+"/v1/metrics/bench", http.StatusNotFound, nil)
 
 	// Error surface: unknown metric 404s, malformed windows 400.
 	getJSON(t, ts.URL+"/v1/jobs/"+v.ID+"/metrics?metric=nope", http.StatusNotFound, nil)

@@ -50,6 +50,7 @@ import (
 	"time"
 
 	"qproc/internal/experiments"
+	"qproc/internal/memo"
 	"qproc/internal/metrics"
 	"qproc/internal/retry"
 	"qproc/internal/runstore"
@@ -685,7 +686,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /v1/jobs/{id}/metrics", s.handleJobMetrics)
-	mux.HandleFunc("GET /v1/metrics/bench", s.handleBenchMetrics)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	return mux
 }
@@ -1028,14 +1028,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 // statsView is the GET /v1/stats payload.
 type statsView struct {
-	QueueDepth    int             `json:"queue_depth"`
-	QueueCapacity int             `json:"queue_capacity"`
-	Jobs          map[string]int  `json:"jobs"`
-	NoiseCache    noiseCacheView  `json:"noise_cache"`
-	KernelCache   kernelCacheView `json:"kernel_cache"`
-	Lanes         lanesView       `json:"lanes"`
-	Workers       workersView     `json:"workers"`
-	Store         *storeView      `json:"store,omitempty"`
+	QueueDepth    int            `json:"queue_depth"`
+	QueueCapacity int            `json:"queue_capacity"`
+	Jobs          map[string]int `json:"jobs"`
+	NoiseCache    cacheView      `json:"noise_cache"`
+	KernelCache   cacheView      `json:"kernel_cache"`
+	Lanes         lanesView      `json:"lanes"`
+	Workers       workersView    `json:"workers"`
+	Store         *storeView     `json:"store,omitempty"`
 	// Metrics reports the time-series event store: footprint, retention
 	// bounds and eviction counters.
 	Metrics *metrics.StoreStats `json:"metrics,omitempty"`
@@ -1046,10 +1046,11 @@ type counterView struct {
 	Misses uint64 `json:"misses"`
 }
 
-// noiseCacheView reports the shared noise cache: hit/miss counters, the
-// resident matrices with their byte footprint, and — when a byte bound
-// is configured — the bound and how many matrices it has evicted.
-type noiseCacheView struct {
+// cacheView reports one of the runner's shared caches (noise matrices or
+// compiled kernels): hit/miss counters, the resident entries with their
+// byte footprint, and — when a byte bound is configured — the bound and
+// how many entries it has evicted.
+type cacheView struct {
 	counterView
 	Entries    int    `json:"entries"`
 	Bytes      int64  `json:"bytes"`
@@ -1057,15 +1058,16 @@ type noiseCacheView struct {
 	Evictions  uint64 `json:"evictions,omitempty"`
 }
 
-// kernelCacheView reports the shared compiled-kernel cache: hit/miss
-// counters, resident compiled kernels with their byte footprint, and —
-// when a byte bound is configured — the bound and its eviction count.
-type kernelCacheView struct {
-	counterView
-	Entries    int    `json:"entries"`
-	Bytes      int64  `json:"bytes"`
-	LimitBytes int64  `json:"limit_bytes,omitempty"`
-	Evictions  uint64 `json:"evictions,omitempty"`
+// newCacheView snapshots c's counters and footprint.
+func newCacheView[K comparable, V any](c *memo.Cache[K, V]) cacheView {
+	hits, misses := c.Stats()
+	return cacheView{
+		counterView: counterView{Hits: hits, Misses: misses},
+		Entries:     c.Len(),
+		Bytes:       c.Bytes(),
+		LimitBytes:  c.Limit(),
+		Evictions:   c.Evictions(),
+	}
 }
 
 // lanesView reports portfolio search lanes across all jobs the runner
@@ -1087,10 +1089,6 @@ type storeView struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	cache := s.cfg.Runner.NoiseCache()
-	hits, misses := cache.Stats()
-	kernels := s.cfg.Runner.KernelCache()
-	khits, kmisses := kernels.Stats()
 	live, done := s.cfg.Runner.LaneStats()
 	pool := s.cfg.Runner.Pool()
 	s.mu.Lock()
@@ -1103,22 +1101,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			statusQueued: 0, statusRunning: 0, statusDone: 0,
 			statusFailed: 0, statusCanceled: 0, statusInterrupted: 0,
 		},
-		NoiseCache: noiseCacheView{
-			counterView: counterView{Hits: hits, Misses: misses},
-			Entries:     cache.Len(),
-			Bytes:       cache.Bytes(),
-			LimitBytes:  cache.Limit(),
-			Evictions:   cache.Evictions(),
-		},
-		KernelCache: kernelCacheView{
-			counterView: counterView{Hits: khits, Misses: kmisses},
-			Entries:     kernels.Len(),
-			Bytes:       kernels.Bytes(),
-			LimitBytes:  kernels.Limit(),
-			Evictions:   kernels.Evictions(),
-		},
-		Lanes:   lanesView{Live: live, Done: done},
-		Workers: workersView{Size: pool.Size(), InUse: pool.InUse()},
+		NoiseCache:  newCacheView(&s.cfg.Runner.NoiseCache().Cache),
+		KernelCache: newCacheView(&s.cfg.Runner.KernelCache().Cache),
+		Lanes:       lanesView{Live: live, Done: done},
+		Workers:     workersView{Size: pool.Size(), InUse: pool.InUse()},
 	}
 	s.mu.Lock()
 	for _, id := range s.order {

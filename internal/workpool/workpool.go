@@ -1,13 +1,13 @@
-// Package workpool provides the bounded helper pool every fan-out site
-// of the evaluation engine shares. Before it, each parallel call site —
-// design-level fan-out in the experiments runner, proposal construction
-// in the search strategies, trial-level chunking in the yield simulator —
-// spawned its own ad-hoc goroutines bounded only per call, so a qserve
-// process running several jobs concurrently oversubscribed the machine
-// (jobs × levels × workers goroutines competing for the same cores). One
-// shared Pool caps the helper goroutines globally: whoever asks for
-// parallelism gets it while budget remains and degrades to inline
-// execution when it does not.
+// Package workpool provides the one fan-out primitive of the evaluation
+// engine: sweep groups, series generation and design mapping in the
+// experiments runner, proposal construction in the search strategies and
+// trial-level chunking in the yield simulator all run through
+// Pool.ForEachCtx, so a panic in any of them reaches the caller as one
+// *PanicError. A qserve process shares one Pool across all of them, which
+// caps the helper goroutines globally (instead of jobs × levels × workers
+// competing for the same cores): whoever asks for parallelism gets it
+// while budget remains and degrades to inline execution when it does
+// not.
 //
 // The scheduling discipline preserves the engine's determinism contract:
 // ForEach runs fn(0..n-1) exactly once each, callers write results by
@@ -41,8 +41,8 @@ type PanicError struct {
 func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 
 // Pool is a shared budget of helper goroutines. The zero value is not
-// usable; create with New. A nil *Pool is valid everywhere and means
-// "no shared budget": call sites fall back to their own bounded fan-out.
+// usable; create with New. A nil *Pool is valid everywhere and runs
+// every index inline on the caller.
 type Pool struct {
 	// sem holds one token per helper the pool may run concurrently.
 	sem chan struct{}

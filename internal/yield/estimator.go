@@ -1,35 +1,25 @@
 package yield
 
-import (
-	"fmt"
-	"math"
-
-	"qproc/internal/collision"
-)
-
-// Estimator is the one scoring seam over the three yield estimators the
-// engine ships — one-shot batch Monte-Carlo, incremental Monte-Carlo
-// through a trial-survivor state, and the analytic closed-form
-// surrogate — so the search evaluator, the experiments runner and the
-// multi-estimator benchmark harness all consume the same interface
-// instead of hard-wiring *Simulator fields.
+// Estimator is the scoring seam between the two Monte-Carlo yield
+// estimators the search evaluator chooses from: one-shot batch
+// Monte-Carlo (BatchEstimator) and incremental Monte-Carlo through a
+// trial-survivor state (IncrementalEstimator). Both return the same bits
+// for the same assignment.
 //
 // topoKey canonically identifies the coupling graph: equal keys MUST
 // imply equal adjacency lists — collision.TopoKey(adj) is the one
 // canonical spelling, and every keyed caller derives from it so the
 // kernel cache and the estimators can never disagree. Stateless
 // estimators pass it through to the simulator's kernel cache; stateful
-// ones (mc-incremental) additionally use it to decide whether cached
-// per-topology state applies to this call. An empty key means "unkeyed"
-// and never matches cached state or cached kernels, so passing "" is
-// always correct — merely slower.
+// ones (IncrementalEstimator) additionally use it to decide whether
+// cached per-topology state applies to this call. An empty key means
+// "unkeyed" and never matches cached state or cached kernels, so
+// passing "" is always correct — merely slower.
 //
 // Implementations must be deterministic — equal (adj, freqs) inputs
 // return equal float64 results — but are not required to be safe for
 // concurrent use unless documented otherwise.
 type Estimator interface {
-	// Name identifies the estimator in harness and benchmark output.
-	Name() string
 	// Estimate scores the frequency assignment freqs over the coupling
 	// graph adj.
 	Estimate(topoKey string, adj [][]int, freqs []float64) float64
@@ -43,9 +33,6 @@ type Estimator interface {
 type BatchEstimator struct {
 	Sim *Simulator
 }
-
-// Name returns "mc-batch".
-func (b BatchEstimator) Name() string { return "mc-batch" }
 
 // Estimate runs the one-shot batch Monte-Carlo estimate.
 func (b BatchEstimator) Estimate(topoKey string, adj [][]int, freqs []float64) float64 {
@@ -72,9 +59,6 @@ type IncrementalEstimator struct {
 	// checkpointed total exactly.
 	accChecked, accSkipped int64
 }
-
-// Name returns "mc-incremental".
-func (e *IncrementalEstimator) Name() string { return "mc-incremental" }
 
 // Estimate scores freqs, incrementally when the previous call shared a
 // non-empty topoKey.
@@ -126,38 +110,4 @@ func (e *IncrementalEstimator) Stats() (checked, skipped uint64) {
 		s = 0
 	}
 	return uint64(c), uint64(s)
-}
-
-// AnalyticEstimator scores with the sampling-noise-free closed-form
-// surrogate: exp(−E[collisions]) at the configured σ, which
-// approximates the Monte-Carlo yield when the per-condition marginals
-// are small and ranks assignments identically to the expected count.
-// Stateless and safe for concurrent use.
-type AnalyticEstimator struct {
-	Sigma  float64
-	Params collision.Params
-}
-
-// Name returns "analytic".
-func (a AnalyticEstimator) Name() string { return "analytic" }
-
-// Estimate returns exp(−ExpectedCollisions(adj, freqs, σ)).
-func (a AnalyticEstimator) Estimate(_ string, adj [][]int, freqs []float64) float64 {
-	return math.Exp(-collision.ExpectedCollisions(adj, freqs, a.Sigma, a.Params))
-}
-
-// NewEstimator returns the named estimator over the simulator's
-// configuration: "batch" (one-shot batch MC), "incremental" (MC through
-// a trial-survivor state) or "analytic" (the closed-form surrogate at
-// the simulator's σ and collision constants).
-func NewEstimator(kind string, sim *Simulator) (Estimator, error) {
-	switch kind {
-	case "", "batch":
-		return BatchEstimator{Sim: sim}, nil
-	case "incremental":
-		return &IncrementalEstimator{Sim: sim}, nil
-	case "analytic":
-		return AnalyticEstimator{Sigma: sim.Sigma, Params: sim.Params}, nil
-	}
-	return nil, fmt.Errorf("yield: unknown estimator %q (want batch, incremental or analytic)", kind)
 }

@@ -1,7 +1,6 @@
 package yield
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -97,8 +96,7 @@ func TestReferenceEstimateZeroTrials(t *testing.T) {
 
 // TestEstimatorAdaptersAgree checks the two Monte-Carlo adapters return
 // bit-identical numbers through the Estimator interface — whatever mix of
-// shared and distinct topology keys the call sequence uses — and that the
-// factory resolves every kind.
+// shared and distinct topology keys the call sequence uses.
 func TestEstimatorAdaptersAgree(t *testing.T) {
 	adj, freqs := trialTestbed()
 	moved := append([]float64(nil), freqs...)
@@ -109,17 +107,7 @@ func TestEstimatorAdaptersAgree(t *testing.T) {
 		s.Cache = NewNoiseCache()
 		return s
 	}
-	batch, err := NewEstimator("batch", sim())
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc, err := NewEstimator("incremental", sim())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batch.Name() != "mc-batch" || inc.Name() != "mc-incremental" {
-		t.Fatalf("names %q/%q", batch.Name(), inc.Name())
-	}
+	var batch, inc Estimator = BatchEstimator{Sim: sim()}, &IncrementalEstimator{Sim: sim()}
 	// Same topology key across calls: the incremental adapter reuses its
 	// state; empty key: it rebuilds. Either way the numbers match batch.
 	for _, key := range []string{"topo-a", ""} {
@@ -158,36 +146,5 @@ func TestIncrementalEstimatorTopoSwitch(t *testing.T) {
 		if got, want := inc.Estimate("B", adjB, freqsB), s.EstimateFreqs(adjB, freqsB); got != want {
 			t.Fatalf("rep %d topo B: %v != %v", rep, got, want)
 		}
-	}
-}
-
-// TestAnalyticEstimator checks the surrogate adapter is deterministic,
-// within (0, 1], and exactly exp(−E) of the underlying model.
-func TestAnalyticEstimator(t *testing.T) {
-	adj, freqs := trialTestbed()
-	s := New(2)
-	est, err := NewEstimator("analytic", s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.Name() != "analytic" {
-		t.Fatalf("name %q", est.Name())
-	}
-	y := est.Estimate("", adj, freqs)
-	if y <= 0 || y > 1 || math.IsNaN(y) {
-		t.Fatalf("analytic yield %v outside (0, 1]", y)
-	}
-	if got := est.Estimate("", adj, freqs); got != y {
-		t.Fatalf("analytic estimate not deterministic: %v then %v", y, got)
-	}
-}
-
-// TestNewEstimatorUnknownKind pins the factory's error contract.
-func TestNewEstimatorUnknownKind(t *testing.T) {
-	if _, err := NewEstimator("monte-zirconia", New(1)); err == nil {
-		t.Fatal("unknown estimator kind did not error")
-	}
-	if est, err := NewEstimator("", New(1)); err != nil || est.Name() != "mc-batch" {
-		t.Fatalf("empty kind: est=%v err=%v, want the batch default", est, err)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"qproc/internal/arch"
@@ -51,8 +50,8 @@ type Simulator struct {
 	// excess workers would have no rows to chunk.
 	Workers int
 	// Pool, when non-nil, routes the trial-level fan-out through a shared
-	// bounded helper pool instead of spawning per-call goroutines, so
-	// several simulators running concurrently (a qserve process executing
+	// bounded helper pool instead of a private per-call one, so several
+	// simulators running concurrently (a qserve process executing
 	// multiple jobs) stay within one global core budget instead of
 	// multiplying their worker counts. Estimates are bit-identical with
 	// and without a pool.
@@ -204,10 +203,10 @@ const ParallelThreshold = 256
 // Parallelism: batches of at least ParallelThreshold trials are split
 // into word-aligned chunks — one per effective worker (Workers clamped
 // to the trial count, so surplus workers are never spawned idle) — and
-// fanned out through the shared Pool when one is attached, otherwise as
-// per-call goroutines. Chunk survivor counts land by index and are
-// summed in fixed order; integer sums are order-independent, so the
-// estimate is bit-identical to the serial sweep.
+// fanned out through the shared Pool when one is attached, otherwise
+// through a private per-call pool. Chunk survivor counts land by index
+// and are summed in fixed order; integer sums are order-independent, so
+// the estimate is bit-identical to the serial sweep.
 func (s *Simulator) EstimateWithNoise(adj [][]int, freqs []float64, noise *NoiseMatrix) float64 {
 	return s.estimateWithNoiseKeyed("", adj, freqs, noise)
 }
@@ -275,37 +274,21 @@ func (s *Simulator) effectiveWorkers(rows int) int {
 	return workers
 }
 
-// forChunks dispatches n chunk bodies: through the shared pool when one
-// is attached, else via one goroutine per chunk (n is already bounded by
-// the effective worker count). A cancelled Ctx stops dispatch; chunks
-// already running finish, so the caller observes cancellation within one
-// chunk.
+// forChunks dispatches n chunk bodies through the shared pool, or
+// through a private pool of n helpers when none is attached (n is
+// already bounded by the effective worker count). A panicking chunk
+// reaches the caller as a *workpool.PanicError. A cancelled Ctx stops
+// dispatch; chunks already running finish, so the caller observes
+// cancellation within one chunk.
 func (s *Simulator) forChunks(n int, fn func(int)) {
-	if s.Pool != nil {
-		// The error is deliberately dropped: cancellation is observed by
-		// the caller through Ctx.Err(), and partial chunk results are
-		// discarded at that level.
-		_ = s.Pool.ForEachCtx(s.Ctx, n, fn)
-		return
+	pool := s.Pool
+	if pool == nil {
+		pool = workpool.New(n)
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		if s.canceled() {
-			break
-		}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			fn(w)
-		}(w)
-	}
-	wg.Wait()
-}
-
-// canceled reports whether the simulator's cancellation signal has
-// fired; a nil Ctx never cancels.
-func (s *Simulator) canceled() bool {
-	return s.Ctx != nil && s.Ctx.Err() != nil
+	// The error is deliberately dropped: cancellation is observed by the
+	// caller through Ctx.Err(), and partial chunk results are discarded
+	// at that level.
+	_ = pool.ForEachCtx(s.Ctx, n, fn)
 }
 
 // Subgraph extracts the induced coupling subgraph on the qubit set keep

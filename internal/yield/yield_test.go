@@ -7,6 +7,7 @@ import (
 	"qproc/internal/arch"
 	"qproc/internal/collision"
 	"qproc/internal/lattice"
+	"qproc/internal/workpool"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -31,6 +32,33 @@ func TestParallelMatchesSerial(t *testing.T) {
 	ys := s.Estimate(a)
 	if yp != ys {
 		t.Fatalf("parallel %v != serial %v", yp, ys)
+	}
+}
+
+// TestTrialChunkPanicSurfacesOnCaller: a trial chunk that panics reaches
+// the caller as a *workpool.PanicError even with no shared pool
+// attached, so a job supervisor can fail that one job instead of the
+// process dying on a helper goroutine.
+func TestTrialChunkPanicSurfacesOnCaller(t *testing.T) {
+	s := New(1)
+	s.Parallel = true
+	s.Workers = 4
+	var recovered any
+	func() {
+		defer func() { recovered = recover() }()
+		s.overTrialChunks(4*64, func(lo, hi int) int {
+			if lo == 2*64 {
+				panic("chunk 2")
+			}
+			return hi - lo
+		})
+	}()
+	pe, ok := recovered.(*workpool.PanicError)
+	if !ok {
+		t.Fatalf("recovered %T (%v), want *workpool.PanicError", recovered, recovered)
+	}
+	if pe.Value != "chunk 2" {
+		t.Fatalf("PanicError.Value = %v", pe.Value)
 	}
 }
 
