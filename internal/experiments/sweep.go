@@ -119,20 +119,20 @@ func (sr *SweepResult) ByCell(cell SweepCell) []SweepPoint {
 // Sweep evaluates the full design space the spec spans. Design
 // generation and SABRE mapping depend only on (benchmark, aux), not on
 // σ, so the engine groups the work accordingly: each (benchmark, aux)
-// group generates and maps its designs once and then scores every σ
-// against the cached noise matrices. Groups fan out over the runner's
-// worker pool. Configurations that do not support auxiliary qubits
-// (ibm, eff-rd-bus, eff-layout-only) are evaluated at aux = 0 only and
-// silently skipped in aux > 0 cells. Performance is normalised per
-// benchmark against IBM baseline (1), so points are comparable across
-// the whole sweep. The optional progress callback fires once per
+// group generates and maps its designs once and scores each of them at
+// every σ against the cached noise matrices. Groups fan out over the
+// runner's worker pool. Configurations that do not support auxiliary
+// qubits (ibm, eff-rd-bus, eff-layout-only) are evaluated at aux = 0
+// only and silently skipped in aux > 0 cells. Performance is normalised
+// per benchmark against IBM baseline (1), so points are comparable
+// across the whole sweep. The optional progress callback fires once per
 // finished (benchmark, aux, σ) cell; results are deterministic for a
 // given seed and identical to a serial run.
 //
 // ctx cancels cooperatively: a cancelled sweep stops within one
-// (benchmark, aux) group's current phase — design mapping fan-out, one
-// σ's Monte-Carlo scoring — and returns an error wrapping ctx.Err().
-// An uncancelled ctx never changes the result.
+// (benchmark, aux) group's current phase — series generation, or the
+// fan-out that maps and scores its designs — and returns an error
+// wrapping ctx.Err(). An uncancelled ctx never changes the result.
 func (r *Runner) Sweep(ctx context.Context, spec SweepSpec, progress func(SweepProgress)) (*SweepResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -219,10 +219,10 @@ func (r *Runner) runGroup(ctx context.Context, bench string, aux int, spec Sweep
 		flow.Family = fam
 	}
 
-	// Generate and map every design once: neither step depends on σ.
-	// Each configuration's generator is deterministic and seeded from the
-	// flow alone, so the series are generated concurrently; they land by
-	// index and are flattened in configuration order.
+	// Generate every design once: generation does not depend on σ. Each
+	// configuration's generator is deterministic and seeded from the flow
+	// alone, so the series are generated concurrently; they land by index
+	// and are flattened in configuration order.
 	type mapped struct {
 		cfg          core.Config
 		design       *core.Design
@@ -268,6 +268,16 @@ func (r *Runner) runGroup(ctx context.Context, bench string, aux int, spec Sweep
 			designs = append(designs, mapped{cfg: cfg, design: d, label: label})
 		}
 	}
+	// Map every design once and score it at every σ; only the yield
+	// estimate depends on σ. Designs run concurrently, as mapping and
+	// scoring one design is the unit of work, and land by index.
+	sims := make([]*yield.Simulator, len(spec.Sigmas))
+	for si, sigma := range spec.Sigmas {
+		sims[si] = r.simulator()
+		sims[si].Sigma = sigma
+		sims[si].Ctx = ctx
+	}
+	yields := make([][]float64, len(designs))
 	mapErrs := make([]error, len(designs))
 	r.forEachCtx(ctx, len(designs), func(i int) {
 		mres, err := mapper.Map(c, designs[i].design.Arch, r.opt.Mapper)
@@ -276,6 +286,10 @@ func (r *Runner) runGroup(ctx context.Context, bench string, aux int, spec Sweep
 			return
 		}
 		designs[i].gates, designs[i].swaps = mres.GateCount, mres.Swaps
+		yields[i] = make([]float64, len(sims))
+		for si, sim := range sims {
+			yields[i][si] = estimateArch(sim, designs[i].design.Arch)
+		}
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -307,16 +321,12 @@ func (r *Runner) runGroup(ctx context.Context, bench string, aux int, spec Sweep
 		baseGates = mres.GateCount
 	}
 
-	// Score every σ; only the yield estimate depends on it.
 	var out []SweepPoint
-	for _, sigma := range spec.Sigmas {
+	for si, sigma := range spec.Sigmas {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		sim := r.simulator()
-		sim.Sigma = sigma
-		sim.Ctx = ctx
-		for _, m := range designs {
+		for i, m := range designs {
 			out = append(out, SweepPoint{
 				Point: Point{
 					Benchmark:   c.Name,
@@ -327,7 +337,7 @@ func (r *Runner) runGroup(ctx context.Context, bench string, aux int, spec Sweep
 					Buses:       m.design.Buses,
 					GateCount:   m.gates,
 					Swaps:       m.swaps,
-					Yield:       estimateArch(sim, m.design.Arch),
+					Yield:       yields[i][si],
 					NormPerf:    float64(baseGates) / float64(m.gates),
 				},
 				AuxQubits: aux,

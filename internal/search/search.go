@@ -116,7 +116,8 @@ type Options struct {
 	// draws from — proposal construction here and trial-level chunking in
 	// the yield simulator — so a search embedded in a multi-job service
 	// respects one global core budget. Nil gives each fan-out a private
-	// pool of Workers helpers.
+	// pool of Workers-1 helpers, so that with the caller at most Workers
+	// bodies run at once.
 	Pool *workpool.Pool
 	// Kernels, when non-nil, is the shared compiled-kernel cache the
 	// Monte-Carlo tier draws from: every evaluation keys its kernel by
@@ -262,19 +263,20 @@ func (o Options) workers() int {
 }
 
 // forEach runs fn(0..n-1) over the shared pool when one is attached, or
-// a private pool of Workers helpers, when the options ask for
-// parallelism; inline otherwise. fn must write its outcome by index so
-// the result is independent of scheduling. A panicking body reaches the
-// caller as a *workpool.PanicError. A cancelled ctx stops index
-// dispatch — in-flight bodies finish, the rest are skipped — and the
-// caller is expected to notice ctx.Err() and discard the partial batch;
-// a live ctx leaves the run bit-identical to an uncancelled one.
+// a private pool of Workers-1 helpers (with the caller, at most Workers
+// bodies at once), when the options ask for parallelism; inline
+// otherwise. fn must write its outcome by index so the result is
+// independent of scheduling. A panicking body reaches the caller as a
+// *workpool.PanicError. A cancelled ctx stops index dispatch — in-flight
+// bodies finish, the rest are skipped — and the caller is expected to
+// notice ctx.Err() and discard the partial batch; a live ctx leaves the
+// run bit-identical to an uncancelled one.
 func (o Options) forEach(ctx context.Context, n int, fn func(int)) {
 	var pool *workpool.Pool // nil runs every index inline
 	if o.Parallel && o.workers() >= 2 {
 		pool = o.Pool
 		if pool == nil {
-			pool = workpool.New(o.workers())
+			pool = workpool.New(o.workers() - 1)
 		}
 	}
 	_ = pool.ForEachCtx(ctx, n, fn)

@@ -50,10 +50,11 @@ type Pool struct {
 
 // New returns a pool allowing up to size concurrent helper goroutines
 // across all ForEach calls; size <= 0 means GOMAXPROCS. The calling
-// goroutine of every ForEach participates in its own work regardless of
-// budget, so total concurrency is bounded by size plus the number of
-// concurrent callers — and a ForEach can never deadlock waiting for
-// tokens, even when called from inside another ForEach's helper.
+// goroutine of every ForEach runs whatever indices the budget leaves
+// without a helper, so total concurrency is bounded by size plus the
+// number of concurrent callers — and a ForEach can never deadlock
+// waiting for tokens, even when called from inside another ForEach's
+// helper.
 func New(size int) *Pool {
 	if size <= 0 {
 		size = runtime.GOMAXPROCS(0)
@@ -68,11 +69,12 @@ func (p *Pool) Size() int { return cap(p.sem) }
 func (p *Pool) InUse() int { return len(p.sem) }
 
 // ForEach runs fn(0), ..., fn(n-1), each exactly once. Indices are
-// handed out atomically to the caller and to however many helper
-// goroutines the shared budget grants at this instant (never more than
-// n-1; possibly zero, in which case the caller runs everything inline).
-// fn must write its outcome by index so the result is independent of
-// scheduling. A nil pool runs everything inline.
+// handed out atomically to however many helper goroutines the shared
+// budget grants at this instant (never more than n; possibly zero, in
+// which case the caller runs everything inline) and to the caller,
+// unless every index got its own helper, in which case the caller only
+// waits. fn must write its outcome by index so the result is
+// independent of scheduling. A nil pool runs everything inline.
 func (p *Pool) ForEach(n int, fn func(int)) {
 	p.ForEachCtx(context.Background(), n, fn)
 }
@@ -149,11 +151,12 @@ func (p *Pool) ForEachCtx(ctx context.Context, n int, fn func(int)) error {
 		}
 	}
 	var wg sync.WaitGroup
+	helpers := 0
 	// An injected dispatch fault degrades to inline execution on the
 	// caller — the scheduling discipline makes that indistinguishable
 	// from a saturated pool, so results are identical either way.
 	if faultinject.Check(faultinject.SiteWorkpoolDispatch) == nil {
-		for h := 0; h < n-1; h++ {
+		for helpers < n {
 			select {
 			case p.sem <- struct{}{}:
 				wg.Add(1)
@@ -162,13 +165,21 @@ func (p *Pool) ForEachCtx(ctx context.Context, n int, fn func(int)) error {
 					defer func() { <-p.sem }()
 					work()
 				}()
+				helpers++
 				continue
 			default:
 			}
 			break // budget exhausted right now: the caller picks up the rest
 		}
 	}
-	work()
+	// The newest helper waits in this processor's run-next slot, which
+	// idle processors steal from only after a back-off that timer slack
+	// stretches to tens of microseconds: as long as a small trial chunk.
+	// So the caller joins in only when the budget left indices without a
+	// helper; otherwise it parks, and the newest helper starts here.
+	if helpers < n {
+		work()
+	}
 	wg.Wait()
 	if pe != nil {
 		panic(pe)

@@ -71,6 +71,31 @@ func TestHelperBudgetShared(t *testing.T) {
 	}
 }
 
+// TestCallerWaitsWhenEveryIndexHasAHelper: with budget for all n
+// indices, n helpers run them and the caller only waits, so all n
+// bodies hold a helper token at once. A caller that took an index
+// itself would leave one token unused.
+func TestCallerWaitsWhenEveryIndexHasAHelper(t *testing.T) {
+	const n = 4
+	p := New(n)
+	var started, read sync.WaitGroup
+	started.Add(n)
+	read.Add(n)
+	inUse := make([]int, n)
+	p.ForEach(n, func(i int) {
+		started.Done()
+		started.Wait()
+		inUse[i] = p.InUse()
+		read.Done()
+		read.Wait() // no helper releases its token before every body has looked
+	})
+	for i, got := range inUse {
+		if got != n {
+			t.Fatalf("index %d saw %d helpers in use, want %d", i, got, n)
+		}
+	}
+}
+
 // TestNestedForEachDoesNotDeadlock exercises the engine's real shape:
 // an outer design-level fan-out whose work items themselves fan out
 // trial-level on the same pool, at a size small enough that inner calls

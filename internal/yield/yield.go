@@ -275,11 +275,11 @@ func (s *Simulator) effectiveWorkers(rows int) int {
 }
 
 // forChunks dispatches n chunk bodies through the shared pool, or
-// through a private pool of n helpers when none is attached (n is
-// already bounded by the effective worker count). A panicking chunk
-// reaches the caller as a *workpool.PanicError. A cancelled Ctx stops
-// dispatch; chunks already running finish, so the caller observes
-// cancellation within one chunk.
+// through a private pool of n helpers, one per chunk, when none is
+// attached (n is already bounded by the effective worker count). A
+// panicking chunk reaches the caller as a *workpool.PanicError. A
+// cancelled Ctx stops dispatch; chunks already running finish, so the
+// caller observes cancellation within one chunk.
 func (s *Simulator) forChunks(n int, fn func(int)) {
 	pool := s.Pool
 	if pool == nil {
