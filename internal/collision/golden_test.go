@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"qproc/internal/arch"
 	"qproc/internal/collision"
 )
 
@@ -35,6 +36,20 @@ var goldenAnalyticLiterals = map[string]float64{
 	"sparse-5 σ=0 step 32 preview1":    27,
 }
 
+// goldenGridSHA and goldenGridLiterals pin the on-grid trace the same
+// way (TestGoldenAnalyticGridBits).
+const goldenGridSHA = "f15f9f2580dc2cbd1bda1f0623ae926a1ec9f1c8c59d87cae5d1c6e264bf094e"
+
+var goldenGridLiterals = map[string]float64{
+	"sparse-0 σ=0.03 expected":          5.894204843954293,
+	"sparse-2 σ=0.037 step 10 preview1": 13.600949722816043,
+	"dense-0 σ=0.037 score":             40.376939385277474,
+	"dense-1 σ=0.01 step 20 set1":       37.85519750160687,
+	"dense-3 σ=0.03 final expected":     77.27474983791167,
+	"tied-1 σ=0.037 step 12 set":        4.939058545314023,
+	"sparse-4 σ=0 step 30 set":          48,
+}
+
 // goldenCase is one coupling graph and design assignment of the trace.
 type goldenCase struct {
 	name  string
@@ -48,17 +63,32 @@ type goldenValue struct {
 	v     float64
 }
 
-// goldenCases draws the trace's inputs: sparse random graphs, dense
-// graphs with every degree at least 6 (as on chimera), and graphs with a
-// coupled pair at exactly equal design frequency (the orientation
-// tie-break). Neighbour lists are shuffled so spectator order is not
-// simply ascending.
-func goldenCases() []goldenCase {
-	rng := rand.New(rand.NewSource(20240613))
+// offGrid draws a frequency uniformly from the allowed interval, almost
+// surely off the 0.01 GHz candidate grid.
+func offGrid(rng *rand.Rand) float64 { return 5.00 + 0.34*rng.Float64() }
+
+// onGrid draws a candidate-grid frequency, 5.00 + 0.01·i, spelled as
+// freq.Candidates spells it, or one time in eight a value of the
+// 5-frequency seed scheme (5.00, 5.0675, ..., 5.27), which the search
+// starts from and which mostly sits off the grid.
+func onGrid(rng *rand.Rand) float64 {
+	if rng.Intn(8) == 0 {
+		return arch.FiveFreqValue(rng.Intn(5))
+	}
+	return math.Round((5.00+float64(rng.Intn(35))*0.01)*100) / 100
+}
+
+// goldenCases draws the trace's inputs from seed, with every frequency
+// drawn by pick: sparse random graphs, dense graphs with every degree at
+// least 6 (as on chimera), and graphs with a coupled pair at exactly
+// equal design frequency (the orientation tie-break). Neighbour lists
+// are shuffled so spectator order is not simply ascending.
+func goldenCases(seed int64, pick func(*rand.Rand) float64) []goldenCase {
+	rng := rand.New(rand.NewSource(seed))
 	draw := func(n int) []float64 {
 		f := make([]float64, n)
 		for q := range f {
-			f[q] = 5.00 + 0.34*rng.Float64()
+			f[q] = pick(rng)
 		}
 		return f
 	}
@@ -128,17 +158,24 @@ func goldenCases() []goldenCase {
 	return cases
 }
 
-// analyticTrace replays the fixed scoring sequence on every case at
-// σ ∈ {0, 0.01, 0.03}: the one-shot sum, a fresh scorer's Score, then 40
-// seeded steps mixing Preview1, Set1 and multi-qubit Set — some moving a
-// qubit onto a neighbour's frequency (a tie) or onto its own (a no-op) —
-// and finally the one-shot sum of where the walk ended.
+// analyticTrace is the off-grid trace: uniform frequencies at
+// σ ∈ {0, 0.01, 0.03}.
 func analyticTrace() []goldenValue {
+	return traceOf(goldenCases(20240613, offGrid), []float64{0, 0.01, 0.03}, offGrid)
+}
+
+// traceOf replays the fixed scoring sequence on every case at every σ:
+// the one-shot sum, a fresh scorer's Score, then 40 seeded steps mixing
+// Preview1, Set1 and multi-qubit Set — some moving a qubit onto a
+// neighbour's frequency (a tie) or onto its own (a no-op), the rest to a
+// frequency drawn by pick — and finally the one-shot sum of where the
+// walk ended.
+func traceOf(cases []goldenCase, sigmas []float64, pick func(*rand.Rand) float64) []goldenValue {
 	p := collision.DefaultParams()
 	var out []goldenValue
-	for ci, c := range goldenCases() {
+	for ci, c := range cases {
 		n := len(c.freqs)
-		for si, sigma := range []float64{0, 0.01, 0.03} {
+		for si, sigma := range sigmas {
 			rng := rand.New(rand.NewSource(int64(1000*ci + si)))
 			label := func(what string) string { return fmt.Sprintf("%s σ=%g %s", c.name, sigma, what) }
 			put := func(what string, v float64) { out = append(out, goldenValue{label(what), v}) }
@@ -152,7 +189,7 @@ func analyticTrace() []goldenValue {
 				case r <= 2 && len(c.adj[q]) > 0:
 					return inc.Freq(c.adj[q][rng.Intn(len(c.adj[q]))])
 				default:
-					return 5.00 + 0.34*rng.Float64()
+					return pick(rng)
 				}
 			}
 			for step := 0; step < 40; step++ {
@@ -187,24 +224,39 @@ func analyticTrace() []goldenValue {
 // TestGoldenAnalyticBits checks the analytic trace against the recorded
 // literals and the SHA-256 of every value's Float64bits.
 func TestGoldenAnalyticBits(t *testing.T) {
-	trace := analyticTrace()
+	checkTrace(t, analyticTrace(), goldenAnalyticLiterals, goldenAnalyticSHA)
+}
+
+// TestGoldenAnalyticGridBits pins the on-grid trace: every frequency of
+// the cases and of the walk's moves is a candidate-grid value or a
+// 5-frequency-scheme value, the assignments a search and Algorithm 3
+// actually score, at σ ∈ {0, 0.01, 0.03, 0.037}.
+func TestGoldenAnalyticGridBits(t *testing.T) {
+	trace := traceOf(goldenCases(20261017, onGrid), []float64{0, 0.01, 0.03, 0.037}, onGrid)
+	checkTrace(t, trace, goldenGridLiterals, goldenGridSHA)
+}
+
+// checkTrace compares trace against the literals and the SHA-256 of
+// every value's Float64bits.
+func checkTrace(t *testing.T, trace []goldenValue, literals map[string]float64, sha string) {
+	t.Helper()
 	h := sha256.New()
 	var buf [8]byte
 	seen := 0
 	for _, g := range trace {
 		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(g.v))
 		h.Write(buf[:])
-		if want, ok := goldenAnalyticLiterals[g.label]; ok {
+		if want, ok := literals[g.label]; ok {
 			seen++
 			if math.Float64bits(g.v) != math.Float64bits(want) {
 				t.Errorf("%s = %v, want %v", g.label, g.v, want)
 			}
 		}
 	}
-	if seen != len(goldenAnalyticLiterals) {
-		t.Errorf("trace holds %d of the %d literal labels", seen, len(goldenAnalyticLiterals))
+	if seen != len(literals) {
+		t.Errorf("trace holds %d of the %d literal labels", seen, len(literals))
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != goldenAnalyticSHA {
-		t.Errorf("analytic trace of %d values hashes to %s, want %s", len(trace), got, goldenAnalyticSHA)
+	if got := hex.EncodeToString(h.Sum(nil)); got != sha {
+		t.Errorf("analytic trace of %d values hashes to %s, want %s", len(trace), got, sha)
 	}
 }
