@@ -118,10 +118,11 @@ func TestNewHTTPServerTimeouts(t *testing.T) {
 	}
 }
 
-// portfolioBody is sized so a -quick run takes ~15s: long enough to
-// checkpoint at several exchange barriers and be killed mid-flight,
-// short enough that the resumed and reference runs finish quickly.
-const portfolioBody = `{"kind":"portfolio","spec":{"benchmark":"sym6_145","strategy":"anneal","steps":2500,"proposals":6,"exchange_every":150,"lanes":2,"max_evals":6,"aux_counts":[0]}}`
+// portfolioBody is sized so a -quick run takes ~7s on 2 vCPUs: long
+// enough to checkpoint at several exchange barriers and be killed
+// mid-flight, short enough that the resumed and reference runs finish
+// quickly.
+const portfolioBody = `{"kind":"portfolio","spec":{"benchmark":"sym6_145","strategy":"anneal","steps":20000,"proposals":6,"exchange_every":150,"lanes":2,"max_evals":6,"aux_counts":[0]}}`
 
 // TestRestartResumesFromCheckpoint is the crash-recovery acceptance
 // check at the process level: a portfolio search SIGKILLed mid-run

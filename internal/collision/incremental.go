@@ -27,15 +27,22 @@ package collision
 // marginals dominate the surrogate's cost, so this term-level reuse is
 // where the coordinate-descent inner loop wins its time back.
 //
+// The marginals themselves are read through a Marginals memo: each
+// qubit's grid index is kept beside its frequency, so a lookup needs no
+// rounding, and an off-grid frequency falls back to the formula.
+//
 // The total is summed over bundles in edge-index order on every Score
 // call, so it is a pure function of the current frequencies — no
 // accumulated floating-point drift, and bit-identical across any update
 // history that ends in the same assignment.
 type Incremental struct {
 	kern  *Kernel
-	sigma float64
+	memo  *Marginals
 	adj   [][]int
 	freqs []float64
+	// idx[q] is GridIndex(freqs[q]); Set, Preview1 and Clone keep the
+	// two in step.
+	idx []int8
 	// edgeE holds the current bundle score per kernel edge.
 	edgeE []float64
 	// terms caches the current marginal values of every bundle:
@@ -56,15 +63,23 @@ type Incremental struct {
 }
 
 // NewIncremental compiles the incremental scorer for the coupling graph
-// adj under the initial design frequencies freqs (copied, not retained).
+// adj under the initial design frequencies freqs (copied, not retained),
+// with a memo of its own.
 func NewIncremental(adj [][]int, freqs []float64, sigma float64, p Params) *Incremental {
-	k := NewKernel(adj, p)
+	return NewIncrementalWith(adj, freqs, NewMarginals(p, sigma))
+}
+
+// NewIncrementalWith is NewIncremental reading its marginals through
+// memo, which scorers of the same (Params, σ) may share, concurrently.
+func NewIncrementalWith(adj [][]int, freqs []float64, memo *Marginals) *Incremental {
+	k := NewKernel(adj, memo.params)
 	m := k.NumEdges()
 	inc := &Incremental{
 		kern:    k,
-		sigma:   sigma,
+		memo:    memo,
 		adj:     adj,
 		freqs:   append([]float64(nil), freqs...),
+		idx:     make([]int8, len(freqs)),
 		edgeE:   make([]float64, m),
 		termOff: make([]int32, m+1),
 		mark:    make([]int, m),
@@ -78,6 +93,9 @@ func NewIncremental(adj [][]int, freqs []float64, sigma float64, p Params) *Incr
 		inc.termOff[e+1] = inc.termOff[e] + 1 + spec
 	}
 	inc.terms = make([]float64, inc.termOff[m])
+	for q, f := range freqs {
+		inc.idx[q] = int8(GridIndex(f))
+	}
 	for e := range inc.edgeE {
 		inc.edgeE[e] = inc.scoreBundle(e, true)
 	}
@@ -90,17 +108,17 @@ func NewIncremental(adj [][]int, freqs []float64, sigma float64, p Params) *Incr
 // writes the term values back to the cache; previews leave it alone.
 func (inc *Incremental) scoreBundle(e int, commit bool) float64 {
 	ctl, tgt, specs := inc.kern.Orient(e, inc.freqs)
-	p := &inc.kern.params
 	fj, fk := inc.freqs[ctl], inc.freqs[tgt]
+	j, k := int(inc.idx[ctl]), int(inc.idx[tgt])
 	terms := inc.terms[inc.termOff[e]:]
-	s := p.PairProb(fj, fk, inc.sigma)
+	s := inc.memo.Pair(fj, fk, j, k)
 	if commit {
 		terms[0] = s
 	}
-	for j, i := range specs {
-		v := p.SpectatorProb(fj, inc.freqs[i], fk, inc.sigma)
+	for n, i := range specs {
+		v := inc.memo.Spectator(fj, inc.freqs[i], fk, j, int(inc.idx[i]), k)
 		if commit {
-			terms[1+j] = v
+			terms[1+n] = v
 		}
 		s += v
 	}
@@ -143,7 +161,8 @@ func (inc *Incremental) rescoreFor(e, q int, commit bool) float64 {
 		if int(i) != q {
 			continue
 		}
-		v := inc.kern.params.SpectatorProb(inc.freqs[ctl], inc.freqs[q], inc.freqs[tgt], inc.sigma)
+		v := inc.memo.Spectator(inc.freqs[ctl], inc.freqs[q], inc.freqs[tgt],
+			int(inc.idx[ctl]), int(inc.idx[q]), int(inc.idx[tgt]))
 		if commit {
 			inc.terms[int(inc.termOff[e])+1+j] = v
 			return inc.resumBundle(e, specs, -1, 0)
@@ -184,6 +203,7 @@ func (inc *Incremental) Freqs() []float64 {
 func (inc *Incremental) Set(qubits []int, vals []float64) {
 	for i, q := range qubits {
 		inc.freqs[q] = vals[i]
+		inc.idx[q] = int8(GridIndex(vals[i]))
 	}
 	inc.stamp++
 	if len(qubits) == 1 {
@@ -219,17 +239,17 @@ func (inc *Incremental) Set1(q int, f float64) {
 // Preview is the inner loop of the guided search's coordinate descent,
 // so this path carries most of the surrogate's runtime.
 func (inc *Incremental) Preview1(q int, f float64) float64 {
-	old := inc.freqs[q]
+	old, oldIdx := inc.freqs[q], inc.idx[q]
 	if f == old {
 		return inc.Score()
 	}
-	inc.freqs[q] = f
+	inc.freqs[q], inc.idx[q] = f, int8(GridIndex(f))
 	inc.stamp++
 	for _, e := range inc.kern.Deps(q) {
 		inc.mark[e] = inc.stamp
 		inc.scratch[e] = inc.rescoreFor(int(e), q, false)
 	}
-	inc.freqs[q] = old
+	inc.freqs[q], inc.idx[q] = old, oldIdx
 	total := 0.0
 	for e, v := range inc.edgeE {
 		if inc.mark[e] == inc.stamp {
@@ -244,10 +264,11 @@ func (inc *Incremental) Preview1(q int, f float64) float64 {
 }
 
 // Clone returns an independent copy sharing the (immutable) adjacency and
-// compiled kernel.
+// compiled kernel, and the memo.
 func (inc *Incremental) Clone() *Incremental {
 	c := *inc
 	c.freqs = append([]float64(nil), inc.freqs...)
+	c.idx = append([]int8(nil), inc.idx...)
 	c.edgeE = append([]float64(nil), inc.edgeE...)
 	c.terms = append([]float64(nil), inc.terms...)
 	c.mark = make([]int, len(inc.edgeE))

@@ -36,14 +36,14 @@ import (
 )
 
 // Allowed frequency interval and candidate grid (Section 4.3): candidates
-// are 5.00, 5.01, ..., 5.34 GHz.
+// are 5.00, 5.01, ..., 5.34 GHz, the grid package collision defines.
 const (
 	// Lo is the lower end of the allowed frequency interval, GHz.
-	Lo = 5.00
+	Lo = collision.GridLo
 	// Hi is the upper end of the allowed frequency interval, GHz.
-	Hi = 5.34
+	Hi = collision.GridHi
 	// Step is the candidate grid spacing, GHz (0.01 ⇒ 35 candidates).
-	Step = 0.01
+	Step = collision.GridStep
 )
 
 // Mode selects the candidate scoring strategy.
@@ -100,14 +100,7 @@ func NewAllocator(seed int64) *Allocator {
 }
 
 // Candidates returns the candidate frequency grid.
-func Candidates() []float64 {
-	n := int(math.Round((Hi-Lo)/Step)) + 1
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Round((Lo+float64(i)*Step)*100) / 100
-	}
-	return out
-}
+func Candidates() []float64 { return collision.Grid() }
 
 // Mid returns the middle of the allowed interval, the frequency pinned to
 // the central qubit.
@@ -130,12 +123,18 @@ func (al *Allocator) Allocate(a *arch.Architecture) []float64 {
 	freqs[center] = Mid()
 	assigned[center] = true
 
+	// One memo of the analytic marginals serves every candidate of the
+	// call, and is dropped with it.
+	var memo *collision.Marginals
+	if al.Mode == ScoreAnalytic {
+		memo = collision.NewMarginals(al.Params, al.Sigma)
+	}
 	order := bfsOrder(adj, center)
 	for _, qi := range order {
 		if assigned[qi] {
 			continue
 		}
-		freqs[qi] = al.bestCandidate(adj, freqs, assigned, qi, math.NaN())
+		freqs[qi] = al.bestCandidate(memo, adj, freqs, assigned, qi, math.NaN())
 		assigned[qi] = true
 	}
 	// Refinement sweeps: every qubit (centre included) revisited against
@@ -144,7 +143,7 @@ func (al *Allocator) Allocate(a *arch.Architecture) []float64 {
 	for s := 0; s < al.Sweeps; s++ {
 		changed := false
 		for _, qi := range order {
-			f := al.bestCandidate(adj, freqs, assigned, qi, freqs[qi])
+			f := al.bestCandidate(memo, adj, freqs, assigned, qi, freqs[qi])
 			if f != freqs[qi] {
 				freqs[qi] = f
 				changed = true
@@ -169,8 +168,8 @@ func (al *Allocator) Assign(a *arch.Architecture) error {
 // local region and returns the winner. When incumbent is a real frequency
 // it wins all ties (refinement sweeps only move on strict improvement);
 // when incumbent is NaN (initial assignment) ties break to the lowest
-// candidate.
-func (al *Allocator) bestCandidate(adj [][]int, freqs []float64, assigned []bool, qi int, incumbent float64) float64 {
+// candidate. ScoreAnalytic reads the marginals through memo.
+func (al *Allocator) bestCandidate(memo *collision.Marginals, adj [][]int, freqs []float64, assigned []bool, qi int, incumbent float64) float64 {
 	region := al.regionOf(adj, qi, assigned)
 	sub := yield.Subgraph(adj, region)
 	subFreqs := make([]float64, len(region))
@@ -209,11 +208,11 @@ func (al *Allocator) bestCandidate(adj [][]int, freqs []float64, assigned []bool
 		best, bestE := math.NaN(), math.Inf(1)
 		if !math.IsNaN(incumbent) {
 			subFreqs[qiIdx] = incumbent
-			best, bestE = incumbent, collision.ExpectedCollisions(sub, subFreqs, al.Sigma, al.Params)
+			best, bestE = incumbent, memo.Expected(sub, subFreqs)
 		}
 		for _, f := range candidates {
 			subFreqs[qiIdx] = f
-			if e := collision.ExpectedCollisions(sub, subFreqs, al.Sigma, al.Params); e < bestE {
+			if e := memo.Expected(sub, subFreqs); e < bestE {
 				best, bestE = f, e
 			}
 		}

@@ -15,7 +15,7 @@ import (
 )
 
 // freqCandidates is the shared (immutable) candidate frequency grid.
-var freqCandidates = freq.Candidates()
+var freqCandidates = collision.Grid()
 
 // baseLayout is one auxiliary-qubit variant of the program's layout: the
 // bus-free architecture, the candidate bus sites, and the two frequency
@@ -45,6 +45,10 @@ type Problem struct {
 	// auxCounts is opt.AuxCounts deduplicated, original order kept.
 	auxCounts []int
 	bases     map[int]*baseLayout
+	// memo serves the analytic marginals at (opt.Params, opt.Sigma) to
+	// every state's scorer, concurrent proposals included; it lives as
+	// long as the lane.
+	memo *collision.Marginals
 	// proposals counts every candidate state constructed (and therefore
 	// scored by the analytic surrogate). Mutated only on the serial
 	// control path.
@@ -53,7 +57,8 @@ type Problem struct {
 
 // newProblem builds the per-aux base layouts and frequency seeds.
 func newProblem(c *circuit.Circuit, opt Options) (*Problem, error) {
-	p := &Problem{opt: opt, circ: c, bases: map[int]*baseLayout{}}
+	p := &Problem{opt: opt, circ: c, bases: map[int]*baseLayout{},
+		memo: collision.NewMarginals(opt.Params, opt.Sigma)}
 	p.family = opt.Family
 	if p.family == nil {
 		p.family = topology.Square{}
@@ -147,7 +152,7 @@ func (p *Problem) newState(aux int, sites []arch.Site, freqs []float64) (*State,
 	if err := a.SetFrequencies(freqs); err != nil {
 		return nil, fmt.Errorf("search: %w", err)
 	}
-	inc := collision.NewIncremental(a.AdjList(), freqs, p.opt.Sigma, p.opt.Params)
+	inc := collision.NewIncrementalWith(a.AdjList(), freqs, p.memo)
 	st := &State{
 		Aux:      aux,
 		Sites:    sites,
