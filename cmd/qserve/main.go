@@ -1,8 +1,8 @@
 // Command qserve is the long-lived evaluation service: it wraps the
 // experiments engine (sweeps + guided searches) in an HTTP/JSON API with
 // a bounded job queue, per-job streamed progress, cooperative job
-// cancellation, and one shared noise cache and worker pool across every
-// client. With -store, finished runs persist content-addressed on disk,
+// cancellation, and one shared compiled-kernel cache and worker pool
+// across every client; each job's noise matrices are freed when it ends. With -store, finished runs persist content-addressed on disk,
 // repeated submissions — across clients and across restarts — are served
 // without recomputation, and a job-metadata journal next to the store
 // lets a restarted server list prior jobs with their final statuses.
@@ -75,7 +75,7 @@ func main() {
 		quick    = flag.Bool("quick", false, "reduced Monte-Carlo budgets (fast smoke runs)")
 		seed     = flag.Int64("seed", 1, "deterministic seed")
 		workers  = flag.Int("workers", 0, "shared helper-pool size across all jobs and fan-out levels (0 = GOMAXPROCS)")
-		cacheMB  = flag.Int("noise-cache-mb", 0, "byte bound on the shared noise cache in MiB, LRU-evicted (0 = unbounded)")
+		cacheMB  = flag.Int("noise-cache-mb", 0, "byte bound on each running job's noise cache in MiB, LRU-evicted (0 = unbounded)")
 		kernMB   = flag.Int("kernel-cache-mb", 0, "byte bound on the shared compiled-kernel cache in MiB, LRU-evicted (0 = unbounded)")
 		serial   = flag.Bool("serial", false, "disable all parallelism")
 		drain    = flag.Duration("drain", 10*time.Second, "on SIGTERM, finish queued and running jobs for this long, then cancel the rest cooperatively")

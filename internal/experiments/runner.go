@@ -10,12 +10,14 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"sync"
 
 	"qproc/internal/arch"
 	"qproc/internal/collision"
 	"qproc/internal/core"
 	"qproc/internal/gen"
 	"qproc/internal/mapper"
+	"qproc/internal/memo"
 	"qproc/internal/search"
 	"qproc/internal/workpool"
 	"qproc/internal/yield"
@@ -51,9 +53,9 @@ type Options struct {
 	// work), so nested levels and concurrent jobs on one runner cannot
 	// multiply into oversubscription.
 	Workers int
-	// NoiseCacheBytes bounds the shared noise cache's matrix bytes with
-	// least-recently-used eviction; 0 means unbounded. Eviction can only
-	// cost regeneration time, never change a result.
+	// NoiseCacheBytes bounds each running job's noise cache's matrix
+	// bytes with least-recently-used eviction; 0 means unbounded.
+	// Eviction can only cost regeneration time, never change a result.
 	NoiseCacheBytes int64 `json:"noise_cache_bytes,omitempty"`
 	// KernelCacheBytes bounds the shared compiled-kernel cache the same
 	// way; 0 means unbounded. The cache maps canonical topology keys to
@@ -136,16 +138,19 @@ func (r *BenchmarkResult) ByConfig(cfg core.Config) []Point {
 	return out
 }
 
-// Runner executes the evaluation. All entry points share one noise
-// cache, so every design with the same qubit count (and σ) is simulated
-// under the same fabrications — the common-random-numbers discipline —
-// and the Trials × n Gaussian matrix is drawn once per qubit count
-// instead of once per design. They also share one bounded worker pool:
+// Runner executes the evaluation. Each job — a sweep, a search, a
+// portfolio — gets one noise cache of its own, so every design it
+// evaluates with the same qubit count (and σ) is simulated under the
+// same fabrications — the common-random-numbers discipline — and the
+// Trials × n Gaussian matrix is drawn once per qubit count instead of
+// once per design. The matrices are dropped when the job ends: noise is
+// a pure function of its key, so a later job regenerates the same bits.
+// All jobs share the compiled-kernel cache and one bounded worker pool:
 // however many jobs run concurrently on the runner, helper goroutines
 // stay within the Workers budget. A Runner is safe for concurrent use.
 type Runner struct {
 	opt     Options
-	cache   *yield.NoiseCache
+	noise   noiseCaches
 	kernels *collision.KernelCache
 	lanes   *search.LaneCounters
 	pool    *workpool.Pool
@@ -153,29 +158,83 @@ type Runner struct {
 
 // NewRunner returns a Runner with the given options.
 func NewRunner(opt Options) *Runner {
-	cache := yield.NewNoiseCache()
-	if opt.NoiseCacheBytes > 0 {
-		cache.SetLimit(opt.NoiseCacheBytes)
-	}
 	kernels := collision.NewKernelCache()
 	if opt.KernelCacheBytes > 0 {
 		kernels.SetLimit(opt.KernelCacheBytes)
 	}
-	return &Runner{opt: opt, cache: cache, kernels: kernels,
+	return &Runner{opt: opt, noise: noiseCaches{limit: opt.NoiseCacheBytes}, kernels: kernels,
 		lanes: &search.LaneCounters{}, pool: workpool.New(opt.workers())}
+}
+
+// noiseCaches hands out the per-job noise caches and accounts for them:
+// the counters of finished jobs' caches are folded into done, and the
+// caches of running jobs stay in live until they end.
+type noiseCaches struct {
+	limit int64
+	mu    sync.Mutex
+	live  map[*yield.NoiseCache]bool
+	done  memo.Snapshot
+}
+
+// open returns a fresh job cache, bounded by the per-job limit.
+func (n *noiseCaches) open() *yield.NoiseCache {
+	c := yield.NewNoiseCache()
+	if n.limit > 0 {
+		c.SetLimit(n.limit)
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.live == nil {
+		n.live = map[*yield.NoiseCache]bool{}
+	}
+	n.live[c] = true
+	return c
+}
+
+// close retires a job cache once its job has ended, keeping its counters.
+func (n *noiseCaches) close(c *yield.NoiseCache) {
+	s := c.Snapshot()
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	delete(n.live, c)
+	n.done.Hits += s.Hits
+	n.done.Misses += s.Misses
+	n.done.Evictions += s.Evictions
+}
+
+// snapshot sums the counters over every job so far and the footprint
+// over the running ones; Limit is the per-job bound.
+func (n *noiseCaches) snapshot() memo.Snapshot {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	out := n.done
+	out.Limit = n.limit
+	for c := range n.live {
+		s := c.Snapshot()
+		out.Hits += s.Hits
+		out.Misses += s.Misses
+		out.Evictions += s.Evictions
+		out.Entries += s.Entries
+		out.Bytes += s.Bytes
+	}
+	return out
 }
 
 // Options returns the runner's options.
 func (r *Runner) Options() Options { return r.opt }
 
-// NoiseCacheStats exposes the shared noise cache's hit/miss counters
-// (for reporting and tests).
-func (r *Runner) NoiseCacheStats() (hits, misses uint64) { return r.cache.Stats() }
+// NoiseCacheStats reports the noise caches' hit/miss counters summed
+// over every job the runner has run or is running (for reporting and
+// tests).
+func (r *Runner) NoiseCacheStats() (hits, misses uint64) {
+	s := r.noise.snapshot()
+	return s.Hits, s.Misses
+}
 
-// NoiseCache exposes the shared cache for stats endpoints (size, byte
-// accounting, eviction counters). Callers must not purge or reconfigure
-// it mid-run.
-func (r *Runner) NoiseCache() *yield.NoiseCache { return r.cache }
+// NoiseCacheSnapshot reports the noise caches for stats endpoints: the
+// counters summed over every job, the entries and bytes the running
+// jobs hold, and the per-job byte bound.
+func (r *Runner) NoiseCacheSnapshot() memo.Snapshot { return r.noise.snapshot() }
 
 // KernelCache exposes the shared compiled-kernel cache for stats
 // endpoints (hit/miss/eviction counters, byte accounting). Callers must
@@ -196,10 +255,12 @@ func (r *Runner) flow() *core.Flow {
 	return f
 }
 
-func (r *Runner) simulator() *yield.Simulator {
+// simulator returns a simulator on the runner's settings that draws its
+// noise from a job's cache.
+func (r *Runner) simulator(cache *yield.NoiseCache) *yield.Simulator {
 	s := yield.New(r.opt.Seed + 7919)
 	s.Trials = r.opt.YieldTrials
-	s.Cache = r.cache
+	s.Cache = cache
 	s.Kernels = r.kernels
 	s.Parallel = r.opt.Parallel
 	s.Workers = r.opt.Workers

@@ -172,10 +172,10 @@ func ReadSearchJSON(r io.Reader) (*SearchOutcome, error) {
 	return readJSON[SearchOutcome](r, "search outcome")
 }
 
-// Search runs the guided design-space search on one benchmark, sharing
-// the runner's noise cache (so its Monte-Carlo evaluations reuse the
+// Search runs the guided design-space search on one benchmark with the
+// runner's parallelism settings. Its Monte-Carlo evaluations draw the
 // exact common-random-numbers matrices a sweep with the same options
-// uses) and the runner's parallelism settings. The optional progress
+// draws, from a noise cache that lives as long as the search. The optional progress
 // callback fires once per annealing step or beam depth. Results are
 // deterministic for a given seed; parallel and serial runs are
 // bit-identical.
@@ -216,11 +216,15 @@ func (r *Runner) runSearch(ctx context.Context, kind string, spec SearchSpec, pf
 			progress(SearchProgress(p))
 		}
 	}
+	// Every lane, promotion and re-estimate of the job shares one noise
+	// cache, dropped when the job ends.
+	cache := r.noise.open()
+	defer r.noise.close(cache)
 	var res *search.Result
 	if pf == nil {
-		res, err = search.Run(ctx, c, so, r.cache, cb)
+		res, err = search.Run(ctx, c, so, cache, cb)
 	} else {
-		res, err = search.RunPortfolio(ctx, c, so, *pf, r.cache, cb)
+		res, err = search.RunPortfolio(ctx, c, so, *pf, cache, cb)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s %s: %w", kind, spec.Benchmark, err)

@@ -147,24 +147,45 @@ func TestSearchProgressAndJSONRoundTrip(t *testing.T) {
 }
 
 // TestSearchSharedCacheWithSweep checks the CRN discipline across the two
-// engines: a search after a sweep on the same runner must add no noise-
-// matrix misses for qubit counts the sweep already simulated.
+// engines: a search after a sweep on the same runner shares the
+// runner's compiled-kernel cache — every design it evaluates is one the
+// sweep compiled, so it compiles nothing — and scores under the same
+// noise bits as on a fresh runner, although each job draws its noise
+// matrices into a cache of its own that ends with it.
 func TestSearchSharedCacheWithSweep(t *testing.T) {
-	r := NewRunner(tinyOptions())
-	if _, err := r.Sweep(context.Background(), searchSweepSpec(), nil); err != nil {
-		t.Fatal(err)
-	}
-	_, missesBefore := r.NoiseCacheStats()
-	if _, err := r.Search(context.Background(), SearchSpec{
+	spec := SearchSpec{
 		Benchmark: "sym6_145",
 		Strategy:  search.Beam,
 		AuxCounts: []int{0, 1},
 		MaxEvals:  4,
-	}, nil); err != nil {
+	}
+	r := NewRunner(tinyOptions())
+	if _, err := r.Sweep(context.Background(), searchSweepSpec(), nil); err != nil {
 		t.Fatal(err)
 	}
-	_, missesAfter := r.NoiseCacheStats()
-	if missesAfter != missesBefore {
-		t.Errorf("search generated %d fresh noise matrices; want 0 (CRN reuse)", missesAfter-missesBefore)
+	_, missesBefore := r.KernelCache().Stats()
+	warm, err := r.Search(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, missesAfter := r.KernelCache().Stats(); missesAfter != missesBefore {
+		t.Errorf("search compiled %d kernels; want 0 (the sweep compiled them)", missesAfter-missesBefore)
+	}
+	if snap := r.NoiseCacheSnapshot(); snap.Entries != 0 || snap.Bytes != 0 {
+		t.Errorf("noise matrices outlived their jobs: %+v", snap)
+	}
+	cold, err := NewRunner(tinyOptions()).Search(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b bytes.Buffer
+	if err := warm.WriteJSON(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := cold.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Error("search after a sweep differs from the same search on a fresh runner")
 	}
 }

@@ -158,6 +158,10 @@ func (r *Runner) Sweep(ctx context.Context, spec SweepSpec, progress func(SweepP
 		}
 	}
 
+	// One noise cache serves every group, design and σ of the sweep, and
+	// is dropped with it.
+	cache := r.noise.open()
+	defer r.noise.close(cache)
 	total := len(groups) * len(spec.Sigmas)
 	perGroup := make([][]SweepPoint, len(groups))
 	errs := make([]error, len(groups))
@@ -174,7 +178,7 @@ func (r *Runner) Sweep(ctx context.Context, spec SweepSpec, progress func(SweepP
 				})
 			}
 		}
-		perGroup[i], errs[i] = r.runGroup(ctx, g.benchmark, g.aux, spec, report)
+		perGroup[i], errs[i] = r.runGroup(ctx, cache, g.benchmark, g.aux, spec, report)
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("experiments: sweep: %w", err)
@@ -195,10 +199,10 @@ func (r *Runner) Sweep(ctx context.Context, spec SweepSpec, progress func(SweepP
 // runGroup evaluates one (benchmark, aux) group across every requested
 // configuration and σ. report is called once per σ, mirroring the cell
 // granularity of the progress callback; on a generation or mapping
-// error every σ cell of the group is reported failed. A cancelled ctx
-// aborts between phases and between σ cells; the partial slice is
-// discarded by Sweep.
-func (r *Runner) runGroup(ctx context.Context, bench string, aux int, spec SweepSpec, report func(float64, error)) ([]SweepPoint, error) {
+// error every σ cell of the group is reported failed. The simulators
+// draw noise from the sweep's cache. A cancelled ctx aborts between
+// phases and between σ cells; the partial slice is discarded by Sweep.
+func (r *Runner) runGroup(ctx context.Context, cache *yield.NoiseCache, bench string, aux int, spec SweepSpec, report func(float64, error)) ([]SweepPoint, error) {
 	fail := func(err error) ([]SweepPoint, error) {
 		for _, sigma := range spec.Sigmas {
 			report(sigma, err)
@@ -273,7 +277,7 @@ func (r *Runner) runGroup(ctx context.Context, bench string, aux int, spec Sweep
 	// scoring one design is the unit of work, and land by index.
 	sims := make([]*yield.Simulator, len(spec.Sigmas))
 	for si, sigma := range spec.Sigmas {
-		sims[si] = r.simulator()
+		sims[si] = r.simulator(cache)
 		sims[si].Sigma = sigma
 		sims[si].Ctx = ctx
 	}

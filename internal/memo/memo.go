@@ -129,6 +129,25 @@ func (c *Cache[K, V]) evictLocked(keep *entry[V]) {
 	}
 }
 
+// Snapshot is a point-in-time view of a cache's counters and footprint.
+type Snapshot struct {
+	Hits, Misses, Evictions uint64
+	// Entries and Bytes are the resident keys and their built bytes;
+	// Limit is the byte bound (0 = unbounded).
+	Entries      int
+	Bytes, Limit int64
+}
+
+// Snapshot returns the cache's counters and footprint.
+func (c *Cache[K, V]) Snapshot() Snapshot {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return Snapshot{
+		Hits: c.hits.Load(), Misses: c.misses.Load(), Evictions: c.evicted.Load(),
+		Entries: len(c.entries), Bytes: c.bytes, Limit: c.limit,
+	}
+}
+
 // Stats reports how many Get calls were served from memory (hits) and
 // how many built a fresh value (misses).
 func (c *Cache[K, V]) Stats() (hits, misses uint64) {

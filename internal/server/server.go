@@ -2,9 +2,9 @@
 // service (the qserve binary): clients submit sweep and search jobs,
 // watch per-job streamed progress, cancel running work, and fetch
 // finished outcomes, while every job — whichever client submitted it —
-// shares one runner (one yield.NoiseCache, one worker pool) and one
-// optional run store, so overlapping work is simulated once and repeated
-// work is served from disk without any computation.
+// shares one runner (one compiled-kernel cache, one worker pool) and one
+// optional run store, so overlapping topologies compile once and
+// repeated work is served from disk without any computation.
 //
 // The API is JSON over HTTP:
 //
@@ -59,8 +59,9 @@ import (
 
 // Config assembles a Server.
 type Config struct {
-	// Runner executes every job; required. All clients share its noise
-	// cache and parallelism settings.
+	// Runner executes every job; required. All clients share its kernel
+	// cache and parallelism settings; each job draws its noise matrices
+	// into a cache of its own.
 	Runner *experiments.Runner
 	// Store persists finished runs and serves repeats; optional.
 	Store *runstore.Store
@@ -1046,10 +1047,13 @@ type counterView struct {
 	Misses uint64 `json:"misses"`
 }
 
-// cacheView reports one of the runner's shared caches (noise matrices or
-// compiled kernels): hit/miss counters, the resident entries with their
-// byte footprint, and — when a byte bound is configured — the bound and
-// how many entries it has evicted.
+// cacheView reports one of the runner's caches: hit/miss counters, the
+// resident entries with their byte footprint, and — when a byte bound is
+// configured — the bound and how many entries it has evicted. For noise
+// matrices, which live as long as the job that draws them, the counters
+// sum over every job, the entries and bytes are what running jobs hold,
+// and the bound applies to each job; compiled kernels are one cache
+// shared by all jobs.
 type cacheView struct {
 	counterView
 	Entries    int    `json:"entries"`
@@ -1058,15 +1062,14 @@ type cacheView struct {
 	Evictions  uint64 `json:"evictions,omitempty"`
 }
 
-// newCacheView snapshots c's counters and footprint.
-func newCacheView[K comparable, V any](c *memo.Cache[K, V]) cacheView {
-	hits, misses := c.Stats()
+// newCacheView renders a cache snapshot.
+func newCacheView(s memo.Snapshot) cacheView {
 	return cacheView{
-		counterView: counterView{Hits: hits, Misses: misses},
-		Entries:     c.Len(),
-		Bytes:       c.Bytes(),
-		LimitBytes:  c.Limit(),
-		Evictions:   c.Evictions(),
+		counterView: counterView{Hits: s.Hits, Misses: s.Misses},
+		Entries:     s.Entries,
+		Bytes:       s.Bytes,
+		LimitBytes:  s.Limit,
+		Evictions:   s.Evictions,
 	}
 }
 
@@ -1101,8 +1104,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			statusQueued: 0, statusRunning: 0, statusDone: 0,
 			statusFailed: 0, statusCanceled: 0, statusInterrupted: 0,
 		},
-		NoiseCache:  newCacheView(&s.cfg.Runner.NoiseCache().Cache),
-		KernelCache: newCacheView(&s.cfg.Runner.KernelCache().Cache),
+		NoiseCache:  newCacheView(s.cfg.Runner.NoiseCacheSnapshot()),
+		KernelCache: newCacheView(s.cfg.Runner.KernelCache().Snapshot()),
 		Lanes:       lanesView{Live: live, Done: done},
 		Workers:     workersView{Size: pool.Size(), InUse: pool.InUse()},
 	}

@@ -129,35 +129,40 @@ func TestSubmitRunFetch(t *testing.T) {
 	}
 }
 
-// TestConcurrentClientsShareNoiseCache is the acceptance check: two
-// clients submitting different jobs over the same design space hit one
-// shared noise cache. The second client's job draws zero new noise
-// matrices — its Monte-Carlo estimates run entirely on the matrices the
-// first client's job generated, which only works with a single runner
-// behind the service.
+// TestConcurrentClientsShareNoiseCache is the acceptance check that
+// every client's job runs on one runner: two clients submitting
+// different jobs over the same design space share its compiled-kernel
+// cache, so the second client's job compiles no new kernel. Noise
+// matrices live as long as the job that draws them, so once both jobs
+// are done no matrix is resident, while /v1/stats keeps counting every
+// job's noise lookups.
 func TestConcurrentClientsShareNoiseCache(t *testing.T) {
 	s, ts := newTestServer(t, nil, 8)
+	kernels := s.cfg.Runner.KernelCache()
 
 	// Client 1: eff-full designs of sym6_145 at σ = 30 MHz.
 	a := submit(t, ts.URL,
 		`{"kind":"sweep","spec":{"benchmarks":["sym6_145"],"configs":["eff-full"],"aux_counts":[0],"sigmas":[0.03]}}`)
 	waitDone(t, ts.URL, a.ID)
-	h1, m1 := s.cfg.Runner.NoiseCacheStats()
-	if h1+m1 == 0 {
+	h1, m1 := kernels.Stats()
+	if m1 == 0 {
+		t.Fatal("first job compiled no kernel")
+	}
+	if nh, nm := s.cfg.Runner.NoiseCacheStats(); nh+nm == 0 {
 		t.Fatal("first job did not simulate anything")
 	}
 
-	// Client 2: a different spec over the same qubit count and σ. Every
-	// estimate must hit the matrices client 1 drew.
+	// Client 2: a different spec over the same topologies. Every
+	// estimate must reuse a kernel client 1 compiled.
 	b := submit(t, ts.URL,
 		`{"kind":"sweep","spec":{"benchmarks":["sym6_145"],"configs":["eff-layout-only"],"aux_counts":[0],"sigmas":[0.03]}}`)
 	waitDone(t, ts.URL, b.ID)
-	h2, m2 := s.cfg.Runner.NoiseCacheStats()
+	h2, m2 := kernels.Stats()
 	if m2 != m1 {
-		t.Errorf("second client drew %d new noise matrices, want 0 (shared cache)", m2-m1)
+		t.Errorf("second client compiled %d new kernels, want 0 (shared runner)", m2-m1)
 	}
 	if h2 <= h1 {
-		t.Errorf("second client recorded no cache hits (hits %d -> %d)", h1, h2)
+		t.Errorf("second client recorded no kernel cache hits (hits %d -> %d)", h1, h2)
 	}
 
 	var stats statsView
@@ -169,14 +174,16 @@ func TestConcurrentClientsShareNoiseCache(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.NoiseCache.Hits != h2 {
-		t.Errorf("stats endpoint reports %d hits, runner %d", stats.NoiseCache.Hits, h2)
+	nh, nm := s.cfg.Runner.NoiseCacheStats()
+	if stats.NoiseCache.Hits != nh || stats.NoiseCache.Misses != nm {
+		t.Errorf("stats endpoint reports %d/%d noise hits/misses, runner %d/%d",
+			stats.NoiseCache.Hits, stats.NoiseCache.Misses, nh, nm)
 	}
-	if stats.NoiseCache.Entries == 0 || stats.NoiseCache.Bytes == 0 {
-		t.Errorf("stats endpoint reports empty noise cache after two jobs: %+v", stats.NoiseCache)
+	if stats.NoiseCache.Entries != 0 || stats.NoiseCache.Bytes != 0 {
+		t.Errorf("noise matrices outlived their jobs: %+v", stats.NoiseCache)
 	}
-	if want := s.cfg.Runner.NoiseCache().Bytes(); stats.NoiseCache.Bytes != want {
-		t.Errorf("stats endpoint reports %d cache bytes, runner %d", stats.NoiseCache.Bytes, want)
+	if stats.KernelCache.Hits != h2 || stats.KernelCache.Misses != m2 {
+		t.Errorf("stats endpoint reports kernel cache %+v, runner %d hits, %d misses", stats.KernelCache, h2, m2)
 	}
 	if stats.Workers.Size == 0 {
 		t.Errorf("stats endpoint reports zero-size worker pool: %+v", stats.Workers)
@@ -187,15 +194,16 @@ func TestConcurrentClientsShareNoiseCache(t *testing.T) {
 }
 
 // TestNoiseCacheBoundedByOption checks the NoiseCacheBytes option wires
-// through to the runner's cache: a bound small enough for one matrix
-// keeps the resident bytes at or below it across σ switches, and the
-// results stay identical to an unbounded runner's.
+// through to each job's noise cache: a bound small enough for one
+// matrix evicts within the job, and the results stay identical to an
+// unbounded runner's.
 func TestNoiseCacheBoundedByOption(t *testing.T) {
 	opt := tinyOptions()
 	// One 200-trial × ~16-qubit matrix ≈ 25 KiB; bound to 64 KiB so the
 	// two baseline qubit counts cannot both stay resident.
 	opt.NoiseCacheBytes = 64 << 10
-	bounded, err := experiments.NewRunner(opt).RunBenchmark("sym6_145")
+	r := experiments.NewRunner(opt)
+	bounded, err := r.RunBenchmark("sym6_145")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,15 +220,15 @@ func TestNoiseCacheBoundedByOption(t *testing.T) {
 				i, bounded.Points[i], free.Points[i])
 		}
 	}
-	r := experiments.NewRunner(opt)
-	if _, err := r.RunBenchmark("sym6_145"); err != nil {
-		t.Fatal(err)
+	snap := r.NoiseCacheSnapshot()
+	if snap.Limit != opt.NoiseCacheBytes {
+		t.Fatalf("per-job cache limit %d, want %d", snap.Limit, opt.NoiseCacheBytes)
 	}
-	if got := r.NoiseCache().Bytes(); got > opt.NoiseCacheBytes {
-		t.Fatalf("cache holds %d bytes beyond the %d bound", got, opt.NoiseCacheBytes)
+	if snap.Evictions == 0 {
+		t.Fatalf("the %d-byte bound evicted nothing: %+v", opt.NoiseCacheBytes, snap)
 	}
-	if r.NoiseCache().Limit() != opt.NoiseCacheBytes {
-		t.Fatalf("cache limit %d, want %d", r.NoiseCache().Limit(), opt.NoiseCacheBytes)
+	if snap.Entries != 0 || snap.Bytes != 0 {
+		t.Fatalf("noise matrices outlived the job: %+v", snap)
 	}
 }
 
