@@ -2,7 +2,8 @@
 // experiments engine (sweeps + guided searches) in an HTTP/JSON API with
 // a bounded job queue, per-job streamed progress, cooperative job
 // cancellation, and one shared compiled-kernel cache and worker pool
-// across every client; each job's noise matrices are freed when it ends. With -store, finished runs persist content-addressed on disk,
+// across every client; each job's noise matrices are freed when it
+// ends. With -store, finished runs persist content-addressed on disk,
 // repeated submissions — across clients and across restarts — are served
 // without recomputation, and a job-metadata journal next to the store
 // lets a restarted server list prior jobs with their final statuses.

@@ -61,8 +61,8 @@ func TestKernelCacheSharesCompiles(t *testing.T) {
 	if hits != 5 || misses != 1 {
 		t.Errorf("stats = %d hits / %d misses, want 5/1", hits, misses)
 	}
-	if c.Len() != 1 {
-		t.Errorf("cache holds %d entries, want 1", c.Len())
+	if c.Snapshot().Entries != 1 {
+		t.Errorf("cache holds %d entries, want 1", c.Snapshot().Entries)
 	}
 	// The empty key bypasses the cache entirely: fresh compile, no counters.
 	if got := c.Kernel("", adjs[0], p); got == first {
@@ -169,12 +169,12 @@ func TestKernelCacheEviction(t *testing.T) {
 			if c.Kernel(keys[i], adjs[i], p) == nil {
 				t.Fatal("nil kernel under eviction")
 			}
-			if got := c.Bytes(); got > c.Limit() && c.Len() > 1 {
-				t.Fatalf("cache holds %d bytes beyond the %d bound", got, c.Limit())
+			if snap := c.Snapshot(); snap.Bytes > snap.Limit && snap.Entries > 1 {
+				t.Fatalf("cache holds %d bytes beyond the %d bound", snap.Bytes, snap.Limit)
 			}
 		}
 	}
-	if c.Evictions() == 0 {
+	if c.Snapshot().Evictions == 0 {
 		t.Error("no evictions under a one-kernel byte bound")
 	}
 }

@@ -67,11 +67,12 @@ func (j PortfolioJob) Timeout() time.Duration { return time.Duration(j.Spec.Time
 
 // Portfolio runs the portfolio search on one benchmark: spec.Lanes
 // deterministic lanes advancing concurrently on the runner's shared
-// worker pool, all scoring through the runner's noise cache (common
-// random numbers) and compiled-kernel cache (a topology compiled in one
-// lane is served from cache in all others), with elite exchange at
-// fixed barriers. Parallel and serial runs are bit-identical; ctx
-// cancels cooperatively under the same contract as Search.
+// worker pool, all scoring through the job's noise cache (common
+// random numbers) and the runner's compiled-kernel cache (a topology
+// compiled in one lane is served from cache in all others), with elite
+// exchange at fixed barriers. Parallel and serial runs are
+// bit-identical; ctx cancels cooperatively under the same contract as
+// Search.
 func (r *Runner) Portfolio(ctx context.Context, spec PortfolioSpec, progress func(SearchProgress)) (*SearchOutcome, error) {
 	spec = spec.withDefaults(r.opt)
 	pf := search.PortfolioOptions{Lanes: spec.Lanes, ExchangeEvery: spec.ExchangeEvery, Counters: r.lanes}

@@ -162,7 +162,8 @@ func NewRunner(opt Options) *Runner {
 	if opt.KernelCacheBytes > 0 {
 		kernels.SetLimit(opt.KernelCacheBytes)
 	}
-	return &Runner{opt: opt, noise: noiseCaches{limit: opt.NoiseCacheBytes}, kernels: kernels,
+	return &Runner{opt: opt, kernels: kernels,
+		noise: noiseCaches{limit: opt.NoiseCacheBytes, live: map[*yield.NoiseCache]bool{}},
 		lanes: &search.LaneCounters{}, pool: workpool.New(opt.workers())}
 }
 
@@ -184,9 +185,6 @@ func (n *noiseCaches) open() *yield.NoiseCache {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.live == nil {
-		n.live = map[*yield.NoiseCache]bool{}
-	}
 	n.live[c] = true
 	return c
 }

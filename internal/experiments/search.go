@@ -175,10 +175,10 @@ func ReadSearchJSON(r io.Reader) (*SearchOutcome, error) {
 // Search runs the guided design-space search on one benchmark with the
 // runner's parallelism settings. Its Monte-Carlo evaluations draw the
 // exact common-random-numbers matrices a sweep with the same options
-// draws, from a noise cache that lives as long as the search. The optional progress
-// callback fires once per annealing step or beam depth. Results are
-// deterministic for a given seed; parallel and serial runs are
-// bit-identical.
+// draws, from a noise cache that lives as long as the search. The
+// optional progress callback fires once per annealing step or beam
+// depth. Results are deterministic for a given seed; parallel and
+// serial runs are bit-identical.
 //
 // ctx cancels cooperatively: a cancelled search stops within one
 // proposal batch or Monte-Carlo trial chunk and returns an error

@@ -35,15 +35,13 @@ import (
 	"qproc/internal/yield"
 )
 
-// Allowed frequency interval and candidate grid (Section 4.3): candidates
-// are 5.00, 5.01, ..., 5.34 GHz, the grid package collision defines.
+// Allowed frequency interval (Section 4.3); the candidates are the grid
+// 5.00, 5.01, ..., 5.34 GHz that package collision defines.
 const (
 	// Lo is the lower end of the allowed frequency interval, GHz.
 	Lo = collision.GridLo
 	// Hi is the upper end of the allowed frequency interval, GHz.
 	Hi = collision.GridHi
-	// Step is the candidate grid spacing, GHz (0.01 ⇒ 35 candidates).
-	Step = collision.GridStep
 )
 
 // Mode selects the candidate scoring strategy.

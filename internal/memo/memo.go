@@ -95,13 +95,6 @@ func (c *Cache[K, V]) SetLimit(bytes int64) {
 	c.evictLocked(nil)
 }
 
-// Limit returns the configured byte bound (0 = unbounded).
-func (c *Cache[K, V]) Limit() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.limit
-}
-
 // evictLocked drops built values, least recently requested first, until
 // the footprint fits the limit. keep, when non-nil, is never dropped,
 // and in-flight builds (size 0) are skipped. Callers hold c.mu.
@@ -131,9 +124,12 @@ func (c *Cache[K, V]) evictLocked(keep *entry[V]) {
 
 // Snapshot is a point-in-time view of a cache's counters and footprint.
 type Snapshot struct {
+	// Hits and Misses count Get calls served from memory and builds;
+	// Evictions counts values the byte bound has dropped.
 	Hits, Misses, Evictions uint64
-	// Entries and Bytes are the resident keys and their built bytes;
-	// Limit is the byte bound (0 = unbounded).
+	// Entries and Bytes are the resident keys and the footprint of their
+	// built values (an in-flight build joins the count when it
+	// finishes); Limit is the byte bound (0 = unbounded).
 	Entries      int
 	Bytes, Limit int64
 }
@@ -152,24 +148,6 @@ func (c *Cache[K, V]) Snapshot() Snapshot {
 // how many built a fresh value (misses).
 func (c *Cache[K, V]) Stats() (hits, misses uint64) {
 	return c.hits.Load(), c.misses.Load()
-}
-
-// Evictions returns how many values the byte bound has dropped.
-func (c *Cache[K, V]) Evictions() uint64 { return c.evicted.Load() }
-
-// Bytes returns the footprint of the built values currently held
-// (in-flight builds join the count when they finish).
-func (c *Cache[K, V]) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
-
-// Len returns the number of distinct keys held.
-func (c *Cache[K, V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }
 
 // Purge drops every cached value (the statistics are kept).

@@ -38,8 +38,8 @@ func TestZeroValueSingleFlight(t *testing.T) {
 	if hits, misses := c.Stats(); hits+misses != callers || misses != 1 {
 		t.Fatalf("stats %d hits / %d misses, want %d / 1", hits, misses, callers-1)
 	}
-	if c.Len() != 1 || c.Bytes() != 8 {
-		t.Fatalf("len %d bytes %d, want 1 / 8", c.Len(), c.Bytes())
+	if snap := c.Snapshot(); snap.Entries != 1 || snap.Bytes != 8 {
+		t.Fatalf("len %d bytes %d, want 1 / 8", snap.Entries, snap.Bytes)
 	}
 }
 
@@ -54,8 +54,8 @@ func TestEvictsLeastRecentlyRequested(t *testing.T) {
 	c.Get("b", sized(&builds, 2, 10))
 	c.Get("a", sized(&builds, 1, 10)) // a is now the more recent
 	c.Get("c", sized(&builds, 3, 10)) // drops b
-	if c.Len() != 2 || c.Bytes() != 20 || c.Evictions() != 1 {
-		t.Fatalf("len %d bytes %d evictions %d, want 2 / 20 / 1", c.Len(), c.Bytes(), c.Evictions())
+	if snap := c.Snapshot(); snap.Entries != 2 || snap.Bytes != 20 || snap.Evictions != 1 {
+		t.Fatalf("len %d bytes %d evictions %d, want 2 / 20 / 1", snap.Entries, snap.Bytes, snap.Evictions)
 	}
 	before := builds.Load()
 	c.Get("a", sized(&builds, 1, 10))
@@ -63,13 +63,13 @@ func TestEvictsLeastRecentlyRequested(t *testing.T) {
 		t.Fatal("a was evicted instead of b")
 	}
 	c.Get("huge", sized(&builds, 4, 100))
-	if c.Len() != 1 || c.Bytes() != 100 {
-		t.Fatalf("len %d bytes %d after an oversized request, want 1 / 100", c.Len(), c.Bytes())
+	if snap := c.Snapshot(); snap.Entries != 1 || snap.Bytes != 100 {
+		t.Fatalf("len %d bytes %d after an oversized request, want 1 / 100", snap.Entries, snap.Bytes)
 	}
 	c.SetLimit(0)
 	c.Purge()
-	if c.Len() != 0 || c.Bytes() != 0 || c.Limit() != 0 {
-		t.Fatalf("len %d bytes %d limit %d after purge, want zeros", c.Len(), c.Bytes(), c.Limit())
+	if snap := c.Snapshot(); snap.Entries != 0 || snap.Bytes != 0 || snap.Limit != 0 {
+		t.Fatalf("len %d bytes %d limit %d after purge, want zeros", snap.Entries, snap.Bytes, snap.Limit)
 	}
 }
 
@@ -99,15 +99,15 @@ func TestInFlightBuildIsNeverEvicted(t *testing.T) {
 	c.SetLimit(1)
 	release, result := blocked(&c, "slow", 7, 10)
 	c.Get("x", sized(&builds, 1, 10)) // over the limit, but nothing else is evictable
-	if c.Len() != 2 || c.Bytes() != 10 || c.Evictions() != 0 {
-		t.Fatalf("len %d bytes %d evictions %d, want 2 / 10 / 0", c.Len(), c.Bytes(), c.Evictions())
+	if snap := c.Snapshot(); snap.Entries != 2 || snap.Bytes != 10 || snap.Evictions != 0 {
+		t.Fatalf("len %d bytes %d evictions %d, want 2 / 10 / 0", snap.Entries, snap.Bytes, snap.Evictions)
 	}
 	release()
 	if v := <-result; v != 7 {
 		t.Fatalf("in-flight Get = %d, want 7", v)
 	}
-	if c.Len() != 1 || c.Bytes() != 10 || c.Evictions() != 1 {
-		t.Fatalf("len %d bytes %d evictions %d, want 1 / 10 / 1", c.Len(), c.Bytes(), c.Evictions())
+	if snap := c.Snapshot(); snap.Entries != 1 || snap.Bytes != 10 || snap.Evictions != 1 {
+		t.Fatalf("len %d bytes %d evictions %d, want 1 / 10 / 1", snap.Entries, snap.Bytes, snap.Evictions)
 	}
 }
 
@@ -122,12 +122,12 @@ func TestPurgeDuringBuildDoesNotAccount(t *testing.T) {
 	if v := <-result; v != 7 {
 		t.Fatalf("in-flight Get = %d, want 7", v)
 	}
-	if c.Len() != 0 || c.Bytes() != 0 {
-		t.Fatalf("len %d bytes %d after a purged build, want 0 / 0", c.Len(), c.Bytes())
+	if snap := c.Snapshot(); snap.Entries != 0 || snap.Bytes != 0 {
+		t.Fatalf("len %d bytes %d after a purged build, want 0 / 0", snap.Entries, snap.Bytes)
 	}
 	var builds atomic.Int64
 	c.Get("slow", sized(&builds, 7, 10))
-	if builds.Load() != 1 || c.Bytes() != 10 {
-		t.Fatalf("rebuild count %d bytes %d, want 1 / 10", builds.Load(), c.Bytes())
+	if builds.Load() != 1 || c.Snapshot().Bytes != 10 {
+		t.Fatalf("rebuild count %d bytes %d, want 1 / 10", builds.Load(), c.Snapshot().Bytes)
 	}
 }

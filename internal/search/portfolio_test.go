@@ -170,7 +170,7 @@ func TestPortfolioLanesShareKernelCache(t *testing.T) {
 	if hits == 0 {
 		t.Errorf("no kernel cache hits across %d lane evals (misses %d)", res.Evals, misses)
 	}
-	if opt.Kernels.Bytes() == 0 || opt.Kernels.Len() == 0 {
+	if snap := opt.Kernels.Snapshot(); snap.Bytes == 0 || snap.Entries == 0 {
 		t.Error("kernel cache reports no resident kernels after the run")
 	}
 }

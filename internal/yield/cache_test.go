@@ -63,8 +63,8 @@ func TestCacheKeyedByParameters(t *testing.T) {
 			t.Errorf("variant %d: cached matrix differs from GenNoise", i)
 		}
 	}
-	if cache.Len() != 4 {
-		t.Errorf("cache holds %d matrices, want 4", cache.Len())
+	if cache.Snapshot().Entries != 4 {
+		t.Errorf("cache holds %d matrices, want 4", cache.Snapshot().Entries)
 	}
 	// Different n under the same parameters is also a distinct matrix.
 	if m := base.noise(5); m.Qubits() != 5 {
@@ -106,12 +106,12 @@ func TestCachePurge(t *testing.T) {
 	s.Trials = 10
 	s.Cache = cache
 	s.noise(3)
-	if cache.Len() != 1 {
-		t.Fatalf("len = %d", cache.Len())
+	if cache.Snapshot().Entries != 1 {
+		t.Fatalf("len = %d", cache.Snapshot().Entries)
 	}
 	cache.Purge()
-	if cache.Len() != 0 {
-		t.Fatalf("len after purge = %d", cache.Len())
+	if cache.Snapshot().Entries != 0 {
+		t.Fatalf("len after purge = %d", cache.Snapshot().Entries)
 	}
 	// Regenerated content is identical (pure function of the key).
 	if got, want := s.noise(3).At(0, 0), s.GenNoise(3).At(0, 0); got != want {
@@ -126,24 +126,24 @@ func TestCacheBytesAccounting(t *testing.T) {
 	s := New(2)
 	s.Trials = 100
 	s.Cache = cache
-	if cache.Bytes() != 0 {
-		t.Fatalf("fresh cache reports %d bytes", cache.Bytes())
+	if cache.Snapshot().Bytes != 0 {
+		t.Fatalf("fresh cache reports %d bytes", cache.Snapshot().Bytes)
 	}
 	s.noise(4)
-	if got, want := cache.Bytes(), int64(100*4*8); got != want {
+	if got, want := cache.Snapshot().Bytes, int64(100*4*8); got != want {
 		t.Fatalf("one matrix: %d bytes, want %d", got, want)
 	}
 	s.noise(6)
-	if got, want := cache.Bytes(), int64(100*4*8+100*6*8); got != want {
+	if got, want := cache.Snapshot().Bytes, int64(100*4*8+100*6*8); got != want {
 		t.Fatalf("two matrices: %d bytes, want %d", got, want)
 	}
 	s.noise(4) // hit: no growth
-	if got, want := cache.Bytes(), int64(100*4*8+100*6*8); got != want {
+	if got, want := cache.Snapshot().Bytes, int64(100*4*8+100*6*8); got != want {
 		t.Fatalf("after hit: %d bytes, want %d", got, want)
 	}
 	cache.Purge()
-	if cache.Bytes() != 0 {
-		t.Fatalf("purged cache reports %d bytes", cache.Bytes())
+	if cache.Snapshot().Bytes != 0 {
+		t.Fatalf("purged cache reports %d bytes", cache.Snapshot().Bytes)
 	}
 }
 
@@ -165,14 +165,14 @@ func TestCacheLRUEviction(t *testing.T) {
 	s2.noise(4)
 	s1.noise(4) // refresh seed 1's recency: seed 2 is now LRU
 	s3.noise(4) // exceeds the bound: seed 2 must go
-	if cache.Len() != 2 {
-		t.Fatalf("cache holds %d entries, want 2", cache.Len())
+	if cache.Snapshot().Entries != 2 {
+		t.Fatalf("cache holds %d entries, want 2", cache.Snapshot().Entries)
 	}
-	if cache.Bytes() > 2*perMatrix {
-		t.Fatalf("cache holds %d bytes beyond the %d limit", cache.Bytes(), 2*perMatrix)
+	if cache.Snapshot().Bytes > 2*perMatrix {
+		t.Fatalf("cache holds %d bytes beyond the %d limit", cache.Snapshot().Bytes, 2*perMatrix)
 	}
-	if cache.Evictions() != 1 {
-		t.Fatalf("evictions = %d, want 1", cache.Evictions())
+	if cache.Snapshot().Evictions != 1 {
+		t.Fatalf("evictions = %d, want 1", cache.Snapshot().Evictions)
 	}
 	// Seed 1 must have survived (seed 2 was least recently used).
 	hits0, _ := cache.Stats()
@@ -289,7 +289,7 @@ func TestCacheConcurrentLimitPurgeRace(t *testing.T) {
 					t.Errorf("matrix shape %dx%d, want %dx%d", mat.Trials(), mat.Qubits(), s.Trials, n)
 					return
 				}
-				if b := c.Bytes(); b < 0 {
+				if b := c.Snapshot().Bytes; b < 0 {
 					t.Errorf("cache byte accounting went negative: %d", b)
 					return
 				}
@@ -327,18 +327,18 @@ func TestCacheConcurrentLimitPurgeRace(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if b := c.Bytes(); b < 0 {
+	if b := c.Snapshot().Bytes; b < 0 {
 		t.Fatalf("final byte accounting negative: %d", b)
 	}
 	// After the dust settles, a purge leaves the books at exactly zero —
 	// entries whose generation completed after their eviction must not
 	// have been re-accounted.
 	c.Purge()
-	if b := c.Bytes(); b != 0 {
+	if b := c.Snapshot().Bytes; b != 0 {
 		t.Fatalf("bytes after purge: %d, want 0", b)
 	}
-	if c.Len() != 0 {
-		t.Fatalf("entries after purge: %d, want 0", c.Len())
+	if c.Snapshot().Entries != 0 {
+		t.Fatalf("entries after purge: %d, want 0", c.Snapshot().Entries)
 	}
 	// Served matrices stayed bit-identical through all of it.
 	for _, s := range sims {
