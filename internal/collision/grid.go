@@ -60,8 +60,10 @@ const filled = 1 << 63
 // scorers of concurrent proposals can share one memo. A lookup with an
 // off-grid frequency (index −1) computes the formula.
 //
-// The tables hold ~350 KiB. A memo belongs to one job or one Allocate
-// call and is dropped with it; nothing caches memos across jobs.
+// The tables hold ~350 KiB. A memo belongs to one search job, to one
+// design series (every Algorithm 3 call of a core.Flow series reads one)
+// or to one Allocate call, and is dropped with it; nothing caches memos
+// across jobs.
 type Marginals struct {
 	params Params
 	sigma  float64
@@ -79,6 +81,11 @@ func NewMarginals(p Params, sigma float64) *Marginals {
 		pairs:  new([GridSize * GridSize]atomic.Uint64),
 		specs:  new([GridSize * GridSize * GridSize]atomic.Uint64),
 	}
+}
+
+// For reports whether m memoises the marginals of p at σ = sigma.
+func (m *Marginals) For(p Params, sigma float64) bool {
+	return m.params == p && m.sigma == sigma
 }
 
 // Pair returns p.PairProb(fj, fk, σ); j and k are the grid indices of

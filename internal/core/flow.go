@@ -22,6 +22,7 @@ import (
 	"qproc/internal/arch"
 	"qproc/internal/bus"
 	"qproc/internal/circuit"
+	"qproc/internal/collision"
 	"qproc/internal/freq"
 	"qproc/internal/lattice"
 	"qproc/internal/layout"
@@ -232,9 +233,10 @@ func (f *Flow) series(c *circuit.Circuit, maxBuses int, cfg Config, aux int) ([]
 			return nil, fmt.Errorf("core: bus selection: %w", err)
 		}
 	}
+	al, memo := f.seriesAllocator(cfg)
 	var designs []*Design
 	for k := 0; k <= len(selected); k++ {
-		d, err := f.finishDesign(base, p, selected[:k], cfg, c.Name)
+		d, err := f.finishDesign(al, memo, base, p, selected[:k], cfg, c.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -265,12 +267,13 @@ func (f *Flow) SeriesRandomBus(c *circuit.Circuit, maxBuses, samples int) ([]*De
 	if maxBuses >= 0 && maxBuses < limit {
 		limit = maxBuses
 	}
+	al, memo := f.seriesAllocator(ConfigEffRdBus)
 	var designs []*Design
 	for s := 0; s < samples; s++ {
 		for k := 1; k <= limit; k++ {
 			scratch := base.Clone()
 			sel := bus.SelectRandom(scratch, k, f.Seed+int64(1000*s+k))
-			d, err := f.finishDesign(base, p, sel, ConfigEffRdBus, c.Name)
+			d, err := f.finishDesign(al, memo, base, p, sel, ConfigEffRdBus, c.Name)
 			if err != nil {
 				return nil, err
 			}
@@ -335,10 +338,23 @@ func (f *Flow) Baselines(c *circuit.Circuit) []*Design {
 	return out
 }
 
+// seriesAllocator returns the Algorithm 3 allocator of one series call
+// and, when cfg allocates frequencies, the one memo of the analytic
+// marginals every allocation of the series reads: the flow's allocator
+// always scores at one (Params, σ). The memo is dropped with the series.
+func (f *Flow) seriesAllocator(cfg Config) (*freq.Allocator, *collision.Marginals) {
+	al := f.allocator()
+	switch cfg {
+	case ConfigEff5Freq, ConfigEffLayoutOnly:
+		return al, nil
+	}
+	return al, al.Memo()
+}
+
 // finishDesign rebuilds the architecture from the base layout, applies
 // the given bus squares, names it, and allocates frequencies per the
-// configuration.
-func (f *Flow) finishDesign(base *arch.Architecture, p *profile.Profile, squares []lattice.Square, cfg Config, prog string) (*Design, error) {
+// configuration with al, reading the analytic marginals through memo.
+func (f *Flow) finishDesign(al *freq.Allocator, memo *collision.Marginals, base *arch.Architecture, p *profile.Profile, squares []lattice.Square, cfg Config, prog string) (*Design, error) {
 	a := base.Clone()
 	for _, sq := range squares {
 		if err := a.ApplyMultiBus(sq); err != nil {
@@ -352,7 +368,7 @@ func (f *Flow) finishDesign(base *arch.Architecture, p *profile.Profile, squares
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	default:
-		if err := f.allocator().Assign(a); err != nil {
+		if err := a.SetFrequencies(al.AllocateWith(memo, a)); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	}

@@ -145,13 +145,16 @@ func (r *BenchmarkResult) ByConfig(cfg core.Config) []Point {
 // Trials × n Gaussian matrix is drawn once per qubit count instead of
 // once per design. The matrices are dropped when the job ends: noise is
 // a pure function of its key, so a later job regenerates the same bits.
-// All jobs share the compiled-kernel cache and one bounded worker pool:
-// however many jobs run concurrently on the runner, helper goroutines
-// stay within the Workers budget. A Runner is safe for concurrent use.
+// All jobs share the compiled-kernel cache, the SABRE result cache and
+// one bounded worker pool: a (program, topology) any job has routed is
+// not routed again, and however many jobs run concurrently on the
+// runner, helper goroutines stay within the Workers budget. A Runner is
+// safe for concurrent use.
 type Runner struct {
 	opt     Options
 	noise   noiseCaches
 	kernels *collision.KernelCache
+	maps    *mapper.Cache
 	lanes   *search.LaneCounters
 	pool    *workpool.Pool
 }
@@ -162,7 +165,7 @@ func NewRunner(opt Options) *Runner {
 	if opt.KernelCacheBytes > 0 {
 		kernels.SetLimit(opt.KernelCacheBytes)
 	}
-	return &Runner{opt: opt, kernels: kernels,
+	return &Runner{opt: opt, kernels: kernels, maps: mapper.NewCache(),
 		noise: noiseCaches{limit: opt.NoiseCacheBytes, live: map[*yield.NoiseCache]bool{}},
 		lanes: &search.LaneCounters{}, pool: workpool.New(opt.workers())}
 }
@@ -238,6 +241,9 @@ func (r *Runner) NoiseCacheSnapshot() memo.Snapshot { return r.noise.snapshot() 
 // endpoints (hit/miss/eviction counters, byte accounting). Callers must
 // not purge or reconfigure it mid-run.
 func (r *Runner) KernelCache() *collision.KernelCache { return r.kernels }
+
+// MapCache exposes the shared SABRE result cache for stats endpoints.
+func (r *Runner) MapCache() *mapper.Cache { return r.maps }
 
 // LaneStats reports the runner's portfolio lanes currently advancing
 // and the lanes that have finished their budget (cumulative across all

@@ -201,11 +201,13 @@ func (r *Runner) runSearch(ctx context.Context, kind string, spec SearchSpec, pf
 	}
 	c := b.Build()
 	spec, so := spec.withDefaults(r.opt)
-	// The shared pool and kernel cache are runner resources, not spec
-	// axes: they change scheduling and compile reuse only, never results,
-	// so they stay out of withDefaults and the job fingerprint.
+	// The shared pool, kernel cache and SABRE result cache are runner
+	// resources, not spec axes: they change scheduling and reuse only,
+	// never results, so they stay out of withDefaults and the job
+	// fingerprint.
 	so.Pool = r.pool
 	so.Kernels = r.kernels
+	so.Maps = r.maps
 	if ck, ok := checkpointControl(ctx); ok {
 		so.Checkpoint = &search.CheckpointOptions{Every: ck.every, Resume: ck.resume, Save: ck.save}
 	}

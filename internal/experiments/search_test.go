@@ -164,12 +164,18 @@ func TestSearchSharedCacheWithSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, missesBefore := r.KernelCache().Stats()
+	mapsBefore := r.MapCache().Snapshot()
 	warm, err := r.Search(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, missesAfter := r.KernelCache().Stats(); missesAfter != missesBefore {
 		t.Errorf("search compiled %d kernels; want 0 (the sweep compiled them)", missesAfter-missesBefore)
+	}
+	// The sweep routed baseline (1) as its NormPerf anchor; the search
+	// reads the same routing.
+	if maps := r.MapCache().Snapshot(); maps.Hits == mapsBefore.Hits {
+		t.Errorf("search after a sweep missed baseline (1) in the map cache: %+v, before %+v", maps, mapsBefore)
 	}
 	if snap := r.NoiseCacheSnapshot(); snap.Entries != 0 || snap.Bytes != 0 {
 		t.Errorf("noise matrices outlived their jobs: %+v", snap)

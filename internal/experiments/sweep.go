@@ -119,8 +119,12 @@ func (sr *SweepResult) ByCell(cell SweepCell) []SweepPoint {
 // Sweep evaluates the full design space the spec spans. Design
 // generation and SABRE mapping depend only on (benchmark, aux), not on
 // σ, so the engine groups the work accordingly: each (benchmark, aux)
-// group generates and maps its designs once and scores each of them at
-// every σ against the cached noise matrices. Groups fan out over the
+// group generates its designs once and scores each of them at every σ
+// against the job's noise matrices. Routing is memoised across jobs, not
+// only within one sweep: the runner's SABRE result cache routes each
+// (program, topology) once per process, so designs that share a coupling
+// graph, and later sweeps of the same benchmark at another σ, reuse the
+// gate and SWAP counts of the first routing. Groups fan out over the
 // runner's worker pool. Configurations that do not support auxiliary
 // qubits (ibm, eff-rd-bus, eff-layout-only) are evaluated at aux = 0
 // only and silently skipped in aux > 0 cells. Performance is normalised
@@ -272,9 +276,13 @@ func (r *Runner) runGroup(ctx context.Context, cache *yield.NoiseCache, bench st
 			designs = append(designs, mapped{cfg: cfg, design: d, label: label})
 		}
 	}
-	// Map every design once and score it at every σ; only the yield
-	// estimate depends on σ. Designs run concurrently, as mapping and
-	// scoring one design is the unit of work, and land by index.
+	// Map every design and score it at every σ; only the yield estimate
+	// depends on σ. Routing reads through the runner's SABRE result
+	// cache, so a topology any earlier design or job routed is not routed
+	// again; the program is fingerprinted once for the whole group.
+	// Designs run concurrently, as mapping and scoring one design is the
+	// unit of work, and land by index.
+	prog := mapper.NewProgram(c)
 	sims := make([]*yield.Simulator, len(spec.Sigmas))
 	for si, sigma := range spec.Sigmas {
 		sims[si] = r.simulator(cache)
@@ -284,12 +292,12 @@ func (r *Runner) runGroup(ctx context.Context, cache *yield.NoiseCache, bench st
 	yields := make([][]float64, len(designs))
 	mapErrs := make([]error, len(designs))
 	r.forEachCtx(ctx, len(designs), func(i int) {
-		mres, err := mapper.Map(c, designs[i].design.Arch, r.opt.Mapper)
+		n, err := r.maps.Counts(prog, designs[i].design.Arch, r.opt.Mapper)
 		if err != nil {
 			mapErrs[i] = fmt.Errorf("mapping %s onto %s: %w", c.Name, designs[i].design.Arch.Name, err)
 			return
 		}
-		designs[i].gates, designs[i].swaps = mres.GateCount, mres.Swaps
+		designs[i].gates, designs[i].swaps = n.GateCount, n.Swaps
 		yields[i] = make([]float64, len(sims))
 		for si, sim := range sims {
 			yields[i][si] = estimateArch(sim, designs[i].design.Arch)
@@ -304,25 +312,15 @@ func (r *Runner) runGroup(ctx context.Context, cache *yield.NoiseCache, bench st
 		}
 	}
 
-	// Baseline (1) anchors NormPerf. Reuse its mapping when the ibm
-	// configuration is part of the sweep; map it separately otherwise.
-	baseGates := 0
-	for _, m := range designs {
-		if m.cfg == core.ConfigIBM {
-			baseGates = m.gates
-			break
-		}
+	// Baseline (1) anchors NormPerf. When the ibm configuration is part
+	// of the sweep, the lookup hits the routing its design just read.
+	baselines := flow.Baselines(c)
+	if len(baselines) == 0 {
+		return fail(fmt.Errorf("%s needs %d qubits, exceeding every baseline", c.Name, c.Qubits))
 	}
-	if baseGates == 0 {
-		baselines := flow.Baselines(c)
-		if len(baselines) == 0 {
-			return fail(fmt.Errorf("%s needs %d qubits, exceeding every baseline", c.Name, c.Qubits))
-		}
-		mres, err := mapper.Map(c, baselines[0].Arch, r.opt.Mapper)
-		if err != nil {
-			return fail(fmt.Errorf("mapping %s onto %s: %w", c.Name, baselines[0].Arch.Name, err))
-		}
-		baseGates = mres.GateCount
+	base, err := r.maps.Counts(prog, baselines[0].Arch, r.opt.Mapper)
+	if err != nil {
+		return fail(fmt.Errorf("mapping %s onto %s: %w", c.Name, baselines[0].Arch.Name, err))
 	}
 
 	var out []SweepPoint
@@ -342,7 +340,7 @@ func (r *Runner) runGroup(ctx context.Context, cache *yield.NoiseCache, bench st
 					GateCount:   m.gates,
 					Swaps:       m.swaps,
 					Yield:       yields[i][si],
-					NormPerf:    float64(baseGates) / float64(m.gates),
+					NormPerf:    float64(base.GateCount) / float64(m.gates),
 				},
 				AuxQubits: aux,
 				Sigma:     sigma,

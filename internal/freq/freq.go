@@ -26,7 +26,6 @@
 package freq
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -106,8 +105,36 @@ func Mid() float64 { return math.Round((Lo+Hi)/2*100) / 100 }
 
 // Allocate computes a frequency for every qubit of the architecture and
 // returns the assignment (GHz, indexed by qubit). The architecture is not
-// modified; install the result with SetFrequencies.
+// modified; install the result with SetFrequencies. The call reads the
+// analytic marginals through a memo of its own, dropped when it returns;
+// AllocateWith shares one memo across calls.
 func (al *Allocator) Allocate(a *arch.Architecture) []float64 {
+	return al.AllocateWith(nil, a)
+}
+
+// Memo returns an empty memo of the analytic marginals at the
+// allocator's Params and Sigma, for AllocateWith calls to share; nil in
+// ScoreMC mode, which reads none.
+func (al *Allocator) Memo() *collision.Marginals {
+	if al.Mode != ScoreAnalytic {
+		return nil
+	}
+	return collision.NewMarginals(al.Params, al.Sigma)
+}
+
+// AllocateWith is Allocate reading the analytic marginals through memo,
+// which must come from Memo on an allocator with the same Params and
+// Sigma; nil gives the call a memo of its own. Every allocation of a
+// design series shares one memo, so each grid value is computed once per
+// series rather than once per design. The memo lives as long as its
+// holder keeps it, and the assignment is bit-identical to Allocate's: a
+// memo slot holds exactly the formula's value.
+func (al *Allocator) AllocateWith(memo *collision.Marginals, a *arch.Architecture) []float64 {
+	if memo == nil {
+		memo = al.Memo()
+	} else if !memo.For(al.Params, al.Sigma) {
+		panic("freq: AllocateWith given a memo of other Params or σ")
+	}
 	n := a.NumQubits()
 	freqs := make([]float64, n)
 	if n == 0 {
@@ -121,12 +148,6 @@ func (al *Allocator) Allocate(a *arch.Architecture) []float64 {
 	freqs[center] = Mid()
 	assigned[center] = true
 
-	// One memo of the analytic marginals serves every candidate of the
-	// call, and is dropped with it.
-	var memo *collision.Marginals
-	if al.Mode == ScoreAnalytic {
-		memo = collision.NewMarginals(al.Params, al.Sigma)
-	}
 	order := bfsOrder(adj, center)
 	for _, qi := range order {
 		if assigned[qi] {
@@ -152,14 +173,6 @@ func (al *Allocator) Allocate(a *arch.Architecture) []float64 {
 		}
 	}
 	return freqs
-}
-
-// Assign allocates frequencies and installs them on the architecture.
-func (al *Allocator) Assign(a *arch.Architecture) error {
-	if err := a.SetFrequencies(al.Allocate(a)); err != nil {
-		return fmt.Errorf("freq: %w", err)
-	}
-	return nil
 }
 
 // bestCandidate scores every candidate frequency for qubit qi against its

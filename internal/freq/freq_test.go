@@ -65,8 +65,7 @@ func TestAllocateBeatsFiveFreqScheme(t *testing.T) {
 		sim.Trials = 20000
 		schemeYield := sim.Estimate(a)
 
-		al := NewAllocator(1)
-		if err := al.Assign(a); err != nil {
+		if err := a.SetFrequencies(NewAllocator(1).Allocate(a)); err != nil {
 			t.Fatal(err)
 		}
 		allocYield := sim.Estimate(a)

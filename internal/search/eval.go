@@ -40,8 +40,10 @@ type evaluator struct {
 	// promotions happened to share a topology.
 	est yield.Estimator
 	// baseGates anchors NormPerf: gates of the program on IBM baseline
-	// (1). Computed lazily, only when the mapper is needed.
+	// (1). Computed lazily, only when the mapper is needed, as is prog,
+	// the program's fingerprint for Options.Maps.
 	baseGates int
+	prog      *mapper.Program
 	evals     int
 	// cap, when capSet, overrides Options.MaxEvals as the evaluation
 	// budget (portfolio rebudgeting at exchange barriers). Unlike
@@ -181,23 +183,28 @@ func better(a, b *evaluated) bool {
 	return a.state.key < b.state.key
 }
 
-// performance maps the program onto st and returns the paper's metrics.
+// performance maps the program onto st and returns the paper's metrics,
+// reading through Options.Maps.
 func (ev *evaluator) performance(st *State) (gates, swaps int, normPerf float64, err error) {
+	if ev.prog == nil {
+		ev.prog = mapper.NewProgram(ev.p.circ)
+	}
+	maps, mopt := ev.p.opt.Maps, ev.p.opt.Mapper
 	if ev.baseGates == 0 {
 		baselines := core.NewFlow(ev.p.opt.Seed).Baselines(ev.p.circ)
 		if len(baselines) == 0 {
 			return 0, 0, 0, fmt.Errorf("search: %s needs %d qubits, exceeding every baseline",
 				ev.p.circ.Name, ev.p.circ.Qubits)
 		}
-		mres, err := mapper.Map(ev.p.circ, baselines[0].Arch, ev.p.opt.Mapper)
+		n, err := maps.Counts(ev.prog, baselines[0].Arch, mopt)
 		if err != nil {
 			return 0, 0, 0, fmt.Errorf("search: mapping baseline: %w", err)
 		}
-		ev.baseGates = mres.GateCount
+		ev.baseGates = n.GateCount
 	}
-	mres, err := mapper.Map(ev.p.circ, st.Arch, ev.p.opt.Mapper)
+	n, err := maps.Counts(ev.prog, st.Arch, mopt)
 	if err != nil {
 		return 0, 0, 0, fmt.Errorf("search: mapping %s onto %s: %w", ev.p.circ.Name, st.Arch.Name, err)
 	}
-	return mres.GateCount, mres.Swaps, float64(ev.baseGates) / float64(mres.GateCount), nil
+	return n.GateCount, n.Swaps, float64(ev.baseGates) / float64(n.GateCount), nil
 }

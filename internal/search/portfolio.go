@@ -14,9 +14,9 @@ import (
 // unset.
 const DefaultLanes = 4
 
-// MaxLanes bounds the portfolio lane count. Every lane owns a problem,
-// an evaluator and its per-lane state, so the cost of a run grows with
-// its lanes; with the default temperatures, every even anneal lane from
+// MaxLanes bounds the portfolio lane count. Every lane owns an
+// evaluator and its per-lane state, so the cost of a run grows with its
+// lanes; with the default temperatures, every even anneal lane from
 // 12 on already runs the same clamped schedule, T0 = Tend.
 const MaxLanes = 64
 
@@ -196,7 +196,8 @@ func laneOptions(base Options, i, n int) Options {
 	return o
 }
 
-// laneRun couples a lane with the problem and evaluator it owns.
+// laneRun couples a lane with its view of the problem and the evaluator
+// it owns.
 type laneRun struct {
 	opt      Options
 	p        *Problem
@@ -205,27 +206,26 @@ type laneRun struct {
 	finished bool
 }
 
-// newLaneRun builds lane i of n over c: the lane's options, problem and
-// evaluator, then the strategy lane itself — restored from resume when
-// one is given, else fresh, with its memo pre-seeded from preSeed.
-// Restoring never re-runs seed promotion or frontier evaluation, so no
-// budget is re-spent; pre-seeding hands over evaluations that, under
-// common random numbers, this lane would reproduce bit for bit.
-func newLaneRun(ctx context.Context, c *circuit.Circuit, base Options, i, n int, cache *yield.NoiseCache,
+// newLaneRun builds lane i of n over the run's shared space: the lane's
+// options, its problem view (its own proposal counter) and evaluator,
+// then the strategy lane itself — restored from resume when one is
+// given, else fresh, with its memo pre-seeded from preSeed. Restoring
+// never re-runs seed promotion or frontier evaluation, so no budget is
+// re-spent; pre-seeding hands over evaluations that, under common random
+// numbers, this lane would reproduce bit for bit.
+func newLaneRun(ctx context.Context, sp *space, base Options, i, n int, cache *yield.NoiseCache,
 	progress func(Progress), preSeed map[string]*evaluated, resume *Checkpoint) (*laneRun, error) {
 	lopt := laneOptions(base, i, n)
 	if err := lopt.Validate(); err != nil {
 		return nil, err
 	}
-	p, err := newProblem(c, lopt)
-	if err != nil {
-		return nil, err
-	}
+	p := sp.problem(lopt)
 	ev := newEvaluator(p, cache)
 	// The Monte-Carlo tier inherits the signal, so a cancel lands within
 	// one trial chunk even mid-evaluation.
 	ev.sim.Ctx = ctx
 	lr := &laneRun{opt: lopt, p: p, ev: ev}
+	var err error
 	if resume != nil {
 		lc := &resume.Lanes[i]
 		if err := ev.restoreMemo(resume.Memo); err != nil {
@@ -276,12 +276,13 @@ type lanePlan struct {
 // RunPortfolio searches the design space of the decomposed program c
 // with pf.Lanes deterministic lanes advancing concurrently on the
 // shared worker pool, exchanging elites at fixed step barriers. Every
-// lane is a self-contained search loop — its own problem, evaluator and
-// estimator — but all lanes score under the same Monte-Carlo noise
-// matrices (common random numbers, the same Seed-derived simulator as
-// Run), which is what makes incumbents comparable across lanes and lets
-// an exchanged elite carry its evaluation along instead of being
-// re-scored. At each barrier the best lane incumbent (lane-order
+// lane is a self-contained search loop — its own options, proposal
+// counter, evaluator and estimator over the run's one set of base
+// layouts, seed allocations and analytic memo — and all lanes score
+// under the same Monte-Carlo noise matrices (common random numbers, the
+// same Seed-derived simulator as Run), which is what makes incumbents
+// comparable across lanes and lets an exchanged elite carry its
+// evaluation along instead of being re-scored. At each barrier the best lane incumbent (lane-order
 // tie-break on the better total order) is broadcast: receiving lanes
 // re-materialise it locally and adopt it only when it strictly improves
 // their position, so lane diversity survives ties. Exchange runs on the
@@ -333,10 +334,16 @@ func drive(ctx context.Context, c *circuit.Circuit, opt Options, cache *yield.No
 		}
 	}
 
+	// One problem space per run: every lane, fresh or resumed, shares
+	// the base layouts, seed allocations and analytic memo.
+	sp, err := newSpace(c, opt)
+	if err != nil {
+		return nil, err
+	}
 	lanes := make([]*laneRun, n)
 	errs := make([]error, n)
 	build := func(i int, preSeed map[string]*evaluated) {
-		lanes[i], errs[i] = newLaneRun(ctx, c, opt, i, n, cache, pl.laneProgress, preSeed, resume)
+		lanes[i], errs[i] = newLaneRun(ctx, sp, opt, i, n, cache, pl.laneProgress, preSeed, resume)
 	}
 	if resume != nil {
 		// Restored lanes are independent: all n fan out concurrently.

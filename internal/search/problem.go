@@ -34,9 +34,13 @@ type baseLayout struct {
 	seedAlloc, seedFive []float64
 }
 
-// Problem is the immutable description of one search instance.
-type Problem struct {
-	opt  Options
+// space is what every lane of one search run shares: the program, its
+// per-aux base layouts and frequency seeds, and the analytic memo. It is
+// built once per run from options all lanes agree on (Seed, Params,
+// Sigma, AuxCounts, Family) and never mutated afterwards; the memo's
+// slots fill atomically, so concurrent lanes and proposals read it
+// safely.
+type space struct {
 	circ *circuit.Circuit
 	// family is the effective topology family (square when the options
 	// name none); region is its frequency-interaction region policy.
@@ -46,55 +50,66 @@ type Problem struct {
 	auxCounts []int
 	bases     map[int]*baseLayout
 	// memo serves the analytic marginals at (opt.Params, opt.Sigma) to
-	// every state's scorer, concurrent proposals included; it lives as
-	// long as the lane.
+	// every state's scorer in every lane; it lives as long as the run.
 	memo *collision.Marginals
-	// proposals counts every candidate state constructed (and therefore
-	// scored by the analytic surrogate). Mutated only on the serial
-	// control path.
+}
+
+// Problem is one lane's view of a search instance: the run's shared
+// space under the lane's own options and proposal counter.
+type Problem struct {
+	*space
+	opt Options
+	// proposals counts every candidate state the lane constructed (and
+	// therefore scored by the analytic surrogate). Mutated only on the
+	// lane's serial control path.
 	proposals int
 }
 
-// newProblem builds the per-aux base layouts and frequency seeds.
-func newProblem(c *circuit.Circuit, opt Options) (*Problem, error) {
-	p := &Problem{opt: opt, circ: c, bases: map[int]*baseLayout{},
+// problem returns a lane's problem over the shared space.
+func (sp *space) problem(opt Options) *Problem { return &Problem{space: sp, opt: opt} }
+
+// newSpace builds the per-aux base layouts and frequency seeds.
+func newSpace(c *circuit.Circuit, opt Options) (*space, error) {
+	sp := &space{circ: c, bases: map[int]*baseLayout{},
 		memo: collision.NewMarginals(opt.Params, opt.Sigma)}
-	p.family = opt.Family
-	if p.family == nil {
-		p.family = topology.Square{}
+	sp.family = opt.Family
+	if sp.family == nil {
+		sp.family = topology.Square{}
 	}
-	p.region = freq.Region
-	if !topology.IsSquare(p.family) {
-		p.region = p.family.Region
+	sp.region = freq.Region
+	if !topology.IsSquare(sp.family) {
+		sp.region = sp.family.Region
 	}
 	flow := core.NewFlow(opt.Seed)
 	flow.Family = opt.Family
+	// The allocator mirrors the design flow's configuration
+	// (freq.NewAllocator defaults), so the aux-k=0 seed state is the same
+	// design the exhaustive series evaluates at k=0. Its seed allocations
+	// share one memo, as a series does.
+	al := freq.NewAllocator(opt.Seed)
+	al.Params = opt.Params
+	if !topology.IsSquare(sp.family) {
+		al.Region = sp.family.Region
+	}
+	alMemo := al.Memo()
 	for _, aux := range opt.AuxCounts {
-		if _, dup := p.bases[aux]; dup {
+		if _, dup := sp.bases[aux]; dup {
 			continue
 		}
 		base, _, err := flow.BaseLayout(c, aux)
 		if err != nil {
 			return nil, fmt.Errorf("search: aux=%d: %w", aux, err)
 		}
-		// The allocator mirrors the design flow's configuration
-		// (freq.NewAllocator defaults), so the aux-k=0 seed state is the
-		// same design the exhaustive series evaluates at k=0.
-		al := freq.NewAllocator(opt.Seed)
-		al.Params = opt.Params
-		if !topology.IsSquare(p.family) {
-			al.Region = p.family.Region
-		}
-		p.bases[aux] = &baseLayout{
+		sp.bases[aux] = &baseLayout{
 			aux:       aux,
 			arch:      base,
 			sites:     base.CandidateSites(),
-			seedAlloc: al.Allocate(base),
+			seedAlloc: al.AllocateWith(alMemo, base),
 			seedFive:  arch.FiveFreqScheme(base),
 		}
-		p.auxCounts = append(p.auxCounts, aux)
+		sp.auxCounts = append(sp.auxCounts, aux)
 	}
-	return p, nil
+	return sp, nil
 }
 
 // State is one point of the design space: an aux layout variant, a set of
@@ -326,13 +341,13 @@ func (p *Problem) repairState(st *State, seeds []int, keep map[int]bool) {
 	st.key = stateKey(st.topoKey, fr)
 }
 
-// adoptState re-materialises a state from another lane's problem inside
-// this one: same aux variant, bus sites and frequencies, but a fresh
-// architecture and incremental scorer owned by this problem — lanes
-// never share mutable state. The lanes of a portfolio build their base
-// layouts from the same Seed, so the reconstruction is exact (equal
-// canonical key) and cannot fail for a state that was legal in its home
-// lane.
+// adoptState re-materialises a state from another lane inside this
+// one: same aux variant, bus sites and frequencies, but a fresh
+// architecture and incremental scorer owned by this lane — lanes share
+// only the run's immutable space and its atomically filled memo, never
+// a state. Every lane builds on the same base layouts, so the
+// reconstruction is exact (equal canonical key) and cannot fail for a
+// state that was legal in its home lane.
 func (p *Problem) adoptState(st *State) (*State, error) {
 	next, err := p.newState(st.Aux, append([]arch.Site(nil), st.Sites...), st.Freqs())
 	if err != nil {

@@ -126,6 +126,13 @@ type Options struct {
 	// Compilation is pure — results are bit-identical with and without
 	// the cache; like Pool, it never enters a job fingerprint.
 	Kernels *collision.KernelCache
+	// Maps, when non-nil, is the shared SABRE result cache the
+	// performance metrics read through: baseline (1), the winner and,
+	// when PerfWeight > 0, every evaluated design, so a topology an
+	// earlier lane, job or sweep routed is not routed again. A hit returns
+	// exactly what mapper.Map would; like Kernels, it never enters a job
+	// fingerprint.
+	Maps *mapper.Cache
 	// FullEval disables the trial-survivor incremental Monte-Carlo
 	// estimator on the promotion path, running every evaluation from
 	// scratch. Results are bit-identical either way (the incremental

@@ -13,6 +13,15 @@ import (
 	"qproc/internal/yield"
 )
 
+// newProblem builds a one-lane problem over a space of its own.
+func newProblem(c *circuit.Circuit, opt Options) (*Problem, error) {
+	sp, err := newSpace(c, opt)
+	if err != nil {
+		return nil, err
+	}
+	return sp.problem(opt), nil
+}
+
 // testCircuit returns a small decomposed benchmark program.
 func testCircuit(t testing.TB) *circuit.Circuit {
 	t.Helper()

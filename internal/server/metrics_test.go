@@ -100,6 +100,7 @@ func TestStatsSchemaPinned(t *testing.T) {
 		Jobs          map[string]int `json:"jobs"`
 		NoiseCache    cacheStats     `json:"noise_cache"`
 		KernelCache   cacheStats     `json:"kernel_cache"`
+		MapCache      cacheStats     `json:"map_cache"`
 		Lanes         struct {
 			Live int64 `json:"live"`
 			Done int64 `json:"done"`
@@ -146,6 +147,11 @@ func TestStatsSchemaPinned(t *testing.T) {
 	}
 	if got.Metrics.LimitBytes != 1<<20 || got.Metrics.MaxAgeSec != 3600 {
 		t.Fatalf("retention bounds not reported: %+v", got.Metrics)
+	}
+	// The search routed baseline (1) and its winner through the bounded
+	// SABRE result cache.
+	if got.MapCache.Misses == 0 || got.MapCache.Entries == 0 || got.MapCache.LimitBytes == 0 {
+		t.Fatalf("map_cache empty or unbounded after a done search: %+v", got.MapCache)
 	}
 }
 

@@ -1034,6 +1034,7 @@ type statsView struct {
 	Jobs          map[string]int `json:"jobs"`
 	NoiseCache    cacheView      `json:"noise_cache"`
 	KernelCache   cacheView      `json:"kernel_cache"`
+	MapCache      cacheView      `json:"map_cache"`
 	Lanes         lanesView      `json:"lanes"`
 	Workers       workersView    `json:"workers"`
 	Store         *storeView     `json:"store,omitempty"`
@@ -1052,8 +1053,8 @@ type counterView struct {
 // configured — the bound and how many entries it has evicted. For noise
 // matrices, which live as long as the job that draws them, the counters
 // sum over every job, the entries and bytes are what running jobs hold,
-// and the bound applies to each job; compiled kernels are one cache
-// shared by all jobs.
+// and the bound applies to each job; compiled kernels and SABRE results
+// are each one cache shared by all jobs.
 type cacheView struct {
 	counterView
 	Entries    int    `json:"entries"`
@@ -1106,6 +1107,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		},
 		NoiseCache:  newCacheView(s.cfg.Runner.NoiseCacheSnapshot()),
 		KernelCache: newCacheView(s.cfg.Runner.KernelCache().Snapshot()),
+		MapCache:    newCacheView(s.cfg.Runner.MapCache().Snapshot()),
 		Lanes:       lanesView{Live: live, Done: done},
 		Workers:     workersView{Size: pool.Size(), InUse: pool.InUse()},
 	}
