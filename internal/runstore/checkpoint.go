@@ -23,8 +23,9 @@ type checkpointFile struct {
 
 // checkpointPath is the sidecar file inside a run directory holding the
 // job's latest resumable checkpoint. It lives next to (and is deleted
-// with) the run it belongs to, but is never indexed: checkpoints are
-// scratch state for one in-flight job, not content-addressed results.
+// with) the run it belongs to, but is never listed as a run (it has no
+// entry file): checkpoints are scratch state for one in-flight job, not
+// content-addressed results.
 func (s *Store) checkpointPath(key string) string {
 	return filepath.Join(s.runDir(key), "checkpoint.json")
 }

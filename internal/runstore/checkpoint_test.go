@@ -109,9 +109,6 @@ func TestCheckpointNotIndexed(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatalf("checkpoint added %d index entries", s.Len())
 	}
-	if err := os.Remove(s.indexPath()); err != nil {
-		t.Fatal(err)
-	}
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)

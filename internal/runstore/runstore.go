@@ -8,10 +8,12 @@
 //
 // Layout under the store root:
 //
-//	index.json              — cached key → entry map (rebuildable)
-//	runs/<key>/entry.json   — the entry, authoritative per run
+//	runs/<key>/entry.json   — the entry: kind, summary, digest, size
 //	runs/<key>/outcome.json — the payload
 //
+// The run directories are the store's only index: the in-memory map
+// caches their entry files, and a Put writes nothing outside its own
+// runs/<key>/, so its cost does not grow with the number of stored runs.
 // Every write is atomic (temp file + rename in the same directory), so a
 // crashed run never leaves a half-written payload behind a valid key.
 // Reads verify the payload's SHA-256 against the entry; a corrupted or
@@ -58,34 +60,23 @@ type Entry struct {
 type Store struct {
 	root string
 
-	mu    sync.Mutex
-	index map[string]Entry
+	mu sync.Mutex
+	// entries caches the entry files under runs/, by key.
+	entries map[string]Entry
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
 
-// index.json carries a format version so future layout changes can
-// migrate or discard cleanly.
-const indexVersion = 1
-
-type indexFile struct {
-	Version int              `json:"version"`
-	Entries map[string]Entry `json:"entries"`
-}
-
-// Open creates (if needed) and loads the store at dir. A missing or
-// corrupt index.json is rebuilt from the per-run entry files, so losing
-// the index never loses the runs.
+// Open creates (if needed) the store at dir and reads the entry file of
+// every stored run.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "runs"), 0o755); err != nil {
 		return nil, fmt.Errorf("runstore: %w", err)
 	}
-	s := &Store{root: dir, index: map[string]Entry{}}
-	if err := s.loadIndex(); err != nil {
-		if err := s.rebuildIndex(); err != nil {
-			return nil, err
-		}
+	s := &Store{root: dir}
+	if err := s.scanLocked(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -93,102 +84,62 @@ func Open(dir string) (*Store, error) {
 // Root returns the store's directory.
 func (s *Store) Root() string { return s.root }
 
-func (s *Store) indexPath() string        { return filepath.Join(s.root, "index.json") }
 func (s *Store) runDir(key string) string { return filepath.Join(s.root, "runs", key) }
 
-func (s *Store) loadIndex() error {
-	entries, err := readIndexFile(s.indexPath())
-	if err != nil {
-		return err
-	}
-	s.index = entries
-	return nil
-}
-
-func readIndexFile(path string) (map[string]Entry, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var f indexFile
-	if err := json.Unmarshal(raw, &f); err != nil {
-		return nil, err
-	}
-	if f.Version != indexVersion {
-		return nil, fmt.Errorf("runstore: index version %d (want %d)", f.Version, indexVersion)
-	}
-	if f.Entries == nil {
-		f.Entries = map[string]Entry{}
-	}
-	return f.Entries, nil
-}
-
-// rebuildIndex reconstructs the index from the per-run entry files,
-// skipping unreadable ones (their payloads are re-verified on Get
-// anyway).
-func (s *Store) rebuildIndex() error {
+// scanLocked lists runs/ and makes the map match it: a directory the map
+// already holds keeps its entry, any other has its entry file read, and a
+// key whose directory is gone is dropped. Directories without a readable
+// entry (checkpoint-only or corrupt ones) are skipped; their payloads
+// would fail verification on Get anyway. Callers hold s.mu (or own the
+// store exclusively, as in Open).
+func (s *Store) scanLocked() error {
 	dirs, err := os.ReadDir(filepath.Join(s.root, "runs"))
 	if err != nil {
 		return fmt.Errorf("runstore: %w", err)
 	}
-	s.index = map[string]Entry{}
+	entries := make(map[string]Entry, len(dirs))
 	for _, d := range dirs {
-		if !d.IsDir() {
-			continue
-		}
-		if e, err := readEntry(filepath.Join(s.root, "runs", d.Name(), "entry.json")); err == nil && e.Key == d.Name() {
-			s.index[e.Key] = e
+		if e, ok := s.entries[d.Name()]; ok {
+			entries[e.Key] = e
+		} else if e, ok := s.readEntry(d.Name()); ok {
+			entries[e.Key] = e
 		}
 	}
-	return s.saveIndexLocked()
+	s.entries = entries
+	return nil
 }
 
-func readEntry(path string) (Entry, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return Entry{}, err
+// readEntry reads key's entry file; ok is false when it is missing,
+// unreadable or names another key.
+func (s *Store) readEntry(key string) (e Entry, ok bool) {
+	raw, err := os.ReadFile(filepath.Join(s.runDir(key), "entry.json"))
+	if err != nil || json.Unmarshal(raw, &e) != nil || e.Key != key {
+		return Entry{}, false
 	}
-	var e Entry
-	if err := json.Unmarshal(raw, &e); err != nil {
-		return Entry{}, err
-	}
-	return e, nil
+	return e, true
 }
 
-// saveIndexLocked atomically rewrites index.json, first adopting any
-// entries another process sharing the directory has added since this
-// store loaded the index (ours win on conflict) — so a CLI and a server
-// writing the same store do not clobber each other's listings. exclude
-// names keys being evicted right now, which must not be re-adopted.
-// Callers hold s.mu (or own the store exclusively, as in Open).
-func (s *Store) saveIndexLocked(exclude ...string) error {
-	if disk, err := readIndexFile(s.indexPath()); err == nil {
-		for k, e := range disk {
-			if _, ours := s.index[k]; ours {
-				continue
-			}
-			skip := false
-			for _, x := range exclude {
-				if k == x {
-					skip = true
-					break
-				}
-			}
-			if !skip {
-				s.index[k] = e
-			}
-		}
+// lookup returns key's entry from the map or, on a miss, from its entry
+// file, which another process sharing the directory may have written.
+func (s *Store) lookup(key string) (Entry, bool) {
+	s.mu.Lock()
+	e, ok := s.entries[key]
+	s.mu.Unlock()
+	if ok {
+		return e, true
 	}
-	raw, err := json.MarshalIndent(indexFile{Version: indexVersion, Entries: s.index}, "", "  ")
-	if err != nil {
-		return err
+	if e, ok = s.readEntry(key); ok {
+		s.mu.Lock()
+		s.entries[key] = e
+		s.mu.Unlock()
 	}
-	return metrics.AtomicWrite(s.indexPath(), raw)
+	return e, ok
 }
 
 // Put stores payload under key, atomically: the payload lands first,
-// then the entry file, then the index. Re-putting an existing key
-// overwrites it (the content address makes that a no-op in practice).
+// then the entry file, both inside runs/<key>/. Re-putting an existing
+// key overwrites it (the content address makes that a no-op in
+// practice).
 func (s *Store) Put(key, kind, summary string, payload []byte) (Entry, error) {
 	if err := validKey(key); err != nil {
 		return Entry{}, err
@@ -220,18 +171,15 @@ func (s *Store) Put(key, kind, summary string, payload []byte) (Entry, error) {
 		return Entry{}, fmt.Errorf("runstore: writing entry: %w", err)
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.index[key] = e
-	if err := s.saveIndexLocked(); err != nil {
-		return Entry{}, fmt.Errorf("runstore: writing index: %w", err)
-	}
+	s.entries[key] = e
+	s.mu.Unlock()
 	return e, nil
 }
 
 // Get returns the stored payload for key, or (nil, nil, nil) on a miss.
 // The payload digest is verified first; a corrupted or truncated entry
 // is evicted and counted as a miss. An entry present on disk but absent
-// from the in-memory index (written by another process sharing the
+// from the in-memory map (written by another process sharing the
 // directory) is adopted.
 func (s *Store) Get(key string) ([]byte, *Entry, error) { return s.get(key, true) }
 
@@ -248,40 +196,21 @@ func (s *Store) get(key string, count bool) ([]byte, *Entry, error) {
 	if err := faultinject.Check(faultinject.SiteStoreGet); err != nil {
 		return nil, nil, fmt.Errorf("runstore: %w", err)
 	}
-	miss := func() ([]byte, *Entry, error) {
-		if count {
-			s.misses.Add(1)
+	if e, ok := s.lookup(key); ok {
+		payload, err := os.ReadFile(filepath.Join(s.runDir(key), "outcome.json"))
+		sum := sha256.Sum256(payload)
+		if err == nil && hex.EncodeToString(sum[:]) == e.SHA256 && int64(len(payload)) == e.Size {
+			if count {
+				s.hits.Add(1)
+			}
+			return payload, &e, nil
 		}
-		return nil, nil, nil
-	}
-	s.mu.Lock()
-	e, ok := s.index[key]
-	s.mu.Unlock()
-	if !ok {
-		// Another process may have finished this run: the per-run entry
-		// file is authoritative.
-		var err error
-		if e, err = readEntry(filepath.Join(s.runDir(key), "entry.json")); err != nil || e.Key != key {
-			return miss()
-		}
-		s.mu.Lock()
-		s.index[key] = e
-		s.mu.Unlock()
-	}
-	payload, err := os.ReadFile(filepath.Join(s.runDir(key), "outcome.json"))
-	if err != nil {
 		s.evict(key)
-		return miss()
-	}
-	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != e.SHA256 || int64(len(payload)) != e.Size {
-		s.evict(key)
-		return miss()
 	}
 	if count {
-		s.hits.Add(1)
+		s.misses.Add(1)
 	}
-	return payload, &e, nil
+	return nil, nil, nil
 }
 
 // Has reports whether key is present in the store, adopting an entry
@@ -293,20 +222,8 @@ func (s *Store) Has(key string) bool {
 	if err := validKey(key); err != nil {
 		return false
 	}
-	s.mu.Lock()
-	_, ok := s.index[key]
-	s.mu.Unlock()
-	if ok {
-		return true
-	}
-	e, err := readEntry(filepath.Join(s.runDir(key), "entry.json"))
-	if err != nil || e.Key != key {
-		return false
-	}
-	s.mu.Lock()
-	s.index[key] = e
-	s.mu.Unlock()
-	return true
+	_, ok := s.lookup(key)
+	return ok
 }
 
 // Discard evicts key, for callers that find a verified payload
@@ -319,37 +236,37 @@ func (s *Store) Discard(key string) error {
 	return nil
 }
 
-// evict drops key from the index and removes its run directory.
+// evict drops key from the map and removes its run directory.
 func (s *Store) evict(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.index[key]; ok {
-		delete(s.index, key)
-		// Best-effort: a failed index write leaves the entry to be
-		// re-adopted and re-verified on the next Get.
-		_ = s.saveIndexLocked(key)
-	}
+	delete(s.entries, key)
 	_ = os.RemoveAll(s.runDir(key))
 }
 
 // Entries lists the stored runs sorted by key — a deterministic order,
 // so scans (e.g. warm-start selection) do not depend on map iteration.
+// It lists runs/ first, so it follows the runs another process sharing
+// the directory has stored or evicted; if runs/ cannot be listed, it
+// lists the runs this store already knows.
 func (s *Store) Entries() []Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Entry, 0, len(s.index))
-	for _, e := range s.index {
+	_ = s.scanLocked()
+	out := make([]Entry, 0, len(s.entries))
+	for _, e := range s.entries {
 		out = append(out, e)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
 
-// Len returns the number of stored runs.
+// Len returns the number of stored runs this store knows; unlike
+// Entries, it does not list runs/.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.index)
+	return len(s.entries)
 }
 
 // Stats reports how many Gets were served from the store (hits) and how

@@ -1,8 +1,11 @@
 package runstore
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -136,9 +139,11 @@ func TestCorruptedEntryRecovery(t *testing.T) {
 	}
 }
 
-// TestIndexRebuild: deleting index.json loses nothing — Open rebuilds it
-// from the per-run entry files.
-func TestIndexRebuild(t *testing.T) {
+// TestStaleIndexFileIgnored: the run directories are the only index. An
+// index.json left by an older layout, listing a ghost run and leaving
+// out a real one, changes nothing: Open lists exactly the real run and
+// leaves the file as it found it.
+func TestStaleIndexFileIgnored(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
@@ -149,7 +154,10 @@ func TestIndexRebuild(t *testing.T) {
 	if _, err := s.Put(key, "search", "sym6_145 anneal", payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, "index.json")); err != nil {
+	ghost, _ := HashJSON("ghost")
+	stale := []byte(`{"version":1,"entries":{"` + ghost + `":{"key":"` + ghost +
+		`","kind":"sweep","sha256":"` + ghost + `","size":2}}}`)
+	if err := os.WriteFile(filepath.Join(dir, "index.json"), stale, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -157,12 +165,55 @@ func TestIndexRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if n := s2.Len(); n != 1 {
+		t.Fatalf("reopened store holds %d runs, want 1", n)
+	}
+	if es := s2.Entries(); len(es) != 1 || es[0].Key != key {
+		t.Fatalf("entries = %+v, want only %s", es, key)
+	}
 	got, e, err := s2.Get(key)
 	if err != nil || string(got) != string(payload) {
-		t.Fatalf("rebuilt store lost the run: %q, %v", got, err)
+		t.Fatalf("reopened store lost the run: %q, %v", got, err)
 	}
 	if e.Kind != "search" || e.Summary != "sym6_145 anneal" {
-		t.Fatalf("rebuilt entry %+v", e)
+		t.Fatalf("reopened entry %+v", e)
+	}
+	if got, ge, err := s2.Get(ghost); err != nil || got != nil || ge != nil {
+		t.Fatalf("ghost run served: %q, %+v, %v", got, ge, err)
+	}
+	if raw, err := os.ReadFile(filepath.Join(dir, "index.json")); err != nil || string(raw) != string(stale) {
+		t.Fatalf("stale index.json touched: %q, %v", raw, err)
+	}
+}
+
+// TestPutWritesOnlyItsRunDir: a Put touches nothing but runs/<key>/, so
+// its cost does not depend on how many runs the store holds.
+func TestPutWritesOnlyItsRunDir(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, _ := HashJSON("only")
+	if _, err := s.Put(key, "sweep", "", []byte("{}")); err != nil {
+		t.Fatal(err)
+	}
+	for sub, want := range map[string][]string{
+		dir:                        {"runs"},
+		filepath.Join(dir, "runs"): {key},
+		s.runDir(key):              {"entry.json", "outcome.json"},
+	} {
+		des, err := os.ReadDir(sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, d := range des {
+			names = append(names, d.Name())
+		}
+		if !slices.Equal(names, want) {
+			t.Errorf("%s holds %q, want %q", sub, names, want)
+		}
 	}
 }
 
@@ -283,6 +334,66 @@ func TestIndexMergeAcrossProcesses(t *testing.T) {
 	}
 }
 
+// TestEntriesDropsRunsEvictedElsewhere: Entries lists the directory, so a
+// run another store over it evicted leaves this store's listing too.
+func TestEntriesDropsRunsEvictedElsewhere(t *testing.T) {
+	dir := t.TempDir()
+	a, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, _ := HashJSON("gone")
+	if _, err := a.Put(key, "sweep", "", []byte("{}")); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(b.Entries()); n != 1 {
+		t.Fatalf("second store lists %d entries, want 1", n)
+	}
+	if err := a.Discard(key); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(b.Entries()); n != 0 || b.Len() != 0 || b.Has(key) {
+		t.Fatalf("second store still lists the evicted run: %d entries, len %d", n, b.Len())
+	}
+}
+
+// TestConcurrentPutsListed: Puts racing Entries, Has and Get lose no
+// run — once every Put has returned, Entries and Len list all of them.
+func TestConcurrentPutsListed(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 16
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		key, _ := HashJSON(i)
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			if _, err := s.Put(key, "sweep", "", []byte("{}")); err != nil {
+				t.Error(err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			s.Entries()
+			s.Has(key)
+			if _, _, err := s.Get(key); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if es := s.Entries(); len(es) != n || s.Len() != n {
+		t.Fatalf("entries = %d, len = %d, want %d", len(es), s.Len(), n)
+	}
+}
+
 // TestHashJSONLargeInts: canonicalisation keeps integer precision above
 // 2^53 — two adjacent huge seeds must not collide to one address.
 func TestHashJSONLargeInts(t *testing.T) {
@@ -296,5 +407,52 @@ func TestHashJSONLargeInts(t *testing.T) {
 	}
 	if h1 == h2 {
 		t.Fatal("adjacent int64 seeds beyond 2^53 collided")
+	}
+}
+
+// fillStore opens a store at dir holding n runs of 4 KiB each.
+func fillStore(b *testing.B, dir string, n int) *Store {
+	s, err := Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := make([]byte, 4<<10)
+	for i := 0; i < n; i++ {
+		key, _ := HashJSON(i)
+		if _, err := s.Put(key, "sweep", "bench", payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return s
+}
+
+// BenchmarkPut stores one more run into a store that already holds
+// some: the cost a job pays to persist its outcome.
+func BenchmarkPut(b *testing.B) {
+	for _, n := range []int{0, 400} {
+		b.Run(fmt.Sprintf("stored=%d", n), func(b *testing.B) {
+			s := fillStore(b, b.TempDir(), n)
+			key, _ := HashJSON("extra")
+			payload := make([]byte, 4<<10)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Put(key, "sweep", "bench", payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkOpen opens a store of 1000 runs: the cost a restarted server
+// or CLI pays before its first lookup.
+func BenchmarkOpen(b *testing.B) {
+	dir := b.TempDir()
+	fillStore(b, dir, 1000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Open(dir); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -35,7 +35,7 @@ type evaluator struct {
 	// default — consecutive promotions that only move frequencies, the
 	// common case on an annealing trajectory, re-check only the
 	// conditions around the moved qubits — or the one-shot batch
-	// estimator under FullEval. Both return the same bits for the same
+	// estimator under fullEval. Both return the same bits for the same
 	// assignment, so the evaluator's results do not depend on which
 	// promotions happened to share a topology.
 	est yield.Estimator
@@ -78,7 +78,7 @@ func newEvaluator(p *Problem, cache *yield.NoiseCache) *evaluator {
 	sim.Cache = cache
 	sim.Kernels = p.opt.Kernels
 	var est yield.Estimator = &yield.IncrementalEstimator{Sim: sim}
-	if p.opt.FullEval {
+	if p.opt.fullEval {
 		est = yield.BatchEstimator{Sim: sim}
 	}
 	return &evaluator{p: p, sim: sim, est: est,
@@ -103,7 +103,7 @@ func (ev *evaluator) mcYield(st *State) float64 {
 
 // condStats reports the cumulative Monte-Carlo condition-bundle
 // evaluations performed and skipped across all trial states so far;
-// zeros when the estimator keeps no such state (FullEval).
+// zeros when the estimator keeps no such state (fullEval).
 func (ev *evaluator) condStats() (checked, skipped uint64) {
 	if inc, ok := ev.est.(*yield.IncrementalEstimator); ok {
 		return inc.Stats()

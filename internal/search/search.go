@@ -133,13 +133,6 @@ type Options struct {
 	// exactly what mapper.Map would; like Kernels, it never enters a job
 	// fingerprint.
 	Maps *mapper.Cache
-	// FullEval disables the trial-survivor incremental Monte-Carlo
-	// estimator on the promotion path, running every evaluation from
-	// scratch. Results are bit-identical either way (the incremental
-	// estimator's contract); the switch exists for differential tests and
-	// for near-zero-yield workloads where the one-shot loop's
-	// first-failure early exit wins.
-	FullEval bool
 	// WarmStart optionally seeds the search from a known-good region of
 	// the space — typically the best point of a prior exhaustive sweep.
 	// Nil starts cold.
@@ -163,6 +156,12 @@ type Options struct {
 	// simulated fabrications (common random numbers), which is what
 	// makes elites comparable — and transferable — across lanes.
 	rngSeed int64
+	// fullEval scores every promotion with the one-shot batch estimator
+	// instead of the trial-survivor incremental one. Results are
+	// bit-identical either way (the incremental estimator's contract);
+	// the switch is the reference side of the search-level differential
+	// test.
+	fullEval bool
 }
 
 // controlSeed is the seed of the annealing control RNG.

@@ -125,7 +125,7 @@ func TestSearchIncrementalMatchesFullEval(t *testing.T) {
 		t.Run(string(strategy), func(t *testing.T) {
 			inc := testOptions(strategy)
 			full := testOptions(strategy)
-			full.FullEval = true
+			full.fullEval = true
 
 			ires, err := Run(context.Background(), c, inc, yield.NewNoiseCache(), nil)
 			if err != nil {

@@ -186,6 +186,18 @@ type job struct {
 	wake chan struct{}
 }
 
+// queuedJob gives j, which carries the work and its history, what every
+// queued job starts with — submitted, retried or restored after a
+// restart: the queued status, a fresh cancellable context, and the done
+// and wake channels its streamers block on.
+func queuedJob(j *job) *job {
+	j.ctx, j.cancel = context.WithCancel(context.Background())
+	j.status = statusQueued
+	j.done = make(chan struct{})
+	j.wake = make(chan struct{})
+	return j
+}
+
 // appendEventLocked appends a progress event and wakes blocked
 // streamers. Callers hold j.mu.
 func (j *job) appendEventLocked(e experiments.Event) {
@@ -309,24 +321,18 @@ func (s *Server) requeueRestoredLocked(rec runstore.JobRecord) bool {
 	if err != nil || key != rec.ID {
 		return false
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{
+	j := queuedJob(&job{
 		id:           rec.ID,
 		kind:         rec.Kind,
 		summary:      rec.Summary,
 		spec:         append(json.RawMessage(nil), rec.Spec...),
 		resolvedSpec: append(json.RawMessage(nil), rec.ResolvedSpec...),
 		parsed:       parsed,
-		ctx:          ctx,
-		cancel:       cancel,
-		status:       statusQueued,
 		attempts:     attempts,
 		submitted:    rec.Submitted,
-		done:         make(chan struct{}),
-		wake:         make(chan struct{}),
 		events: []experiments.Event{{
 			Message: "job interrupted by server restart; resuming from checkpoint if present"}},
-	}
+	})
 	s.journalAppendLocked(j)
 	s.queue = append(s.queue, j)
 	s.jobs[j.id] = j
@@ -595,23 +601,17 @@ func (s *Server) requeue(prev *job) {
 		return
 	}
 	prev.mu.Lock()
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{
+	j := queuedJob(&job{
 		id:           prev.id,
 		kind:         prev.kind,
 		summary:      prev.summary,
 		spec:         prev.spec,
 		resolvedSpec: prev.resolvedSpec,
 		parsed:       prev.parsed,
-		ctx:          ctx,
-		cancel:       cancel,
-		status:       statusQueued,
 		attempts:     prev.attempts,
 		submitted:    prev.submitted,
 		events:       append([]experiments.Event(nil), prev.events...),
-		done:         make(chan struct{}),
-		wake:         make(chan struct{}),
-	}
+	})
 	prev.mu.Unlock()
 	j.events = append(j.events, experiments.Event{Message: "requeued after failure"})
 	s.journalAppendLocked(j)
@@ -821,21 +821,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			s.cfg.Retry.RetryAfter())
 		return
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{
+	j := queuedJob(&job{
 		id:           key,
 		kind:         parsed.Kind(),
 		summary:      parsed.Normalize(s.cfg.Runner.Options()).Summary(),
 		spec:         append(json.RawMessage(nil), req.Spec...),
 		resolvedSpec: resolvedSpec,
 		parsed:       parsed,
-		ctx:          ctx,
-		cancel:       cancel,
-		status:       statusQueued,
 		submitted:    time.Now().UTC(),
-		done:         make(chan struct{}),
-		wake:         make(chan struct{}),
-	}
+	})
 	// Journaled before an executor can see it (the queue append and the
 	// executor's pop both happen under s.mu), so the "running" record
 	// can never overtake the "queued" one.
@@ -858,7 +852,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // whose outcome the run store can no longer produce (pruned, evicted
 // or missing): its result endpoint can only ever 404, so a resubmission
 // must replace and recompute it instead of deduping onto a dead record.
-// The probe is an index-existence check (Store.Has), not a payload
+// The probe is an entry-existence check (Store.Has), not a payload
 // read — the common resubmit-after-restart case costs a map lookup, so
 // holding s.mu across it is fine. An entry that exists but fails
 // verification is evicted by the result fetch, after which this probe
