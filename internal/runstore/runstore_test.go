@@ -426,8 +426,8 @@ func fillStore(b *testing.B, dir string, n int) *Store {
 	return s
 }
 
-// BenchmarkPut stores one more run into a store that already holds
-// some: the cost a job pays to persist its outcome.
+// BenchmarkPut stores one run, under the same key each iteration, into
+// a store holding n others: the cost a job pays to persist its outcome.
 func BenchmarkPut(b *testing.B) {
 	for _, n := range []int{0, 400} {
 		b.Run(fmt.Sprintf("stored=%d", n), func(b *testing.B) {
