@@ -27,10 +27,6 @@
 //
 // Series names follow the convention "job:<key>/<metric>" for per-job
 // progress metrics.
-//
-// The companion EventLog type (eventlog.go) is the keyed, fold-on-open
-// variant of a series for JSON lifecycle records; runstore.Journal is a
-// thin view over it.
 package metrics
 
 import (

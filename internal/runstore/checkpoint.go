@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 
 	"qproc/internal/faultinject"
-	"qproc/internal/metrics"
 )
 
 // checkpointFile wraps a search checkpoint with its own digest so a
@@ -52,7 +51,7 @@ func (s *Store) PutCheckpoint(key string, data []byte) error {
 	if err := os.MkdirAll(s.runDir(key), 0o755); err != nil {
 		return fmt.Errorf("runstore: checkpoint: %w", err)
 	}
-	if err := metrics.AtomicWrite(s.checkpointPath(key), raw); err != nil {
+	if err := atomicWrite(s.checkpointPath(key), raw); err != nil {
 		return fmt.Errorf("runstore: checkpoint: %w", err)
 	}
 	return nil

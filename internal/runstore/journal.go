@@ -1,12 +1,14 @@
 package runstore
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
+	"os"
+	"sync"
 	"time"
 
 	"qproc/internal/faultinject"
-	"qproc/internal/metrics"
 )
 
 // JobRecord is one line of the job-metadata journal: the compact,
@@ -17,7 +19,7 @@ type JobRecord struct {
 	// ID is the job's content address (= the run-store key its outcome
 	// is filed under).
 	ID string `json:"id"`
-	// Kind is the job type ("sweep", "search").
+	// Kind is the job type ("sweep", "search", "portfolio").
 	Kind string `json:"kind"`
 	// Summary is a human-readable one-liner for listings.
 	Summary string `json:"summary,omitempty"`
@@ -56,19 +58,21 @@ func terminalRecordStatus(st string) bool {
 	return false
 }
 
-// Journal is the job-lifecycle view over a metrics.EventLog series:
-// each lifecycle transition appends one full JobRecord as a keyed
-// event, and the event layer owns the storage semantics — NDJSON lines,
-// last-record-per-ID fold in first-submission order, compaction on
-// open, torn-tail tolerance, and retention (the -retain bound maps onto
-// the log's fold retention, which never evicts in-flight records). The
-// file lives next to the run store as jobs.ndjson, unchanged across the
-// refactor: outcomes are content-addressed in the store, metadata here.
-// A Journal is safe for concurrent use.
+// Journal is the job-metadata journal: an append-only NDJSON file next
+// to the run store (jobs.ndjson) where each lifecycle transition appends
+// one full JobRecord, and the last record per ID is the job's state.
+// Outcomes are content-addressed in the store, metadata lives here. On
+// open the file is folded to that last record per ID in first-submission
+// order, pruned to the retention bound and rewritten compacted, so its
+// size tracks distinct jobs, not appends. A Journal is safe for
+// concurrent use.
 type Journal struct {
+	path     string
 	fsync    bool
-	log      *metrics.EventLog
 	restored []JobRecord
+
+	mu sync.Mutex
+	f  *os.File // nil once closed
 }
 
 // JournalOption configures OpenJournal.
@@ -83,8 +87,9 @@ func WithFsync(on bool) JournalOption {
 }
 
 // OpenJournal opens (creating if needed) the journal at path, replays
-// and folds its records, and rewrites it compacted. The folded records
-// are available from Restored.
+// and folds its records, and rewrites it compacted: each surviving line
+// keeps the bytes it was appended as. The folded records are available
+// from Restored.
 //
 // retain bounds the records kept across the compaction, mirroring a
 // server's in-memory retention: when the fold exceeds it, the oldest
@@ -92,40 +97,84 @@ func WithFsync(on bool) JournalOption {
 // queued or running (lost work a restart must surface) are always kept.
 // retain <= 0 keeps everything.
 func OpenJournal(path string, retain int, opts ...JournalOption) (*Journal, error) {
-	j := &Journal{}
+	j := &Journal{path: path}
 	for _, o := range opts {
 		o(j)
 	}
-	log, err := metrics.OpenEventLog(path, metrics.EventLogConfig{
-		Key: func(line []byte) string {
-			var rec JobRecord
-			if json.Unmarshal(line, &rec) != nil {
-				return ""
-			}
-			return rec.ID
-		},
-		Evictable: func(line []byte) bool {
-			var rec JobRecord
-			if json.Unmarshal(line, &rec) != nil {
-				return true
-			}
-			return terminalRecordStatus(rec.Status)
-		},
-		Retain: retain,
-		Fsync:  j.fsync,
-	})
+	lines, err := replayJournal(path)
 	if err != nil {
 		return nil, fmt.Errorf("runstore: journal: %w", err)
 	}
-	j.log = log
-	for _, line := range log.Restored() {
-		var rec JobRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			continue // unreachable: the fold only kept keyable lines
-		}
-		j.restored = append(j.restored, rec)
+	var buf []byte
+	for _, l := range pruneJournal(lines, retain) {
+		j.restored = append(j.restored, l.rec)
+		buf = append(append(buf, l.raw...), '\n')
+	}
+	if err := atomicWrite(path, buf); err != nil {
+		return nil, fmt.Errorf("runstore: journal: %w", err)
+	}
+	if j.f, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+		return nil, fmt.Errorf("runstore: journal: %w", err)
 	}
 	return j, nil
+}
+
+// journalLine is one folded record and the line it was decoded from.
+type journalLine struct {
+	rec JobRecord
+	raw []byte
+}
+
+// replayJournal reads the file and folds it to the last record per ID,
+// in first-submission order. A missing file is an empty journal. A line
+// that does not decode to a record with an ID — a torn tail from a crash
+// mid-append, a foreign line — is skipped, never fatal, so a torn tail
+// costs at most the one record that was mid-write.
+func replayJournal(path string) ([]journalLine, error) {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	byID := map[string]int{}
+	var lines []journalLine
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	for sc.Scan() {
+		var rec JobRecord
+		if json.Unmarshal(sc.Bytes(), &rec) != nil || rec.ID == "" {
+			continue
+		}
+		l := journalLine{rec: rec, raw: append([]byte(nil), sc.Bytes()...)}
+		if i, ok := byID[rec.ID]; ok {
+			lines[i] = l
+			continue
+		}
+		byID[rec.ID] = len(lines)
+		lines = append(lines, l)
+	}
+	return lines, sc.Err()
+}
+
+// pruneJournal drops the oldest terminal records beyond retain,
+// preserving order; in-flight records always survive.
+func pruneJournal(lines []journalLine, retain int) []journalLine {
+	drop := len(lines) - retain
+	if retain <= 0 || drop <= 0 {
+		return lines
+	}
+	kept := lines[:0]
+	for _, l := range lines {
+		if drop > 0 && terminalRecordStatus(l.rec.Status) {
+			drop--
+			continue
+		}
+		kept = append(kept, l)
+	}
+	return kept
 }
 
 // Restored returns the folded records that were on disk when the
@@ -134,7 +183,7 @@ func OpenJournal(path string, retain int, opts ...JournalOption) (*Journal, erro
 func (j *Journal) Restored() []JobRecord { return j.restored }
 
 // Path returns the journal's file path.
-func (j *Journal) Path() string { return j.log.Path() }
+func (j *Journal) Path() string { return j.path }
 
 // Append writes one record as a single NDJSON line. Without WithFsync,
 // appends are buffered by the OS only — metadata loss on a crash is
@@ -149,11 +198,31 @@ func (j *Journal) Append(rec JobRecord) error {
 	if err != nil {
 		return fmt.Errorf("runstore: journal: %w", err)
 	}
-	if err := j.log.Append(line); err != nil {
+	line = append(line, '\n')
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.f == nil {
+		return fmt.Errorf("runstore: journal: closed")
+	}
+	if _, err := j.f.Write(line); err != nil {
 		return fmt.Errorf("runstore: journal: %w", err)
+	}
+	if j.fsync {
+		if err := j.f.Sync(); err != nil {
+			return fmt.Errorf("runstore: journal: %w", err)
+		}
 	}
 	return nil
 }
 
 // Close flushes and closes the journal file. Appends after Close fail.
-func (j *Journal) Close() error { return j.log.Close() }
+func (j *Journal) Close() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.f == nil {
+		return nil
+	}
+	err := j.f.Close()
+	j.f = nil
+	return err
+}

@@ -144,11 +144,10 @@ func TestJournalRetentionPropertyShuffled(t *testing.T) {
 	}
 }
 
-// TestJournalDifferentialMatchesLegacy pins the journal-on-metrics
-// refactor behaviour-identical: on the same lifecycle event sequence,
-// the restored job listing deep-equals the legacy fold and the
-// compacted on-disk file is byte-equal to what the pre-refactor journal
-// wrote.
+// TestJournalDifferentialMatchesLegacy holds the journal to the legacy
+// reference: on the same lifecycle event sequence, the restored job
+// listing deep-equals the legacy fold and the compacted on-disk file is
+// byte-equal to the legacy rewrite.
 func TestJournalDifferentialMatchesLegacy(t *testing.T) {
 	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	spec := json.RawMessage(`{"benchmarks":["sym6_145"],"sigmas":[0.03]}`)
@@ -208,4 +207,50 @@ func TestJournalDifferentialMatchesLegacy(t *testing.T) {
 				retain, compacted, legacyCompact(want))
 		}
 	}
+}
+
+// FuzzJournalReplay holds the journal's fold to the legacy reference on
+// arbitrary file bytes: opening never fails, the restored records
+// deep-equal the legacy fold pruned to retain (0–4), and reopening the
+// compacted file restores the same records again. The seeds cover a
+// clean log, a torn tail, foreign lines, an empty id and repeated ids.
+func FuzzJournalReplay(f *testing.F) {
+	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	clean := legacyCompact([]JobRecord{
+		{ID: "aaaa", Kind: "sweep", Status: "queued", Submitted: now, Spec: json.RawMessage(`{"sigmas":[0.03]}`)},
+		{ID: "bbbb", Kind: "search", Status: "running", Attempts: 1, ResolvedSpec: json.RawMessage(`{"steps":5}`)},
+		{ID: "aaaa", Kind: "sweep", Status: "done", Submitted: now, Finished: now.Add(time.Second)},
+		{ID: "cccc", Kind: "portfolio", Status: "failed", Err: "boom", Attempts: 2},
+	})
+	f.Add(clean, uint8(0))
+	f.Add(append(append([]byte(nil), clean...), `{"id":"dddd","kind":"sw`...), uint8(1))
+	f.Add([]byte("not json\n{\"foo\":1}\n[1,2]\n{\"id\":\"eeee\",\"status\":\"done\"}\r\n"), uint8(2))
+	f.Add([]byte(`{"id":"","status":"done"}`+"\n"+`{"status":"queued"}`+"\n"), uint8(3))
+	f.Add([]byte(`{"id":"a","status":"done"}`+"\n"+`{"id":"b","status":"queued"}`+"\n"+
+		`{"id":"a","status":"running"}`+"\n"+`{"id":"c","status":"canceled"}`+"\n"+`{"id":"a","status":"interrupted"}`), uint8(4))
+	path := filepath.Join(f.TempDir(), "jobs.ndjson")
+	f.Fuzz(func(t *testing.T, data []byte, r uint8) {
+		retain := int(r % 5)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := OpenJournal(path, retain)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		got := j.Restored()
+		j.Close()
+		if want := legacyPrune(legacyReplayFold(data), retain); !reflect.DeepEqual(got, want) {
+			t.Fatalf("retain %d: restored %+v, want %+v", retain, got, want)
+		}
+		j2, err := OpenJournal(path, retain)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		again := j2.Restored()
+		j2.Close()
+		if !reflect.DeepEqual(again, got) {
+			t.Fatalf("retain %d: reopened compacted file restored %+v, want %+v", retain, again, got)
+		}
+	})
 }

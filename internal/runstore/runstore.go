@@ -37,14 +37,13 @@ import (
 	"time"
 
 	"qproc/internal/faultinject"
-	"qproc/internal/metrics"
 )
 
 // Entry describes one stored run.
 type Entry struct {
 	// Key is the content address: the canonical spec hash.
 	Key string `json:"key"`
-	// Kind is the job type ("sweep", "search").
+	// Kind is the job type ("sweep", "search", "portfolio").
 	Kind string `json:"kind"`
 	// Summary is a human-readable one-liner for listings.
 	Summary string `json:"summary,omitempty"`
@@ -160,14 +159,14 @@ func (s *Store) Put(key, kind, summary string, payload []byte) (Entry, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return Entry{}, fmt.Errorf("runstore: %w", err)
 	}
-	if err := metrics.AtomicWrite(filepath.Join(dir, "outcome.json"), payload); err != nil {
+	if err := atomicWrite(filepath.Join(dir, "outcome.json"), payload); err != nil {
 		return Entry{}, fmt.Errorf("runstore: writing payload: %w", err)
 	}
 	rawEntry, err := json.MarshalIndent(e, "", "  ")
 	if err != nil {
 		return Entry{}, err
 	}
-	if err := metrics.AtomicWrite(filepath.Join(dir, "entry.json"), rawEntry); err != nil {
+	if err := atomicWrite(filepath.Join(dir, "entry.json"), rawEntry); err != nil {
 		return Entry{}, fmt.Errorf("runstore: writing entry: %w", err)
 	}
 	s.mu.Lock()
@@ -286,6 +285,30 @@ func validKey(key string) error {
 		default:
 			return fmt.Errorf("runstore: key %q is not a hex digest", key)
 		}
+	}
+	return nil
+}
+
+// atomicWrite writes data to path via a temp file + rename in the same
+// directory, so a crash never leaves a half-written file and readers only
+// ever see complete ones.
+func atomicWrite(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-")
+	if err != nil {
+		return err
+	}
+	_, werr := tmp.Write(data)
+	cerr := tmp.Close()
+	if werr != nil || cerr != nil {
+		os.Remove(tmp.Name())
+		if werr != nil {
+			return werr
+		}
+		return cerr
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		os.Remove(tmp.Name())
+		return err
 	}
 	return nil
 }

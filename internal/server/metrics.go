@@ -124,14 +124,14 @@ func (s *Server) handleJobMetrics(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no metrics store configured"))
 		return
 	}
-	prefix := jobSeriesPrefix(j.id)
+	prefix := jobSeriesPrefix(j.ID)
 	metric := r.URL.Query().Get("metric")
 	if metric == "" {
 		var names []string
 		for _, s := range s.cfg.Metrics.SeriesNames(prefix) {
 			names = append(names, strings.TrimPrefix(s, prefix))
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"job": j.id, "metrics": names})
+		writeJSON(w, http.StatusOK, map[string]any{"job": j.ID, "metrics": names})
 		return
 	}
 	q, agg, err := parseMetricsQuery(r)
@@ -145,10 +145,10 @@ func (s *Server) handleJobMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if aggs == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no metric %q recorded for job %s", metric, j.id))
+		writeError(w, http.StatusNotFound, fmt.Errorf("no metric %q recorded for job %s", metric, j.ID))
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"job": j.id, "metric": metric, "buckets": bucketize(aggs, agg),
+		"job": j.ID, "metric": metric, "buckets": bucketize(aggs, agg),
 	})
 }

@@ -145,17 +145,14 @@ func retryableStatus(st string) bool {
 	return st == statusFailed || st == statusCanceled || st == statusInterrupted
 }
 
-// job is one submitted unit of work and its observable state.
+// job is one submitted unit of work and its observable state. Its
+// JobRecord is what the journal records on every transition: the id,
+// kind, summary and specs never change once the job is built, while the
+// status, timestamps, error and attempt count are guarded by mu like the
+// rest of the state.
 type job struct {
-	id      string
-	kind    string
-	summary string
-	spec    json.RawMessage
-	// resolvedSpec is the normalised spec the job actually runs with,
-	// journaled so a restarted server can reconstruct and requeue the
-	// job under the same content address.
-	resolvedSpec json.RawMessage
-	parsed       experiments.Job
+	runstore.JobRecord
+	parsed experiments.Job
 
 	// ctx is cancelled by DELETE or server shutdown; the runner observes
 	// it within one proposal batch / trial chunk. Restored jobs have no
@@ -163,19 +160,12 @@ type job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu     sync.Mutex
-	status string
-	// attempts counts runs started for this content address, carried
-	// across requeues and restarts; the retry policy budgets against it.
-	attempts  int
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
-	cached    bool
+	mu sync.Mutex
+	// cached marks an outcome served from the run store, not computed.
+	cached bool
 	// restored marks a job rebuilt from the journal: its outcome lives
 	// in the run store only, keyed by the job id.
 	restored bool
-	errMsg   string
 	outcome  []byte
 	events   []experiments.Event
 
@@ -188,11 +178,12 @@ type job struct {
 
 // queuedJob gives j, which carries the work and its history, what every
 // queued job starts with — submitted, retried or restored after a
-// restart: the queued status, a fresh cancellable context, and the done
-// and wake channels its streamers block on.
+// restart: the queued status with no start, finish or error recorded, a
+// fresh cancellable context, and the done and wake channels its
+// streamers block on.
 func queuedJob(j *job) *job {
 	j.ctx, j.cancel = context.WithCancel(context.Background())
-	j.status = statusQueued
+	j.Status, j.Started, j.Finished, j.Err = statusQueued, time.Time{}, time.Time{}, ""
 	j.done = make(chan struct{})
 	j.wake = make(chan struct{})
 	return j
@@ -255,23 +246,12 @@ func (s *Server) restoreFromJournal() {
 		return
 	}
 	for _, rec := range s.cfg.Journal.Restored() {
-		j := &job{
-			id:        rec.ID,
-			kind:      rec.Kind,
-			summary:   rec.Summary,
-			spec:      append(json.RawMessage(nil), rec.Spec...),
-			status:    rec.Status,
-			attempts:  rec.Attempts,
-			submitted: rec.Submitted,
-			started:   rec.Started,
-			finished:  rec.Finished,
-			errMsg:    rec.Err,
-			restored:  true,
-			done:      make(chan struct{}),
-			wake:      make(chan struct{}),
-		}
+		j := &job{JobRecord: rec, restored: true, done: make(chan struct{}), wake: make(chan struct{})}
 		switch rec.Status {
 		case statusDone:
+			// Served from the run store while its entry exists; without
+			// one, a resubmission recomputes it (unservableRestored).
+			j.cached = s.cfg.Store != nil && s.cfg.Store.Has(rec.ID)
 			j.events = []experiments.Event{{Message: "job done (restored from journal; outcome in run store)"}}
 		case statusFailed, statusCanceled, statusInterrupted:
 			j.events = []experiments.Event{{Message: "job " + rec.Status + " (restored from journal)"}}
@@ -279,16 +259,16 @@ func (s *Server) restoreFromJournal() {
 			if s.requeueRestoredLocked(rec) {
 				continue
 			}
-			j.status = statusInterrupted
-			if j.finished.IsZero() {
-				j.finished = time.Now().UTC()
+			j.Status = statusInterrupted
+			if j.Finished.IsZero() {
+				j.Finished = time.Now().UTC()
 			}
 			j.events = []experiments.Event{{Message: "job interrupted by server restart; resubmit to recompute"}}
 			s.journalAppendLocked(j)
 		}
 		close(j.done) // restored jobs never run again
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
+		s.jobs[j.ID] = j
+		s.order = append(s.order, j.ID)
 		s.finished++
 	}
 	s.evictFinishedLocked()
@@ -302,11 +282,10 @@ func (s *Server) restoreFromJournal() {
 // address) and must fit the queue. Runs during New, before executors
 // start; the caller owns s.mu's data exclusively.
 func (s *Server) requeueRestoredLocked(rec runstore.JobRecord) bool {
-	attempts := rec.Attempts
-	if attempts < 1 {
-		attempts = 1 // journals from before attempt tracking
+	if rec.Attempts < 1 {
+		rec.Attempts = 1 // journals from before attempt tracking
 	}
-	if !s.cfg.Retry.Allows(retry.StatusInterrupted, attempts) {
+	if !s.cfg.Retry.Allows(retry.StatusInterrupted, rec.Attempts) {
 		return false
 	}
 	if len(rec.ResolvedSpec) == 0 || len(s.queue) >= s.cfg.QueueSize {
@@ -321,22 +300,12 @@ func (s *Server) requeueRestoredLocked(rec runstore.JobRecord) bool {
 	if err != nil || key != rec.ID {
 		return false
 	}
-	j := queuedJob(&job{
-		id:           rec.ID,
-		kind:         rec.Kind,
-		summary:      rec.Summary,
-		spec:         append(json.RawMessage(nil), rec.Spec...),
-		resolvedSpec: append(json.RawMessage(nil), rec.ResolvedSpec...),
-		parsed:       parsed,
-		attempts:     attempts,
-		submitted:    rec.Submitted,
-		events: []experiments.Event{{
-			Message: "job interrupted by server restart; resuming from checkpoint if present"}},
-	})
+	j := queuedJob(&job{JobRecord: rec, parsed: parsed, events: []experiments.Event{{
+		Message: "job interrupted by server restart; resuming from checkpoint if present"}}})
 	s.journalAppendLocked(j)
 	s.queue = append(s.queue, j)
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
+	s.jobs[j.ID] = j
+	s.order = append(s.order, j.ID)
 	return true
 }
 
@@ -348,19 +317,7 @@ func (s *Server) journalAppendLocked(j *job) {
 	if s.cfg.Journal == nil {
 		return
 	}
-	_ = s.cfg.Journal.Append(runstore.JobRecord{
-		ID:           j.id,
-		Kind:         j.kind,
-		Summary:      j.summary,
-		Spec:         j.spec,
-		Status:       j.status,
-		Submitted:    j.submitted,
-		Started:      j.started,
-		Finished:     j.finished,
-		Err:          j.errMsg,
-		Attempts:     j.attempts,
-		ResolvedSpec: j.resolvedSpec,
-	})
+	_ = s.cfg.Journal.Append(j.JobRecord)
 }
 
 // Close stops accepting submissions, waits for queued and running jobs
@@ -463,14 +420,14 @@ func (s *Server) removeQueuedLocked(j *job) {
 // failed job with retry budget left is requeued after a backoff delay.
 func (s *Server) runJob(j *job) {
 	j.mu.Lock()
-	if j.status != statusQueued {
+	if j.Status != statusQueued {
 		// Cancelled while waiting in the queue: already terminal.
 		j.mu.Unlock()
 		return
 	}
-	j.status = statusRunning
-	j.started = time.Now().UTC()
-	j.attempts++
+	j.Status = statusRunning
+	j.Started = time.Now().UTC()
+	j.Attempts++
 	ctx := j.ctx
 	s.journalAppendLocked(j)
 	j.mu.Unlock()
@@ -492,11 +449,11 @@ func (s *Server) runJob(j *job) {
 	}
 
 	j.mu.Lock()
-	j.finished = time.Now().UTC()
+	j.Finished = time.Now().UTC()
 	j.cached = cached
 	switch {
 	case err == nil:
-		j.status = statusDone
+		j.Status = statusDone
 		j.outcome = payload
 		msg := "job done"
 		if cached {
@@ -507,20 +464,20 @@ func (s *Server) runJob(j *job) {
 		// The deadline fired, not the client: that is a failure (and so
 		// retryable — a retry resumes from the last checkpoint, making
 		// progress across attempts even under a tight deadline).
-		j.status = statusFailed
-		j.errMsg = fmt.Sprintf("job exceeded its %s deadline", timeout)
-		j.appendEventLocked(experiments.Event{Message: "job failed", Err: j.errMsg})
+		j.Status = statusFailed
+		j.Err = fmt.Sprintf("job exceeded its %s deadline", timeout)
+		j.appendEventLocked(experiments.Event{Message: "job failed", Err: j.Err})
 	case errors.Is(err, context.Canceled) || ctx.Err() != nil:
 		// Cancellation is a client decision, not a failure; partial
 		// results were discarded by the engine and never persisted.
-		j.status = statusCanceled
+		j.Status = statusCanceled
 		j.appendEventLocked(experiments.Event{Message: "job canceled"})
 	default:
-		j.status = statusFailed
-		j.errMsg = err.Error()
+		j.Status = statusFailed
+		j.Err = err.Error()
 		j.appendEventLocked(experiments.Event{Message: "job failed", Err: err.Error()})
 	}
-	status := j.status
+	status := j.Status
 	s.journalAppendLocked(j)
 	close(j.done)
 	j.mu.Unlock()
@@ -530,7 +487,7 @@ func (s *Server) runJob(j *job) {
 	case statusCanceled:
 		// A cancelled job's checkpoint is stale by decision: the client
 		// abandoned the work. (Done jobs clean up inside the runner.)
-		s.deleteCheckpoint(j.id)
+		s.deleteCheckpoint(j.ID)
 	case statusFailed:
 		s.maybeRetry(j)
 	}
@@ -560,7 +517,7 @@ func (s *Server) runJobGuarded(ctx context.Context, j *job) (out experiments.Out
 	}()
 	return s.cfg.Runner.RunResolvedJob(ctx, j.parsed, s.cfg.Store, func(e experiments.Event) {
 		j.publish(e)
-		s.recordEventMetrics(j.id, e)
+		s.recordEventMetrics(j.ID, e)
 	})
 }
 
@@ -577,13 +534,13 @@ func (s *Server) deleteCheckpoint(id string) {
 // remain, the checkpoint is kept — the next attempt resumes from it.)
 func (s *Server) maybeRetry(j *job) {
 	j.mu.Lock()
-	attempts := j.attempts
+	attempts := j.Attempts
 	j.mu.Unlock()
 	if !s.cfg.Retry.Allows(retry.StatusFailed, attempts) {
-		s.deleteCheckpoint(j.id)
+		s.deleteCheckpoint(j.ID)
 		return
 	}
-	delay := s.cfg.Retry.Delay(j.id, attempts)
+	delay := s.cfg.Retry.Delay(j.ID, attempts)
 	j.publish(experiments.Event{Message: fmt.Sprintf("retrying in %s (attempt %d)", delay, attempts+1)})
 	time.AfterFunc(delay, func() { s.requeue(j) })
 }
@@ -597,26 +554,17 @@ func (s *Server) maybeRetry(j *job) {
 func (s *Server) requeue(prev *job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || s.jobs[prev.id] != prev || len(s.queue) >= s.cfg.QueueSize {
+	if s.closed || s.jobs[prev.ID] != prev || len(s.queue) >= s.cfg.QueueSize {
 		return
 	}
 	prev.mu.Lock()
-	j := queuedJob(&job{
-		id:           prev.id,
-		kind:         prev.kind,
-		summary:      prev.summary,
-		spec:         prev.spec,
-		resolvedSpec: prev.resolvedSpec,
-		parsed:       prev.parsed,
-		attempts:     prev.attempts,
-		submitted:    prev.submitted,
-		events:       append([]experiments.Event(nil), prev.events...),
-	})
+	j := queuedJob(&job{JobRecord: prev.JobRecord, parsed: prev.parsed,
+		events: append([]experiments.Event(nil), prev.events...)})
 	prev.mu.Unlock()
 	j.events = append(j.events, experiments.Event{Message: "requeued after failure"})
 	s.journalAppendLocked(j)
 	s.queue = append(s.queue, j)
-	s.jobs[j.id] = j
+	s.jobs[j.ID] = j
 	s.finished-- // the terminal job left the books; its slot runs again
 	s.qcond.Signal()
 }
@@ -638,11 +586,11 @@ func (s *Server) markFinished() {
 func (s *Server) cancelJob(j *job) bool {
 	s.mu.Lock()
 	j.mu.Lock()
-	switch j.status {
+	switch j.Status {
 	case statusQueued:
 		s.removeQueuedLocked(j)
-		j.status = statusCanceled
-		j.finished = time.Now().UTC()
+		j.Status = statusCanceled
+		j.Finished = time.Now().UTC()
 		j.appendEventLocked(experiments.Event{Message: "job canceled"})
 		s.journalAppendLocked(j)
 		close(j.done)
@@ -652,7 +600,7 @@ func (s *Server) cancelJob(j *job) bool {
 		j.cancel()
 		// A checkpoint left by an earlier failed attempt is stale once
 		// the client abandons the work.
-		s.deleteCheckpoint(j.id)
+		s.deleteCheckpoint(j.ID)
 		return true
 	case statusRunning:
 		j.mu.Unlock()
@@ -724,23 +672,23 @@ func (j *job) view() jobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	v := jobStatus{
-		ID:        j.id,
-		Kind:      j.kind,
-		Summary:   j.summary,
-		Spec:      j.spec,
-		Status:    j.status,
+		ID:        j.ID,
+		Kind:      j.Kind,
+		Summary:   j.Summary,
+		Spec:      j.Spec,
+		Status:    j.Status,
 		Cached:    j.cached,
 		Restored:  j.restored,
-		Submitted: j.submitted,
-		Err:       j.errMsg,
+		Submitted: j.Submitted,
+		Err:       j.Err,
 		Events:    len(j.events),
 	}
-	if !j.started.IsZero() {
-		t := j.started
+	if !j.Started.IsZero() {
+		t := j.Started
 		v.Started = &t
 	}
-	if !j.finished.IsZero() {
-		t := j.finished
+	if !j.Finished.IsZero() {
+		t := j.Finished
 		v.Finished = &t
 	}
 	for i := len(j.events) - 1; i >= 0; i-- {
@@ -756,7 +704,7 @@ func (j *job) view() jobStatus {
 func (j *job) statusNow() string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.status
+	return j.Status
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -821,15 +769,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			s.cfg.Retry.RetryAfter())
 		return
 	}
-	j := queuedJob(&job{
-		id:           key,
-		kind:         parsed.Kind(),
-		summary:      parsed.Normalize(s.cfg.Runner.Options()).Summary(),
-		spec:         append(json.RawMessage(nil), req.Spec...),
-		resolvedSpec: resolvedSpec,
-		parsed:       parsed,
-		submitted:    time.Now().UTC(),
-	})
+	j := queuedJob(&job{JobRecord: runstore.JobRecord{
+		ID:           key,
+		Kind:         parsed.Kind(),
+		Summary:      parsed.Normalize(s.cfg.Runner.Options()).Summary(),
+		Spec:         append(json.RawMessage(nil), req.Spec...),
+		ResolvedSpec: resolvedSpec,
+		Submitted:    time.Now().UTC(),
+	}, parsed: parsed})
 	// Journaled before an executor can see it (the queue append and the
 	// executor's pop both happen under s.mu), so the "running" record
 	// can never overtake the "queued" one.
@@ -868,7 +815,7 @@ func (s *Server) unservableRestored(j *job, st string) bool {
 	if !dead {
 		return false
 	}
-	return s.cfg.Store == nil || !s.cfg.Store.Has(j.id)
+	return s.cfg.Store == nil || !s.cfg.Store.Has(j.ID)
 }
 
 // evictFinishedLocked drops the oldest finished jobs beyond the
@@ -937,7 +884,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.mu.Lock()
-	status, errMsg, outcome := j.status, j.errMsg, j.outcome
+	status, errMsg, outcome := j.Status, j.Err, j.outcome
 	j.mu.Unlock()
 	switch status {
 	case statusDone:
@@ -945,7 +892,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			// Restored from the journal: the payload lives in the run
 			// store under the job id (the id IS the store key).
 			if s.cfg.Store != nil {
-				if payload, _, err := s.cfg.Store.Get(j.id); err == nil && payload != nil {
+				if payload, _, err := s.cfg.Store.Get(j.ID); err == nil && payload != nil {
 					outcome = payload
 				}
 			}

@@ -766,8 +766,12 @@ func TestJournalRestartListsPriorJobs(t *testing.T) {
 	if len(listing.Jobs) != 3 {
 		t.Fatalf("restarted server lists %d jobs, want 3: %+v", len(listing.Jobs), listing.Jobs)
 	}
-	if got := byID[done.ID]; got.Status != statusDone || !got.Restored {
+	// Its outcome is in the store, so the restored done job is cached.
+	if got := byID[done.ID]; got.Status != statusDone || !got.Restored || !got.Cached {
 		t.Fatalf("done job restored as %+v", got)
+	}
+	if got := getStatus(t, ts2.URL, done.ID); !got.Cached {
+		t.Fatalf("restored done job's status is not cached: %+v", got)
 	}
 	if got := byID[canceled.ID]; got.Status != statusCanceled {
 		t.Fatalf("canceled job restored as %+v", got)
@@ -792,6 +796,11 @@ func TestJournalRestartListsPriorJobs(t *testing.T) {
 	if len(res.Points) == 0 {
 		t.Fatal("restored result is empty")
 	}
+	// Resubmitting the done sweep dedupes onto its restored record: done
+	// and cached, answered without recomputing.
+	if re := submit(t, ts2.URL, sweepBody); re.ID != done.ID || re.Status != statusDone || !re.Cached {
+		t.Fatalf("resubmission after restart answered %+v, want the cached done job", re)
+	}
 	if hits, misses := s2.cfg.Runner.NoiseCacheStats(); hits+misses != 0 {
 		t.Fatalf("restored result simulated: %d hits, %d misses", hits, misses)
 	}
@@ -806,7 +815,7 @@ func TestEvictionNeverDropsActiveJobs(t *testing.T) {
 		jobs: map[string]*job{},
 	}
 	add := func(id, status string) {
-		j := &job{id: id, status: status, done: make(chan struct{}), wake: make(chan struct{})}
+		j := &job{JobRecord: runstore.JobRecord{ID: id, Status: status}, done: make(chan struct{}), wake: make(chan struct{})}
 		s.jobs[id] = j
 		s.order = append(s.order, id)
 		if terminalStatus(status) {
@@ -915,7 +924,11 @@ func TestRestoredDoneJobWithLostOutcomeIsRetryable(t *testing.T) {
 		journal2.Close()
 	})
 
-	// The restored job claims done, but its result is gone.
+	// The restored job claims done, but its result is gone: it is not
+	// cached, and its result endpoint 404s.
+	if v := getStatus(t, ts2.URL, done.ID); v.Status != statusDone || !v.Restored || v.Cached {
+		t.Fatalf("restored job with a lost outcome reads %+v, want done, restored, not cached", v)
+	}
 	resp, err := http.Get(ts2.URL + "/v1/jobs/" + done.ID + "/result")
 	if err != nil {
 		t.Fatal(err)
