@@ -84,7 +84,7 @@ func main() {
 		jfsync  = flag.Bool("journal-fsync", true, "fsync the job journal on every append so lifecycle records survive power loss")
 		ckEvery = flag.Int("checkpoint-every", 25, "with -store, save a resumable search checkpoint every N steps/depths and at every portfolio exchange barrier (0 disables)")
 
-		metricsMB  = flag.Int("metrics-retain-mb", 64, "with -store, byte bound on the per-job metrics time series in MiB; oldest sealed chunks are evicted first (0 = unbounded)")
+		metricsMB  = flag.Int("metrics-retain-mb", 64, "with -store, byte bound on the per-job metrics time series in MiB; the least recently written series lose their oldest chunks first (0 = unbounded)")
 		metricsAge = flag.Duration("metrics-retain-age", 0, "with -store, evict metrics chunks whose newest point is older than this (0 = no age bound)")
 
 		retryFailed      = flag.Int("retry-failed", 1, "times a failed job is automatically requeued after a backoff (0 disables)")

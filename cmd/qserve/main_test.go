@@ -361,6 +361,30 @@ func TestQserveSmoke(t *testing.T) {
 		}
 	})
 
+	t.Run("the metrics store holds at most one file open", func(t *testing.T) {
+		// The chimera search wrote three series in this process's
+		// lifetime; the store keeps one append handle for them all.
+		fdDir := fmt.Sprintf("/proc/%d/fd", srv.Process.Pid)
+		fds, err := os.ReadDir(fdDir)
+		if err != nil {
+			t.Skipf("no fd listing for qserve: %v", err)
+		}
+		metricsDir, err := filepath.EvalSymlinks(filepath.Join(storeDir, "metrics"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var open []string
+		for _, fd := range fds {
+			target, err := os.Readlink(filepath.Join(fdDir, fd.Name()))
+			if err == nil && strings.HasPrefix(target, metricsDir+string(filepath.Separator)) {
+				open = append(open, target)
+			}
+		}
+		if len(open) > 1 {
+			t.Fatalf("qserve holds %d files open under the metrics store: %q", len(open), open)
+		}
+	})
+
 	restart()
 	t.Run("chimera topology round-trips through the journal", func(t *testing.T) {
 		if chimeraID == "" {

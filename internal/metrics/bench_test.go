@@ -54,3 +54,40 @@ func BenchmarkMetricsWindowQuery(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMetricsAppendManyJobs measures the append cost once many
+// jobs have recorded progress. Each sub-benchmark first fills a store
+// under a 1 MiB byte bound with that many search jobs' series (three
+// per job, 120 points each, interleaved step by step as the server
+// records them), then times the appends of the jobs that follow; ns/op
+// is per append. The store outlives the sub-benchmark's calls, so the
+// fill runs once and each larger b.N continues where the last call
+// stopped. The cost should not grow with the number of jobs the store
+// has seen.
+func BenchmarkMetricsAppendManyJobs(b *testing.B) {
+	const steps = 120
+	for _, jobs := range []int{100, 4000} {
+		s, err := Open(b.TempDir(), Retention{MaxBytes: 1 << 20})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		next := -1 // index of the next append; -1 until the store is filled
+		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
+			if next < 0 {
+				for next = 0; next < jobs*len(jobMetrics)*steps; next++ {
+					if err := appendJobPoint(s, next, steps); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := appendJobPoint(s, next, steps); err != nil {
+					b.Fatal(err)
+				}
+				next++
+			}
+		})
+	}
+}

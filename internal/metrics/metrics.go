@@ -1,9 +1,10 @@
 // Package metrics is a chunked, append-only, on-disk time-series store
-// for run metrics: per-job progress series (yield, evaluations, lane
-// counters as a search advances) and bench history (per-commit ns/op
-// geomeans). It is the retention-bounded event layer the paper's
-// trajectory plots need — yield vs. Monte-Carlo budget, progress across
-// evaluation counts — where the run store only keeps terminal outcomes.
+// for the progress of qserve's jobs: one short series per job metric
+// (yield, evaluations, lane counters as a sweep or search advances),
+// written while the job runs and idle once it ends. It is the
+// retention-bounded event layer the paper's trajectory plots need —
+// yield vs. Monte-Carlo budget, progress across evaluation counts —
+// where the run store only keeps terminal outcomes.
 //
 // Layout under the store root, one directory per series (the series
 // name path-escaped so keys like "job:<hash>/yield" are safe file
@@ -15,21 +16,26 @@
 //
 // Each chunk is a fixed-capacity binary file: an 8-byte header (magic +
 // version) followed by fixed-width 24-byte points (unix-nano timestamp,
-// step counter, float64 value, little-endian). The highest-numbered
-// chunk of a series is active — appended in place, one point per write;
-// when it reaches capacity it is sealed and a new chunk starts. Sealed
-// chunks are immutable: retention (a store-wide byte bound and a
-// max-age bound) deletes whole sealed chunks oldest-first, never points
-// inside one, and never the active chunk — so on-disk bytes stay
-// proportional to the retention policy rather than to server lifetime.
+// step counter, float64 value, little-endian). Appends go to the
+// highest-numbered chunk of a series, one point per write; when it
+// reaches capacity a new chunk starts. The store keeps one append
+// handle, on the chunk written last, and reopens a chunk when appends
+// move to another series: a job's series interleave step by step, and a
+// finished job's series hold no file open.
+//
+// Retention is one rule: while the byte bound or the age bound is
+// exceeded, the oldest chunk of the least recently appended series is
+// deleted. Only the chunk the current append wrote is exempt, so on-disk
+// bytes stay within the bound however many jobs the server runs. A series
+// that loses its last chunk leaves the store, its directory with it.
 // A torn final point (the process died mid-append) is truncated away on
 // open, never fatal.
 //
-// Series names follow the convention "job:<key>/<metric>" for per-job
-// progress metrics.
+// Series names follow the convention "job:<key>/<metric>".
 package metrics
 
 import (
+	"container/list"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -64,17 +70,19 @@ const (
 	DefaultChunkPoints = 512
 )
 
-// Retention bounds a store's disk footprint.
+// Retention bounds a store's disk footprint. Both bounds feed the one
+// retention rule: while either is exceeded, the oldest chunk of the
+// least recently appended series is deleted, sparing only the chunk the
+// current append wrote.
 type Retention struct {
 	// MaxBytes bounds the total on-disk size across all series; 0 means
-	// unbounded. When an append pushes the total past the bound, the
-	// globally oldest sealed chunks are deleted until it fits. Active
-	// chunks are never deleted, so the bound is honoured whenever it is
-	// at least the active chunks' worth of bytes (one chunk per live
-	// series).
+	// unbounded. An append that pushes the total past the bound evicts
+	// until it fits, so the bound holds after every append unless it is
+	// smaller than the one chunk that append wrote.
 	MaxBytes int64
-	// MaxAge evicts sealed chunks whose newest point is older than this;
-	// 0 means unbounded.
+	// MaxAge bounds the age of the chunk retention would evict next:
+	// while that chunk's newest point is older than MaxAge, it is
+	// deleted. 0 means unbounded.
 	MaxAge time.Duration
 	// ChunkPoints is the per-chunk point capacity; 0 means
 	// DefaultChunkPoints.
@@ -86,30 +94,33 @@ type chunk struct {
 	seq   int
 	path  string
 	count int
-	minT  int64 // unix nanos; undefined when count == 0
-	maxT  int64
+	maxT  int64 // unix nanos of the newest point; 0 when count == 0
 }
 
 func (c *chunk) bytes() int64 { return chunkHeader + int64(c.count)*pointBytes }
 
-// series is one named series and its chunk list, ordered by seq; the
-// last entry is the active chunk (an open append handle when f != nil).
+// series is one named series and its chunk list, ordered by seq;
+// appends go to the last chunk.
 type series struct {
 	name   string
 	dir    string
 	chunks []*chunk
-	f      *os.File
+	elem   *list.Element // the series' place in Store.recency
 }
 
-func (s *series) active() *chunk { return s.chunks[len(s.chunks)-1] }
+func (s *series) last() *chunk { return s.chunks[len(s.chunks)-1] }
 
 // Store is the chunked time-series store rooted at one directory. Safe
 // for concurrent use.
 type Store struct {
-	mu     sync.Mutex
-	root   string
-	ret    Retention
-	series map[string]*series
+	mu      sync.Mutex
+	root    string
+	ret     Retention
+	series  map[string]*series
+	recency *list.List // of *series, least recently appended first
+	bytes   int64      // logical size of every indexed chunk
+	f       *os.File   // the one append handle, open on chunk fc
+	fc      *chunk
 
 	// counters for /v1/stats
 	appends       int64
@@ -119,8 +130,8 @@ type Store struct {
 }
 
 // Open creates (if needed) and loads the store at dir, truncating any
-// torn tail off each series' active chunk and applying the retention
-// policy once.
+// torn tail off each series' last chunk and applying the retention
+// policy once. Series are ranked for retention by their newest point.
 func Open(dir string, ret Retention) (*Store, error) {
 	if ret.ChunkPoints <= 0 {
 		ret.ChunkPoints = DefaultChunkPoints
@@ -128,11 +139,12 @@ func Open(dir string, ret Retention) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("metrics: %w", err)
 	}
-	s := &Store{root: dir, ret: ret, series: map[string]*series{}}
+	s := &Store{root: dir, ret: ret, series: map[string]*series{}, recency: list.New()}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("metrics: %w", err)
 	}
+	var loaded []*series
 	for _, e := range entries {
 		if !e.IsDir() {
 			continue
@@ -141,23 +153,31 @@ func Open(dir string, ret Retention) (*Store, error) {
 		if err != nil {
 			continue // foreign directory: not ours to manage
 		}
-		ser, err := openSeries(name, filepath.Join(dir, e.Name()), ret.ChunkPoints)
+		ser, err := openSeries(name, filepath.Join(dir, e.Name()))
 		if err != nil {
 			return nil, err
 		}
 		if ser != nil {
 			s.series[name] = ser
+			loaded = append(loaded, ser)
+			for _, c := range ser.chunks {
+				s.bytes += c.bytes()
+			}
 		}
 	}
-	s.enforceRetentionLocked(time.Now())
+	sort.SliceStable(loaded, func(i, j int) bool { return loaded[i].last().maxT < loaded[j].last().maxT })
+	for _, ser := range loaded {
+		ser.elem = s.recency.PushBack(ser)
+	}
+	s.enforceRetentionLocked(nil)
 	return s, nil
 }
 
 // openSeries indexes one series directory: every chunk-*.bin file is
-// sized up (a trailing partial point is truncated away) and its time
-// range read from the first and last point. Returns nil when the
-// directory holds no chunks.
-func openSeries(name, dir string, chunkPoints int) (*series, error) {
+// sized up (a trailing partial point is truncated away) and its newest
+// timestamp read from the last point. Returns nil when the directory
+// holds no chunks.
+func openSeries(name, dir string) (*series, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("metrics: %w", err)
@@ -185,7 +205,7 @@ func openSeries(name, dir string, chunkPoints int) (*series, error) {
 }
 
 // indexChunk validates a chunk file's header, truncates a torn tail,
-// and reads the min/max timestamps. A file too short to hold the header
+// and reads the newest timestamp. A file too short to hold the header
 // or with a wrong magic is skipped (nil), never fatal: it is either a
 // crash artifact or foreign.
 func indexChunk(path string, seq int) (*chunk, error) {
@@ -206,7 +226,6 @@ func indexChunk(path string, seq int) (*chunk, error) {
 	}
 	c := &chunk{seq: seq, path: path, count: n}
 	if n > 0 {
-		c.minT = int64(binary.LittleEndian.Uint64(data[chunkHeader:]))
 		last := chunkHeader + (n-1)*pointBytes
 		c.maxT = int64(binary.LittleEndian.Uint64(data[last:]))
 	}
@@ -244,135 +263,107 @@ func (s *Store) append(name string, p Point) error {
 	}
 	ser := s.series[name]
 	if ser == nil {
-		dir := filepath.Join(s.root, url.PathEscape(name))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
+		ser = &series{name: name, dir: filepath.Join(s.root, url.PathEscape(name))}
+		if err := os.MkdirAll(ser.dir, 0o755); err != nil {
 			return fmt.Errorf("metrics: %w", err)
 		}
-		ser = &series{name: name, dir: dir}
-		s.series[name] = ser
 	}
-	// Roll to a fresh chunk when there is none or the active one is full.
-	if len(ser.chunks) == 0 || ser.active().count >= s.ret.ChunkPoints {
+	if len(ser.chunks) == 0 || ser.last().count >= s.ret.ChunkPoints {
 		if err := s.rollChunkLocked(ser); err != nil {
+			if len(ser.chunks) == 0 {
+				os.Remove(ser.dir) // a series enters the index with its first chunk
+			}
 			return err
 		}
 	}
-	c := ser.active()
-	if ser.f == nil {
+	if ser.elem == nil {
+		s.series[name] = ser
+		ser.elem = s.recency.PushBack(ser)
+	} else {
+		s.recency.MoveToBack(ser.elem)
+	}
+	c := ser.last()
+	if s.fc != c {
+		s.closeHandleLocked()
 		f, err := os.OpenFile(c.path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return fmt.Errorf("metrics: %w", err)
 		}
-		ser.f = f
+		s.f, s.fc = f, c
 	}
 	var buf [pointBytes]byte
 	t := p.T.UnixNano()
 	binary.LittleEndian.PutUint64(buf[0:], uint64(t))
 	binary.LittleEndian.PutUint64(buf[8:], uint64(p.Step))
 	binary.LittleEndian.PutUint64(buf[16:], math.Float64bits(p.V))
-	if _, err := ser.f.Write(buf[:]); err != nil {
+	if _, err := s.f.Write(buf[:]); err != nil {
 		return fmt.Errorf("metrics: %w", err)
-	}
-	if c.count == 0 {
-		c.minT = t
 	}
 	c.maxT = t
 	c.count++
-	if c.count >= s.ret.ChunkPoints {
-		// Seal: close the append handle; the file is immutable from here.
-		ser.f.Close()
-		ser.f = nil
-	}
-	if s.ret.MaxBytes > 0 || s.ret.MaxAge > 0 {
-		// Every append re-checks the bounds, so on-disk bytes never
-		// exceed the limit between chunk boundaries (the soak test pins
-		// this invariant against the filesystem).
-		s.enforceRetentionLocked(time.Now())
-	}
+	s.bytes += pointBytes
+	s.enforceRetentionLocked(c)
 	return nil
 }
 
-// rollChunkLocked seals the current active chunk (if any) and creates
-// the next one with a fresh header.
+// rollChunkLocked creates the series' next chunk with a fresh header.
 func (s *Store) rollChunkLocked(ser *series) error {
-	if ser.f != nil {
-		ser.f.Close()
-		ser.f = nil
-	}
 	seq := 0
 	if len(ser.chunks) > 0 {
-		seq = ser.active().seq + 1
+		seq = ser.last().seq + 1
 	}
 	path := filepath.Join(ser.dir, fmt.Sprintf("chunk-%06d.bin", seq))
-	var hdr [chunkHeader]byte
-	copy(hdr[:], chunkMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], chunkVersion)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	hdr := binary.LittleEndian.AppendUint32([]byte(chunkMagic), chunkVersion)
+	if err := os.WriteFile(path, hdr, 0o644); err != nil {
 		return fmt.Errorf("metrics: %w", err)
 	}
-	if _, err := f.Write(hdr[:]); err != nil {
-		f.Close()
-		return fmt.Errorf("metrics: %w", err)
-	}
-	ser.f = f
 	ser.chunks = append(ser.chunks, &chunk{seq: seq, path: path})
+	s.bytes += chunkHeader
 	return nil
 }
 
-// enforceRetentionLocked deletes sealed chunks violating the age bound,
-// then the globally oldest sealed chunks while the byte bound is
-// exceeded. Active chunks (each series' last) are never deleted.
-func (s *Store) enforceRetentionLocked(now time.Time) {
-	if s.ret.MaxAge > 0 {
-		cutoff := now.Add(-s.ret.MaxAge).UnixNano()
-		for _, ser := range s.series {
-			for len(ser.chunks) > 1 && ser.chunks[0].maxT < cutoff {
-				s.evictChunkLocked(ser)
-			}
-		}
+func (s *Store) closeHandleLocked() {
+	if s.f != nil {
+		s.f.Close()
 	}
-	if s.ret.MaxBytes <= 0 {
-		return
-	}
-	total := s.bytesLocked()
-	for total > s.ret.MaxBytes {
-		// Oldest sealed chunk across all series, by newest-point time.
-		var victim *series
-		for _, ser := range s.series {
-			if len(ser.chunks) < 2 {
-				continue
-			}
-			if victim == nil || ser.chunks[0].maxT < victim.chunks[0].maxT {
-				victim = ser
-			}
+	s.f, s.fc = nil, nil
+}
+
+// enforceRetentionLocked applies the retention rule: while the byte
+// bound or the age bound is exceeded, delete the oldest chunk of the
+// least recently appended series. keep, the chunk the current append
+// wrote, is exempt.
+func (s *Store) enforceRetentionLocked(keep *chunk) {
+	cutoff := time.Now().Add(-s.ret.MaxAge).UnixNano()
+	for e := s.recency.Front(); e != nil; e = s.recency.Front() {
+		ser := e.Value.(*series)
+		c := ser.chunks[0]
+		overBytes := s.ret.MaxBytes > 0 && s.bytes > s.ret.MaxBytes
+		overAge := s.ret.MaxAge > 0 && c.maxT < cutoff
+		if c == keep || !overBytes && !overAge {
+			return
 		}
-		if victim == nil {
-			return // only active chunks left; nothing evictable
-		}
-		total -= victim.chunks[0].bytes()
-		s.evictChunkLocked(victim)
+		s.evictChunkLocked(ser)
 	}
 }
 
 // evictChunkLocked removes the series' oldest chunk from disk and the
-// index, updating the eviction counters.
+// index, and the series itself once it holds no chunk.
 func (s *Store) evictChunkLocked(ser *series) {
 	c := ser.chunks[0]
+	if c == s.fc {
+		s.closeHandleLocked()
+	}
 	os.Remove(c.path)
 	ser.chunks = ser.chunks[1:]
+	s.bytes -= c.bytes()
 	s.evictedChunks++
 	s.evictedBytes += c.bytes()
-}
-
-func (s *Store) bytesLocked() int64 {
-	var total int64
-	for _, ser := range s.series {
-		for _, c := range ser.chunks {
-			total += c.bytes()
-		}
+	if len(ser.chunks) == 0 {
+		delete(s.series, ser.name)
+		s.recency.Remove(ser.elem)
+		os.Remove(ser.dir)
 	}
-	return total
 }
 
 // SeriesNames lists the series whose name starts with prefix (empty
@@ -458,7 +449,7 @@ func (s *Store) Stats() StoreStats {
 	defer s.mu.Unlock()
 	st := StoreStats{
 		Series:        len(s.series),
-		Bytes:         s.bytesLocked(),
+		Bytes:         s.bytes,
 		LimitBytes:    s.ret.MaxBytes,
 		MaxAgeSec:     int64(s.ret.MaxAge / time.Second),
 		Appends:       s.appends,
@@ -479,22 +470,17 @@ func (s *Store) Stats() StoreStats {
 func (s *Store) Bytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.bytesLocked()
+	return s.bytes
 }
 
 // Root returns the store's directory.
 func (s *Store) Root() string { return s.root }
 
-// Close closes every open chunk handle. Appends after Close fail.
+// Close closes the append handle. Appends after Close fail.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, ser := range s.series {
-		if ser.f != nil {
-			ser.f.Close()
-			ser.f = nil
-		}
-	}
+	s.closeHandleLocked()
 	s.series = nil
 	return nil
 }

@@ -2,9 +2,14 @@ package metrics
 
 import (
 	"errors"
+	"fmt"
 	"io/fs"
+	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -214,8 +219,8 @@ func TestSoakRetentionBounded(t *testing.T) {
 	}
 }
 
-// TestAgeRetention: sealed chunks whose newest point predates MaxAge
-// are evicted on open.
+// TestAgeRetention: chunks whose newest point predates MaxAge are
+// evicted on open.
 func TestAgeRetention(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Retention{ChunkPoints: 4})
@@ -242,8 +247,8 @@ func TestAgeRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The two old sealed chunks are gone; the active chunk (with the
-	// fresh point) survives age eviction by construction.
+	// The two chunks of old points are gone; the chunk holding the
+	// fresh point is inside the age bound and survives.
 	if len(pts) != 1 || pts[0].V != 2 {
 		t.Fatalf("after age eviction: %+v", pts)
 	}
@@ -377,5 +382,208 @@ func TestChaosMetricsAppendFault(t *testing.T) {
 	st := s.Stats()
 	if st.Appends != 1 || st.AppendErrors != 1 {
 		t.Fatalf("fault accounting %+v", st)
+	}
+}
+
+// jobMetrics are the series a search job records, one point each per
+// step.
+var jobMetrics = [...]string{"yield", "evals", "expected"}
+
+// appendJobPoint makes the i-th append of a run of search jobs the way
+// the server records their progress: each job writes one point to each
+// of its series per step, interleaved step by step, for steps steps.
+func appendJobPoint(s *Store, i, steps int) error {
+	perJob := len(jobMetrics) * steps
+	job, step := i/perJob, i%perJob/len(jobMetrics)+1
+	name := fmt.Sprintf("job:%05d/%s", job, jobMetrics[i%len(jobMetrics)])
+	return s.Append(name, Point{T: base.Add(time.Duration(i) * time.Millisecond), Step: int64(step), V: float64(step)})
+}
+
+// TestPerJobTrafficBytesBounded: many short per-job series, none ever
+// filling a chunk, stay within the byte bound on disk after every job.
+// Retention evicts whole idle series, their directories with them, and
+// the survivors reopen and query.
+func TestPerJobTrafficBytesBounded(t *testing.T) {
+	const (
+		jobs    = 300
+		steps   = 120
+		limit   = 64 << 10
+		jobSize = len(jobMetrics) * (chunkHeader + steps*pointBytes)
+	)
+	s, dir := openStore(t, Retention{MaxBytes: limit})
+	for i := 0; i < jobs*len(jobMetrics)*steps; i++ {
+		if err := appendJobPoint(s, i, steps); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+		if (i+1)%(len(jobMetrics)*steps) != 0 {
+			continue
+		}
+		job := (i + 1) / (len(jobMetrics) * steps)
+		if got := diskBytes(t, dir); got > limit {
+			t.Fatalf("after job %d: %d bytes on disk > limit %d", job, got, limit)
+		}
+		st := s.Stats()
+		if job*jobSize > limit && st.EvictedChunks == 0 {
+			t.Fatalf("after job %d: %d job bytes appended, nothing evicted", job, job*jobSize)
+		}
+		// Every finished job's series hold one whole chunk each, so the
+		// bound keeps at most limit/jobSize jobs plus a partly evicted one.
+		if max := len(jobMetrics) * (limit/jobSize + 1); st.Series > max {
+			t.Fatalf("after job %d: %d series indexed, want <= %d", job, st.Series, max)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != st.Series {
+			t.Fatalf("after job %d: %d series directories for %d series", job, len(entries), st.Series)
+		}
+	}
+	names := s.SeriesNames("")
+	s.Close()
+
+	s2, err := Open(dir, Retention{MaxBytes: limit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := s2.SeriesNames(""); !slices.Equal(got, names) {
+		t.Fatalf("reopened series %v, want %v", got, names)
+	}
+	last := fmt.Sprintf("job:%05d/yield", jobs-1)
+	if !slices.Contains(names, last) {
+		t.Fatalf("newest job's series %s evicted: %v", last, names)
+	}
+	aggs, err := s2.Query(last, Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(aggs) != 1 || aggs[0].Count != steps || aggs[0].Last != steps {
+		t.Fatalf("reopened query of %s: %+v", last, aggs)
+	}
+}
+
+// openFilesUnder counts this process's open files under dir, read from
+// /proc/self/fd; the test skips where /proc is absent.
+func openFilesUnder(t *testing.T, dir string) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd: %v", err)
+	}
+	n := 0
+	for _, fd := range fds {
+		target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
+		if err == nil && strings.HasPrefix(target, dir+string(filepath.Separator)) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestOneAppendHandle: however many series take appends, interleaved,
+// rolling chunks and losing them to retention, the store holds at most
+// one file open, and none after Close.
+func TestOneAppendHandle(t *testing.T) {
+	const steps = 40
+	s, dir := openStore(t, Retention{MaxBytes: 16 << 10, ChunkPoints: 16})
+	dir, err := filepath.EvalSymlinks(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20*len(jobMetrics)*steps; i++ {
+		if err := appendJobPoint(s, i, steps); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+		if n := openFilesUnder(t, dir); n > 1 {
+			t.Fatalf("after append %d: %d files open under the store", i, n)
+		}
+	}
+	if st := s.Stats(); st.EvictedChunks == 0 {
+		t.Fatalf("nothing evicted: %+v", st)
+	}
+	s.Close()
+	if n := openFilesUnder(t, dir); n != 0 {
+		t.Fatalf("after Close: %d files open under the store", n)
+	}
+}
+
+// TestFailedChunkCreate: when a chunk cannot be created (a directory
+// sits on its path), the append fails, no series without a chunk enters
+// the index, a full series keeps its points, and other series still take
+// appends.
+func TestFailedChunkCreate(t *testing.T) {
+	s, dir := openStore(t, Retention{ChunkPoints: 4})
+	block := func(series string, seq int) {
+		t.Helper()
+		path := filepath.Join(dir, url.PathEscape(series), fmt.Sprintf("chunk-%06d.bin", seq))
+		if err := os.MkdirAll(path, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	block("job:new/yield", 0)
+	if err := s.Append("job:new/yield", Point{T: base, Step: 1, V: 1}); err == nil {
+		t.Fatal("append onto a blocked first chunk succeeded")
+	}
+	appendN(t, s, "job:full/yield", 4)
+	block("job:full/yield", 1)
+	if err := s.Append("job:full/yield", Point{T: base, Step: 5, V: 5}); err == nil {
+		t.Fatal("append onto a blocked next chunk succeeded")
+	}
+	if got := s.SeriesNames(""); !slices.Equal(got, []string{"job:full/yield"}) {
+		t.Fatalf("series after failed creates: %v", got)
+	}
+	if st := s.Stats(); st.Series != 1 || st.Chunks != 1 || st.Points != 4 || st.AppendErrors != 2 {
+		t.Fatalf("stats after failed creates: %+v", st)
+	}
+	appendN(t, s, "job:other/yield", 6)
+	for name, want := range map[string]int{"job:full/yield": 4, "job:other/yield": 6} {
+		if pts, err := s.Tail(name, 0); err != nil || len(pts) != want {
+			t.Fatalf("%s: %d points (%v), want %d", name, len(pts), err, want)
+		}
+	}
+}
+
+// TestConcurrentAppends: jobs appending from their own goroutines share
+// the one handle and the running byte count; every append lands, the
+// bound holds on disk, and each surviving series keeps its step order.
+func TestConcurrentAppends(t *testing.T) {
+	const (
+		jobs  = 4
+		steps = 100
+		limit = 8 << 10
+	)
+	s, dir := openStore(t, Retention{MaxBytes: limit, ChunkPoints: 16})
+	var wg sync.WaitGroup
+	for job := 0; job < jobs; job++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < len(jobMetrics)*steps; i++ {
+				if err := appendJobPoint(s, job*len(jobMetrics)*steps+i, steps); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	st := s.Stats()
+	if st.Appends != int64(jobs*len(jobMetrics)*steps) || st.AppendErrors != 0 {
+		t.Fatalf("counters %+v", st)
+	}
+	if got := diskBytes(t, dir); got > limit || got != st.Bytes {
+		t.Fatalf("%d bytes on disk, store counts %d, limit %d", got, st.Bytes, limit)
+	}
+	for _, name := range s.SeriesNames("") {
+		pts, err := s.Tail(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < len(pts); i++ {
+			if pts[i].Step != pts[i-1].Step+1 {
+				t.Fatalf("%s: step %d follows %d", name, pts[i].Step, pts[i-1].Step)
+			}
+		}
 	}
 }

@@ -291,13 +291,18 @@ func validKey(key string) error {
 
 // atomicWrite writes data to path via a temp file + rename in the same
 // directory, so a crash never leaves a half-written file and readers only
-// ever see complete ones.
+// ever see complete ones. The file is made 0644 before the rename, as the
+// journal's appends are: CreateTemp makes it owner-only, and other users
+// sharing the store directory read the runs.
 func atomicWrite(path string, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-")
 	if err != nil {
 		return err
 	}
 	_, werr := tmp.Write(data)
+	if werr == nil {
+		werr = tmp.Chmod(0o644)
+	}
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())

@@ -456,3 +456,45 @@ func BenchmarkOpen(b *testing.B) {
 		}
 	}
 }
+
+// TestStoreFilesReadableByOthers: every file the store writes through
+// its temp-file-and-rename path is 0644, like the journal's own appends,
+// so another user sharing the store directory can read the runs.
+func TestStoreFilesReadableByOthers(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := HashJSON("readable")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put(key, "sweep", "sym6_145", []byte(`{"points":[1]}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutCheckpoint(key, []byte(`{"unit":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	journal := filepath.Join(dir, "jobs.ndjson")
+	j, err := OpenJournal(journal, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	run := s.runDir(key)
+	for _, path := range []string{
+		filepath.Join(run, "entry.json"),
+		filepath.Join(run, "outcome.json"),
+		s.checkpointPath(key),
+		journal,
+	} {
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mode := info.Mode().Perm(); mode != 0o644 {
+			t.Errorf("%s: mode %v, want -rw-r--r--", filepath.Base(path), mode)
+		}
+	}
+}
