@@ -447,6 +447,33 @@ func TestQserveSmoke(t *testing.T) {
 	})
 }
 
+// TestFaultInjectedQserveCompletesJobs starts qserve with a fault plan
+// in its environment, under which every third journal append fails and
+// every store read is delayed 5 ms, and checks that qserve announces the
+// plan and still runs a quick sweep to done. QSERVE_FAULT_SEED passes
+// through from the test's own environment; the plan has no p= rule, so
+// the seed does not change what is injected.
+func TestFaultInjectedQserveCompletesJobs(t *testing.T) {
+	bin := qserveBinary(t)
+	const spec = "journal.append:error:every=3;store.get:delay=5ms"
+	t.Setenv("QSERVE_FAULT_SPEC", spec)
+	seed := os.Getenv("QSERVE_FAULT_SEED")
+	if seed == "" {
+		seed = "1" // -fault-seed's default
+	}
+	addr := freeAddr(t)
+	srv := startQserve(t, bin, addr, filepath.Join(t.TempDir(), "runs"),
+		"-queue", "4", "-retry-failed", "2", "-retry-backoff", "100ms")
+	id := submitJob(t, addr, smokeSweep)
+	waitJobStatus(t, addr, id, "done", 300*time.Second)
+	// The log is complete, and safe to read, once the process has exited.
+	stopQserve(srv)
+	banner := "FAULT INJECTION ACTIVE: " + spec + " (seed " + seed + ")"
+	if log := srv.Stderr.(*strings.Builder).String(); !strings.Contains(log, banner) {
+		t.Fatalf("qserve log lacks %q:\n%s", banner, log)
+	}
+}
+
 // fetchEventMessages returns the job's event messages; the stream ends
 // once the job is terminal.
 func fetchEventMessages(t *testing.T, addr, id string) []string {

@@ -8,10 +8,11 @@
 // its member nodes pairwise (K4 coupling graph); when only three members
 // hold qubits it degenerates to a 3-qubit bus (K3, Figure 7b). Which sites
 // exist, which qubits they couple and which sites exclude each other is
-// family geometry, supplied by a BusPolicy: the default square policy
-// implements the paper's unit squares and the prohibited condition of two
-// edge-sharing squares (Figure 7a), while graph families (Chimera,
-// tunable-coupler grids) carry explicit edge lists and no bus sites.
+// family geometry, a bus policy chosen by the architecture's Family: the
+// square policy implements the paper's unit squares and the prohibited
+// condition of two edge-sharing squares (Figure 7a), while graph families
+// (Chimera, tunable-coupler grids) carry explicit edge lists and no bus
+// sites.
 package arch
 
 import (
@@ -86,10 +87,10 @@ type Bus struct {
 // report.
 func (b Bus) Label() string { return fmt.Sprintf("%d-qubit", len(b.Qubits)) }
 
-// BusPolicy supplies the family-specific multi-qubit-bus geometry: which
+// busPolicy supplies the family-specific multi-qubit-bus geometry: which
 // sites exist, which qubits each site couples, which sites exclude each
 // other, and which qubit pairs may carry a 2-qubit bus.
-type BusPolicy interface {
+type busPolicy interface {
 	// CandidateSites enumerates every site of the architecture's node set
 	// with enough members to carry a multi-qubit bus, in canonical order.
 	CandidateSites(a *Architecture) []Site
@@ -170,7 +171,6 @@ type Architecture struct {
 	Buses []Bus
 
 	byCoord map[lattice.Coord]int
-	policy  BusPolicy
 }
 
 // New builds a square-family architecture with one qubit per coordinate
@@ -214,10 +214,9 @@ func MustNew(name string, coords []lattice.Coord) *Architecture {
 // NewGraph builds an explicit-edge architecture of a non-square topology
 // family: one qubit per coordinate and a 2-qubit bus per listed edge, in
 // list order. The coordinates serve as a deterministic embedding (for
-// rendering and tie-breaks); the edge list alone defines the coupling.
-// policy may be nil, leaving the permissive graph policy (no multi-qubit
-// bus sites).
-func NewGraph(name, family string, coords []lattice.Coord, edges [][2]int, policy BusPolicy) (*Architecture, error) {
+// rendering and tie-breaks); the edge list alone defines the coupling,
+// and there are no multi-qubit bus sites.
+func NewGraph(name, family string, coords []lattice.Coord, edges [][2]int) (*Architecture, error) {
 	if family == "" {
 		return nil, fmt.Errorf("arch %q: NewGraph needs a family name (use New for the square family)", name)
 	}
@@ -226,7 +225,6 @@ func NewGraph(name, family string, coords []lattice.Coord, edges [][2]int, polic
 		Family:  family,
 		Coords:  append([]lattice.Coord(nil), coords...),
 		byCoord: make(map[lattice.Coord]int, len(coords)),
-		policy:  policy,
 	}
 	for q, c := range a.Coords {
 		if prev, dup := a.byCoord[c]; dup {
@@ -252,22 +250,14 @@ func NewGraph(name, family string, coords []lattice.Coord, edges [][2]int, polic
 	return a, nil
 }
 
-// busPolicy resolves the effective bus policy: an installed one, else the
-// square geometry for the square family, else the permissive graph
-// policy.
-func (a *Architecture) busPolicy() BusPolicy {
-	if a.policy != nil {
-		return a.policy
-	}
+// policy returns the family's bus policy: the square geometry for the
+// square family, else the permissive graph policy.
+func (a *Architecture) policy() busPolicy {
 	if a.Family == "" || a.Family == "square" {
 		return squarePolicy{}
 	}
 	return graphPolicy{}
 }
-
-// SetPolicy installs a family bus policy (topology families construct
-// architectures through NewGraph and may attach richer site geometry).
-func (a *Architecture) SetPolicy(p BusPolicy) { a.policy = p }
 
 // NumQubits returns the number of physical qubits.
 func (a *Architecture) NumQubits() int { return len(a.Coords) }
@@ -329,13 +319,13 @@ func (a *Architecture) MultiBusSquares() []lattice.Square {
 // universe bus-placement moves draw from. Graph families without bus
 // sites return nil.
 func (a *Architecture) CandidateSites() []Site {
-	return a.busPolicy().CandidateSites(a)
+	return a.policy().CandidateSites(a)
 }
 
 // SiteQubits returns the qubit ids site s couples, in the site's
 // canonical member order.
 func (a *Architecture) SiteQubits(s Site) []int {
-	return a.busPolicy().SiteMembers(a, s)
+	return a.policy().SiteMembers(a, s)
 }
 
 // CanApplyBusAt reports whether site s is eligible for a multi-qubit bus:
@@ -343,7 +333,7 @@ func (a *Architecture) SiteQubits(s Site) []int {
 // no multi-qubit bus on a conflicting site (the family's prohibited
 // condition).
 func (a *Architecture) CanApplyBusAt(s Site) bool {
-	pol := a.busPolicy()
+	pol := a.policy()
 	if len(pol.SiteMembers(a, s)) < 3 {
 		return false
 	}
@@ -372,7 +362,7 @@ func (a *Architecture) ApplyBusAt(s Site) error {
 	if !a.CanApplyBusAt(s) {
 		return fmt.Errorf("arch %q: %v ineligible for a multi-qubit bus", a.Name, s)
 	}
-	pol := a.busPolicy()
+	pol := a.policy()
 	qubits := append([]int(nil), pol.SiteMembers(a, s)...)
 	sort.Ints(qubits)
 	member := make(map[int]bool, len(qubits))
@@ -492,7 +482,6 @@ func (a *Architecture) Clone() *Architecture {
 		Family:  a.Family,
 		Coords:  append([]lattice.Coord(nil), a.Coords...),
 		byCoord: make(map[lattice.Coord]int, len(a.Coords)),
-		policy:  a.policy,
 	}
 	if a.Freqs != nil {
 		c.Freqs = append([]float64(nil), a.Freqs...)
@@ -513,7 +502,7 @@ func (a *Architecture) Clone() *Architecture {
 // policy's member qubits, no duplicate couplings, and no conflicting bus
 // sites (the family's prohibited condition).
 func (a *Architecture) Validate() error {
-	pol := a.busPolicy()
+	pol := a.policy()
 	seenCoord := map[lattice.Coord]int{}
 	for q, c := range a.Coords {
 		if p, dup := seenCoord[c]; dup {

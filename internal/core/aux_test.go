@@ -5,6 +5,7 @@ import (
 
 	"qproc/internal/gen"
 	"qproc/internal/mapper"
+	"qproc/internal/topology"
 )
 
 // TestSeriesWithAux exercises the Section 6 auxiliary-qubit extension:
@@ -90,5 +91,34 @@ func TestSeriesWithAuxZeroMatchesSeries(t *testing.T) {
 				t.Fatalf("k=%d: edges differ at %d", k, i)
 			}
 		}
+	}
+}
+
+// TestConfigSupports pins which configurations take auxiliary qubits or a
+// non-square family, only eff-full and eff-5-freq, and that SeriesConfig
+// refuses the others.
+func TestConfigSupports(t *testing.T) {
+	chimera, err := topology.Parse("chimera")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range Configs() {
+		series := cfg == ConfigEffFull || cfg == ConfigEff5Freq
+		if !cfg.Supports(nil, 0) || !cfg.Supports(topology.Square{}, 0) {
+			t.Errorf("%s does not support the square family at aux 0", cfg)
+		}
+		if got := cfg.Supports(nil, 1); got != series {
+			t.Errorf("%s supports aux 1: %v, want %v", cfg, got, series)
+		}
+		if got := cfg.Supports(chimera, 0); got != series {
+			t.Errorf("%s supports %s: %v, want %v", cfg, chimera.Name(), got, series)
+		}
+	}
+	b, err := gen.Get("sym6_145")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := quickFlow().SeriesConfig(b.Build(), ConfigIBM, -1, 1, 1); err == nil {
+		t.Error("SeriesConfig built IBM baselines with an auxiliary qubit")
 	}
 }

@@ -54,6 +54,18 @@ const (
 	ConfigSearch Config = "search"
 )
 
+// Supports reports whether the configuration designs for family f with
+// aux auxiliary qubits. Only the series configurations (eff-full,
+// eff-5-freq) take auxiliary qubits or a non-square family: the IBM
+// baselines are fixed chips, and the bus and layout ablations are built
+// on the square lattice's unit squares.
+func (c Config) Supports(f topology.Family, aux int) bool {
+	if aux == 0 && topology.IsSquare(f) {
+		return true
+	}
+	return c == ConfigEffFull || c == ConfigEff5Freq
+}
+
 // Configs lists the five configurations in the paper's order.
 func Configs() []Config {
 	return []Config{ConfigIBM, ConfigEffFull, ConfigEffRdBus, ConfigEff5Freq, ConfigEffLayoutOnly}
@@ -69,8 +81,8 @@ type Flow struct {
 	FreqLocalTrials int
 	// Family selects the topology family the flow designs for; nil means
 	// the paper's square lattice. Non-square families have no 4-qubit bus
-	// sites, so their series stop at k = 0, and only the series
-	// configurations (eff-full, eff-5-freq) support them.
+	// sites, so their series stop at k = 0, and only the configurations
+	// Config.Supports names design for them.
 	Family topology.Family
 }
 
@@ -164,28 +176,16 @@ func (f *Flow) SeriesWithAux(c *circuit.Circuit, maxBuses, aux int) ([]*Design, 
 
 // SeriesConfig generates the design series of any configuration through
 // one entry point, the dispatch the design-space sweep engine fans out
-// over. samples is only consulted by ConfigEffRdBus; aux auxiliary
-// qubits are supported by the series configurations (eff-full,
-// eff-5-freq) and by ConfigIBM/eff-rd-bus/eff-layout-only only at
-// aux = 0, since the baselines are fixed chips and the ablations are
-// defined on the bare layout.
+// over. samples is only consulted by ConfigEffRdBus. A configuration
+// that does not support the flow's family and aux count (Supports) is an
+// error.
 func (f *Flow) SeriesConfig(c *circuit.Circuit, cfg Config, maxBuses, aux, samples int) ([]*Design, error) {
 	if aux < 0 {
 		return nil, fmt.Errorf("core: negative aux qubit count %d", aux)
 	}
-	if aux > 0 {
-		switch cfg {
-		case ConfigEffFull, ConfigEff5Freq:
-		default:
-			return nil, fmt.Errorf("core: configuration %s does not support auxiliary qubits", cfg)
-		}
-	}
-	if !topology.IsSquare(f.Family) {
-		switch cfg {
-		case ConfigEffFull, ConfigEff5Freq:
-		default:
-			return nil, fmt.Errorf("core: configuration %s supports the square family only, not %s", cfg, f.Family.Name())
-		}
+	if !cfg.Supports(f.Family, aux) {
+		return nil, fmt.Errorf("core: configuration %s takes neither auxiliary qubits nor a non-square family (aux %d, family %s)",
+			cfg, aux, f.family().Name())
 	}
 	switch cfg {
 	case ConfigIBM:

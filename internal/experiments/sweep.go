@@ -239,21 +239,9 @@ func (r *Runner) runGroup(ctx context.Context, cache *yield.NoiseCache, bench st
 	}
 	var cfgs []core.Config
 	for _, cfg := range spec.Configs {
-		if !topology.IsSquare(fam) {
-			switch cfg {
-			case core.ConfigEffFull, core.ConfigEff5Freq:
-			default:
-				continue // square-lattice constructs: square family only
-			}
+		if cfg.Supports(fam, aux) {
+			cfgs = append(cfgs, cfg)
 		}
-		if aux > 0 {
-			switch cfg {
-			case core.ConfigEffFull, core.ConfigEff5Freq:
-			default:
-				continue // fixed chips / bare-layout ablations: aux = 0 only
-			}
-		}
-		cfgs = append(cfgs, cfg)
 	}
 	series := make([][]*core.Design, len(cfgs))
 	genErrs := make([]error, len(cfgs))

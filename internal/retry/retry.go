@@ -8,13 +8,8 @@ package retry
 import (
 	"hash/fnv"
 	"time"
-)
 
-// Statuses with retry budgets. These mirror the server's job lifecycle
-// states; plain strings keep this package dependency-free.
-const (
-	StatusFailed      = "failed"
-	StatusInterrupted = "interrupted"
+	"qproc/internal/runstore"
 )
 
 // Policy describes per-status retry budgets and the backoff curve. The
@@ -53,9 +48,9 @@ func (p Policy) Enabled() bool { return p.Failed > 0 || p.Interrupted > 0 }
 
 func (p Policy) budget(status string) int {
 	switch status {
-	case StatusFailed:
+	case runstore.StatusFailed:
 		return p.Failed
-	case StatusInterrupted:
+	case runstore.StatusInterrupted:
 		return p.Interrupted
 	}
 	return 0

@@ -3,6 +3,8 @@ package retry
 import (
 	"testing"
 	"time"
+
+	"qproc/internal/runstore"
 )
 
 func TestZeroPolicyDisabled(t *testing.T) {
@@ -10,7 +12,7 @@ func TestZeroPolicyDisabled(t *testing.T) {
 	if p.Enabled() {
 		t.Fatal("zero policy reports enabled")
 	}
-	if p.Allows(StatusFailed, 1) || p.Allows(StatusInterrupted, 0) {
+	if p.Allows(runstore.StatusFailed, 1) || p.Allows(runstore.StatusInterrupted, 0) {
 		t.Fatal("zero policy allows retries")
 	}
 	if got := p.RetryAfter(); got != 5 {
@@ -25,12 +27,12 @@ func TestAllowsBudgets(t *testing.T) {
 		attempts int
 		want     bool
 	}{
-		{StatusFailed, 0, true},
-		{StatusFailed, 1, true},  // first failure → one retry
-		{StatusFailed, 2, false}, // budget of 1 exhausted
-		{StatusInterrupted, 1, true},
-		{StatusInterrupted, 2, true},
-		{StatusInterrupted, 3, false},
+		{runstore.StatusFailed, 0, true},
+		{runstore.StatusFailed, 1, true},  // first failure → one retry
+		{runstore.StatusFailed, 2, false}, // budget of 1 exhausted
+		{runstore.StatusInterrupted, 1, true},
+		{runstore.StatusInterrupted, 2, true},
+		{runstore.StatusInterrupted, 3, false},
 		{"done", 0, false},
 		{"canceled", 0, false},
 	}

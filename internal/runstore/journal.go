@@ -25,9 +25,9 @@ type JobRecord struct {
 	Summary string `json:"summary,omitempty"`
 	// Spec is the spec as submitted by the client, replayed verbatim.
 	Spec json.RawMessage `json:"spec,omitempty"`
-	// Status is the lifecycle state at the time of the append ("queued",
-	// "running", "done", "failed", "canceled"). A replay that finds a
-	// job still queued or running knows the process died mid-flight.
+	// Status is the lifecycle state at the time of the append, one of
+	// the Status constants. A replay that finds a job still queued or
+	// running knows the process died mid-flight.
 	Status string `json:"status"`
 	// Submitted/Started/Finished are the lifecycle timestamps; zero
 	// values (IsZero) mean the transition had not happened yet.
@@ -46,13 +46,25 @@ type JobRecord struct {
 	ResolvedSpec json.RawMessage `json:"resolved_spec,omitempty"`
 }
 
-// terminalRecordStatus reports whether a journaled status means the job
-// will never run again — the states retention may evict. In-flight
-// records (queued, running) are lost work a restart must surface, so
-// they survive any retention bound.
-func terminalRecordStatus(st string) bool {
+// The job lifecycle statuses a JobRecord carries.
+const (
+	StatusQueued   = "queued"
+	StatusRunning  = "running"
+	StatusDone     = "done"
+	StatusFailed   = "failed"
+	StatusCanceled = "canceled"
+	// StatusInterrupted marks a job a restarted server found queued or
+	// running: the process that ran it died and its work was lost.
+	StatusInterrupted = "interrupted"
+)
+
+// Terminal reports whether a job in status st will never run again: the
+// statuses retention may evict. In-flight jobs (queued, running) are
+// live work, or lost work a restart must surface, so they survive any
+// retention bound.
+func Terminal(st string) bool {
 	switch st {
-	case "done", "failed", "canceled", "interrupted":
+	case StatusDone, StatusFailed, StatusCanceled, StatusInterrupted:
 		return true
 	}
 	return false
@@ -168,7 +180,7 @@ func pruneJournal(lines []journalLine, retain int) []journalLine {
 	}
 	kept := lines[:0]
 	for _, l := range lines {
-		if drop > 0 && terminalRecordStatus(l.rec.Status) {
+		if drop > 0 && Terminal(l.rec.Status) {
 			drop--
 			continue
 		}

@@ -125,14 +125,14 @@ func TestJournalRetentionPropertyShuffled(t *testing.T) {
 					t.Fatalf("seed %d retain %d: record %d = %s/%s, want %s/%s",
 						seed, retain, i, got[i].ID, got[i].Status, want[i].ID, want[i].Status)
 				}
-				if !terminalRecordStatus(got[i].Status) {
+				if !Terminal(got[i].Status) {
 					inflight++
 				}
 			}
 			// Every in-flight record of the input fold survived.
 			wantInflight := 0
 			for _, r := range recs {
-				if !terminalRecordStatus(r.Status) {
+				if !Terminal(r.Status) {
 					wantInflight++
 				}
 			}

@@ -1,19 +1,21 @@
 // Package server wraps experiments.Runner in a long-lived HTTP/JSON
-// service (the qserve binary): clients submit sweep and search jobs,
-// watch per-job streamed progress, cancel running work, and fetch
-// finished outcomes, while every job — whichever client submitted it —
-// shares one runner (one compiled-kernel cache, one worker pool) and one
-// optional run store, so overlapping topologies compile once and
-// repeated work is served from disk without any computation.
+// service (the qserve binary): clients submit sweep, search and
+// portfolio jobs, watch per-job streamed progress, cancel running work,
+// and fetch finished outcomes, while every job — whichever client
+// submitted it — shares one runner (one compiled-kernel cache, one
+// worker pool) and one optional run store, so overlapping topologies
+// compile once and repeated work is served from disk without any
+// computation.
 //
 // The API is JSON over HTTP:
 //
-//	POST   /v1/jobs                {"kind":"sweep"|"search","spec":{...}}
+//	POST   /v1/jobs                {"kind":"sweep"|"search"|"portfolio","spec":{...}}
 //	GET    /v1/jobs                list all jobs, submission order
 //	GET    /v1/jobs/{id}           job status
 //	DELETE /v1/jobs/{id}           cancel a queued or running job
 //	GET    /v1/jobs/{id}/result    the outcome (404 until done)
 //	GET    /v1/jobs/{id}/events    streamed progress, one JSON line per event
+//	GET    /v1/jobs/{id}/metrics   the job's progress series, windowed (metrics.go)
 //	GET    /v1/stats               queue, job and cache counters
 //	GET    /healthz                liveness
 //
@@ -45,6 +47,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -109,40 +112,14 @@ type Server struct {
 	jobs   map[string]*job
 	order  []string
 	closed bool
-	// finished counts jobs in a terminal state, maintained on every
-	// transition so eviction never has to rescan the whole job list.
-	finished int
 
 	wg sync.WaitGroup
-}
-
-// Job lifecycle states.
-const (
-	statusQueued   = "queued"
-	statusRunning  = "running"
-	statusDone     = "done"
-	statusFailed   = "failed"
-	statusCanceled = "canceled"
-	// statusInterrupted marks a job the journal shows as queued or
-	// running when the previous process died: its work was lost, a
-	// resubmission requeues it.
-	statusInterrupted = "interrupted"
-)
-
-// terminalStatus reports whether a job in this state will never run
-// again (and so counts against the retention bound).
-func terminalStatus(st string) bool {
-	switch st {
-	case statusDone, statusFailed, statusCanceled, statusInterrupted:
-		return true
-	}
-	return false
 }
 
 // retryableStatus reports whether a resubmission of the same content
 // address should replace the job rather than dedupe onto it.
 func retryableStatus(st string) bool {
-	return st == statusFailed || st == statusCanceled || st == statusInterrupted
+	return st == runstore.StatusFailed || st == runstore.StatusCanceled || st == runstore.StatusInterrupted
 }
 
 // job is one submitted unit of work and its observable state. Its
@@ -167,7 +144,12 @@ type job struct {
 	// in the run store only, keyed by the job id.
 	restored bool
 	outcome  []byte
-	events   []experiments.Event
+	// stream is the job's progress as GET /v1/jobs/{id}/events serves
+	// it: each event marshalled once, on append, as one JSON line.
+	stream []byte
+	// events counts the lines of stream; stepsDone and stepsTotal are
+	// those of the latest event that carries a total.
+	events, stepsDone, stepsTotal int
 
 	// done is closed after the final event is appended, waking streamers.
 	done chan struct{}
@@ -176,23 +158,20 @@ type job struct {
 	wake chan struct{}
 }
 
-// queuedJob gives j, which carries the work and its history, what every
-// queued job starts with — submitted, retried or restored after a
-// restart: the queued status with no start, finish or error recorded, a
-// fresh cancellable context, and the done and wake channels its
-// streamers block on.
-func queuedJob(j *job) *job {
-	j.ctx, j.cancel = context.WithCancel(context.Background())
-	j.Status, j.Started, j.Finished, j.Err = statusQueued, time.Time{}, time.Time{}, ""
-	j.done = make(chan struct{})
-	j.wake = make(chan struct{})
-	return j
-}
-
-// appendEventLocked appends a progress event and wakes blocked
-// streamers. Callers hold j.mu.
+// appendEventLocked appends a progress event to the stream and wakes
+// blocked streamers. An event that fails to marshal is dropped; no
+// engine event does, because every series value is finite. Callers hold
+// j.mu or own the job exclusively.
 func (j *job) appendEventLocked(e experiments.Event) {
-	j.events = append(j.events, e)
+	line, err := json.Marshal(e)
+	if err != nil {
+		return
+	}
+	j.stream = append(append(j.stream, line...), '\n')
+	j.events++
+	if e.Total > 0 {
+		j.stepsDone, j.stepsTotal = e.Done, e.Total
+	}
 	close(j.wake)
 	j.wake = make(chan struct{})
 }
@@ -240,55 +219,50 @@ func New(cfg Config) (*Server, error) {
 // their checkpoint when one exists — while the retry policy's
 // interrupted budget allows; past it (or with no policy) they become
 // "interrupted", and that transition is journaled, so the record
-// reflects what this server reports.
+// reflects what this server reports. Runs during New, before executors
+// start; the caller owns s.mu's data exclusively.
 func (s *Server) restoreFromJournal() {
 	if s.cfg.Journal == nil {
 		return
 	}
 	for _, rec := range s.cfg.Journal.Restored() {
+		if !runstore.Terminal(rec.Status) && s.resumeLocked(rec) {
+			continue
+		}
 		j := &job{JobRecord: rec, restored: true, done: make(chan struct{}), wake: make(chan struct{})}
 		switch rec.Status {
-		case statusDone:
+		case runstore.StatusDone:
 			// Served from the run store while its entry exists; without
 			// one, a resubmission recomputes it (unservableRestored).
 			j.cached = s.cfg.Store != nil && s.cfg.Store.Has(rec.ID)
-			j.events = []experiments.Event{{Message: "job done (restored from journal; outcome in run store)"}}
-		case statusFailed, statusCanceled, statusInterrupted:
-			j.events = []experiments.Event{{Message: "job " + rec.Status + " (restored from journal)"}}
-		default: // queued or running when the process died
-			if s.requeueRestoredLocked(rec) {
-				continue
-			}
-			j.Status = statusInterrupted
-			if j.Finished.IsZero() {
-				j.Finished = time.Now().UTC()
-			}
-			j.events = []experiments.Event{{Message: "job interrupted by server restart; resubmit to recompute"}}
-			s.journalAppendLocked(j)
+			j.appendEventLocked(experiments.Event{Message: "job done (restored from journal; outcome in run store)"})
+			close(j.done)
+		case runstore.StatusFailed, runstore.StatusCanceled, runstore.StatusInterrupted:
+			j.appendEventLocked(experiments.Event{Message: "job " + rec.Status + " (restored from journal)"})
+			close(j.done)
+		default: // queued or running when the process died, and not resumed
+			s.finishLocked(j, runstore.StatusInterrupted, "",
+				experiments.Event{Message: "job interrupted by server restart; resubmit to recompute"})
 		}
-		close(j.done) // restored jobs never run again
 		s.jobs[j.ID] = j
 		s.order = append(s.order, j.ID)
-		s.finished++
 	}
 	s.evictFinishedLocked()
 }
 
-// requeueRestoredLocked resubmits a job the previous process left
-// queued or running, reconstructing it from the journaled resolved
-// spec. The rebuilt job must hash back to the journaled id (spec or
-// options drift across the restart means it is a different job — it is
-// left interrupted instead of silently running other work under the old
-// address) and must fit the queue. Runs during New, before executors
-// start; the caller owns s.mu's data exclusively.
-func (s *Server) requeueRestoredLocked(rec runstore.JobRecord) bool {
+// resumeLocked resubmits a job the previous process left queued or
+// running, reconstructing it from the journaled resolved spec, while the
+// retry policy's interrupted budget allows. The rebuilt job must hash
+// back to the journaled id (spec or options drift across the restart
+// means it is a different job — it is left interrupted instead of
+// silently running other work under the old address) and must fit the
+// queue.
+func (s *Server) resumeLocked(rec runstore.JobRecord) bool {
 	if rec.Attempts < 1 {
 		rec.Attempts = 1 // journals from before attempt tracking
 	}
-	if !s.cfg.Retry.Allows(retry.StatusInterrupted, rec.Attempts) {
-		return false
-	}
-	if len(rec.ResolvedSpec) == 0 || len(s.queue) >= s.cfg.QueueSize {
+	if !s.cfg.Retry.Allows(runstore.StatusInterrupted, rec.Attempts) ||
+		len(rec.ResolvedSpec) == 0 || len(s.queue) >= s.cfg.QueueSize {
 		return false
 	}
 	parsed, err := experiments.ParseJob(rec.Kind, rec.ResolvedSpec)
@@ -296,17 +270,59 @@ func (s *Server) requeueRestoredLocked(rec runstore.JobRecord) bool {
 		return false
 	}
 	parsed = parsed.Normalize(s.cfg.Runner.Options())
-	key, err := s.cfg.Runner.JobKeyFor(parsed)
-	if err != nil || key != rec.ID {
+	if key, err := s.cfg.Runner.JobKeyFor(parsed); err != nil || key != rec.ID {
 		return false
 	}
-	j := queuedJob(&job{JobRecord: rec, parsed: parsed, events: []experiments.Event{{
-		Message: "job interrupted by server restart; resuming from checkpoint if present"}}})
+	j := &job{JobRecord: rec, parsed: parsed}
+	s.enqueueLocked(j)
+	j.publish(experiments.Event{Message: "job interrupted by server restart; resuming from checkpoint if present"})
+	return true
+}
+
+// enqueueLocked admits j, which carries the work and its history, as a
+// queued job: the queued status with no start, finish or error, a fresh
+// cancellable context and the channels its streamers block on. It
+// journals the queued record, appends j to the queue, lists a new id,
+// maps the id to j and wakes an executor. The record is journaled before
+// an executor can pop the job (the pop also happens under s.mu), so the
+// "running" record can never overtake it. Callers hold s.mu and check
+// their own admission guards first.
+func (s *Server) enqueueLocked(j *job) {
+	j.ctx, j.cancel = context.WithCancel(context.Background())
+	j.Status, j.Started, j.Finished, j.Err = runstore.StatusQueued, time.Time{}, time.Time{}, ""
+	j.done, j.wake = make(chan struct{}), make(chan struct{})
 	s.journalAppendLocked(j)
 	s.queue = append(s.queue, j)
+	if _, ok := s.jobs[j.ID]; !ok {
+		s.order = append(s.order, j.ID)
+	}
 	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
-	return true
+	s.qcond.Signal()
+}
+
+// finishLocked ends j in a terminal status: it stamps the status, the
+// error and the finish time, appends the final event, journals the
+// record and closes done, so streamers drain the final event and stop.
+// Callers hold j.mu or own the job exclusively.
+func (s *Server) finishLocked(j *job, status, errMsg string, e experiments.Event) {
+	j.Status, j.Err, j.Finished = status, errMsg, time.Now().UTC()
+	j.appendEventLocked(e)
+	s.journalAppendLocked(j)
+	close(j.done)
+}
+
+// settle follows a job the executor or a queued cancel has just ended:
+// it releases the job's context, deletes a canceled job's checkpoint
+// (stale by decision: the client abandoned the work; done jobs clean up
+// inside the runner) and hands a failed job to the retry policy.
+func (s *Server) settle(j *job, status string) {
+	j.cancel()
+	switch status {
+	case runstore.StatusCanceled:
+		s.deleteCheckpoint(j.ID)
+	case runstore.StatusFailed:
+		s.maybeRetry(j)
+	}
 }
 
 // journalAppendLocked records the job's current state in the journal,
@@ -398,19 +414,18 @@ func (s *Server) popJob() *job {
 		return nil
 	}
 	j := s.queue[0]
-	s.queue = s.queue[1:]
+	s.queue = slices.Delete(s.queue, 0, 1)
 	return j
 }
 
 // removeQueuedLocked drops j from the waiting queue, freeing its
 // admission slot. A job already popped by an executor is simply absent.
+// Like popJob, it clears the slot it vacates, so the queue's backing
+// array holds only queued jobs and never keeps an evicted one alive.
 // Callers hold s.mu.
 func (s *Server) removeQueuedLocked(j *job) {
-	for i, q := range s.queue {
-		if q == j {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			return
-		}
+	if i := slices.Index(s.queue, j); i >= 0 {
+		s.queue = slices.Delete(s.queue, i, i+1)
 	}
 }
 
@@ -420,12 +435,12 @@ func (s *Server) removeQueuedLocked(j *job) {
 // failed job with retry budget left is requeued after a backoff delay.
 func (s *Server) runJob(j *job) {
 	j.mu.Lock()
-	if j.Status != statusQueued {
+	if j.Status != runstore.StatusQueued {
 		// Cancelled while waiting in the queue: already terminal.
 		j.mu.Unlock()
 		return
 	}
-	j.Status = statusRunning
+	j.Status = runstore.StatusRunning
 	j.Started = time.Now().UTC()
 	j.Attempts++
 	ctx := j.ctx
@@ -448,49 +463,32 @@ func (s *Server) runJob(j *job) {
 		payload, err = marshalOutcome(out)
 	}
 
-	j.mu.Lock()
-	j.Finished = time.Now().UTC()
-	j.cached = cached
+	status, errMsg := runstore.StatusFailed, ""
 	switch {
 	case err == nil:
-		j.Status = statusDone
-		j.outcome = payload
-		msg := "job done"
-		if cached {
-			msg = "job done (served from run store)"
-		}
-		j.appendEventLocked(experiments.Event{Message: msg})
+		status = runstore.StatusDone
 	case timeout > 0 && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil:
 		// The deadline fired, not the client: that is a failure (and so
 		// retryable — a retry resumes from the last checkpoint, making
 		// progress across attempts even under a tight deadline).
-		j.Status = statusFailed
-		j.Err = fmt.Sprintf("job exceeded its %s deadline", timeout)
-		j.appendEventLocked(experiments.Event{Message: "job failed", Err: j.Err})
+		errMsg = fmt.Sprintf("job exceeded its %s deadline", timeout)
 	case errors.Is(err, context.Canceled) || ctx.Err() != nil:
 		// Cancellation is a client decision, not a failure; partial
 		// results were discarded by the engine and never persisted.
-		j.Status = statusCanceled
-		j.appendEventLocked(experiments.Event{Message: "job canceled"})
+		status = runstore.StatusCanceled
 	default:
-		j.Status = statusFailed
-		j.Err = err.Error()
-		j.appendEventLocked(experiments.Event{Message: "job failed", Err: err.Error()})
+		errMsg = err.Error()
 	}
-	status := j.Status
-	s.journalAppendLocked(j)
-	close(j.done)
+	// "job done", "job failed" with its error, or "job canceled".
+	e := experiments.Event{Message: "job " + status, Err: errMsg}
+	if status == runstore.StatusDone && cached {
+		e.Message = "job done (served from run store)"
+	}
+	j.mu.Lock()
+	j.cached, j.outcome = cached, payload
+	s.finishLocked(j, status, errMsg, e)
 	j.mu.Unlock()
-	j.cancel() // release the context's resources
-	s.markFinished()
-	switch status {
-	case statusCanceled:
-		// A cancelled job's checkpoint is stale by decision: the client
-		// abandoned the work. (Done jobs clean up inside the runner.)
-		s.deleteCheckpoint(j.ID)
-	case statusFailed:
-		s.maybeRetry(j)
-	}
+	s.settle(j, status)
 }
 
 // runJobGuarded is the RunResolvedJob call under a panic guard: a
@@ -536,7 +534,7 @@ func (s *Server) maybeRetry(j *job) {
 	j.mu.Lock()
 	attempts := j.Attempts
 	j.mu.Unlock()
-	if !s.cfg.Retry.Allows(retry.StatusFailed, attempts) {
+	if !s.cfg.Retry.Allows(runstore.StatusFailed, attempts) {
 		s.deleteCheckpoint(j.ID)
 		return
 	}
@@ -547,8 +545,8 @@ func (s *Server) maybeRetry(j *job) {
 
 // requeue replaces a terminal failed job with a fresh queued job under
 // the same content address, carrying forward the spec, attempt count
-// and event history. It bails out when the server has closed, when the
-// id no longer maps to the failed job (a client resubmitted or the
+// and progress stream. It bails out when the server has closed, when
+// the id no longer maps to the failed job (a client resubmitted or the
 // record was evicted meanwhile), or when the queue is full — a retry
 // never evicts client work.
 func (s *Server) requeue(prev *job) {
@@ -558,22 +556,11 @@ func (s *Server) requeue(prev *job) {
 		return
 	}
 	prev.mu.Lock()
-	j := queuedJob(&job{JobRecord: prev.JobRecord, parsed: prev.parsed,
-		events: append([]experiments.Event(nil), prev.events...)})
+	j := &job{JobRecord: prev.JobRecord, parsed: prev.parsed, stream: slices.Clone(prev.stream),
+		events: prev.events, stepsDone: prev.stepsDone, stepsTotal: prev.stepsTotal}
 	prev.mu.Unlock()
-	j.events = append(j.events, experiments.Event{Message: "requeued after failure"})
-	s.journalAppendLocked(j)
-	s.queue = append(s.queue, j)
-	s.jobs[j.ID] = j
-	s.finished-- // the terminal job left the books; its slot runs again
-	s.qcond.Signal()
-}
-
-// markFinished bumps the terminal-job counter the eviction scan reads.
-func (s *Server) markFinished() {
-	s.mu.Lock()
-	s.finished++
-	s.mu.Unlock()
+	s.enqueueLocked(j)
+	j.publish(experiments.Event{Message: "requeued after failure"})
 }
 
 // cancelJob cooperatively cancels one job. A queued job retires
@@ -586,32 +573,22 @@ func (s *Server) markFinished() {
 func (s *Server) cancelJob(j *job) bool {
 	s.mu.Lock()
 	j.mu.Lock()
-	switch j.Status {
-	case statusQueued:
+	status := j.Status
+	if status == runstore.StatusQueued {
 		s.removeQueuedLocked(j)
-		j.Status = statusCanceled
-		j.Finished = time.Now().UTC()
-		j.appendEventLocked(experiments.Event{Message: "job canceled"})
-		s.journalAppendLocked(j)
-		close(j.done)
-		s.finished++
-		j.mu.Unlock()
-		s.mu.Unlock()
+		s.finishLocked(j, runstore.StatusCanceled, "", experiments.Event{Message: "job canceled"})
+	}
+	j.mu.Unlock()
+	s.mu.Unlock()
+	switch status {
+	case runstore.StatusQueued:
+		s.settle(j, runstore.StatusCanceled)
+	case runstore.StatusRunning:
 		j.cancel()
-		// A checkpoint left by an earlier failed attempt is stale once
-		// the client abandons the work.
-		s.deleteCheckpoint(j.ID)
-		return true
-	case statusRunning:
-		j.mu.Unlock()
-		s.mu.Unlock()
-		j.cancel()
-		return true
 	default:
-		j.mu.Unlock()
-		s.mu.Unlock()
 		return false
 	}
+	return true
 }
 
 func marshalOutcome(out experiments.Outcome) ([]byte, error) {
@@ -662,7 +639,7 @@ type jobStatus struct {
 	Started   *time.Time      `json:"started,omitempty"`
 	Finished  *time.Time      `json:"finished,omitempty"`
 	Err       string          `json:"err,omitempty"`
-	// Done/Total mirror the latest progress event.
+	// Done/Total are those of the latest progress event with a total.
 	Done   int `json:"done"`
 	Total  int `json:"total"`
 	Events int `json:"events"`
@@ -681,7 +658,9 @@ func (j *job) view() jobStatus {
 		Restored:  j.restored,
 		Submitted: j.Submitted,
 		Err:       j.Err,
-		Events:    len(j.events),
+		Events:    j.events,
+		Done:      j.stepsDone,
+		Total:     j.stepsTotal,
 	}
 	if !j.Started.IsZero() {
 		t := j.Started
@@ -690,12 +669,6 @@ func (j *job) view() jobStatus {
 	if !j.Finished.IsZero() {
 		t := j.Finished
 		v.Finished = &t
-	}
-	for i := len(j.events) - 1; i >= 0; i-- {
-		if j.events[i].Total > 0 {
-			v.Done, v.Total = j.events[i].Done, j.events[i].Total
-			break
-		}
 	}
 	return v
 }
@@ -748,8 +721,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("server is shutting down"), s.cfg.Retry.RetryAfter())
 		return
 	}
-	replacing := false
-	if existing, ok := s.jobs[key]; ok {
+	if existing := s.jobs[key]; existing != nil {
 		// Content-addressed dedupe: the same work is the same job. A
 		// failed, canceled or interrupted job is replaced so callers can
 		// retry — as is a restored "done" job whose outcome the run
@@ -760,7 +732,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusOK, existing.view())
 			return
 		}
-		replacing = true
 	}
 	if len(s.queue) >= s.cfg.QueueSize {
 		s.mu.Unlock()
@@ -769,27 +740,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			s.cfg.Retry.RetryAfter())
 		return
 	}
-	j := queuedJob(&job{JobRecord: runstore.JobRecord{
+	j := &job{JobRecord: runstore.JobRecord{
 		ID:           key,
 		Kind:         parsed.Kind(),
 		Summary:      parsed.Normalize(s.cfg.Runner.Options()).Summary(),
 		Spec:         append(json.RawMessage(nil), req.Spec...),
 		ResolvedSpec: resolvedSpec,
 		Submitted:    time.Now().UTC(),
-	}, parsed: parsed})
-	// Journaled before an executor can see it (the queue append and the
-	// executor's pop both happen under s.mu), so the "running" record
-	// can never overtake the "queued" one.
-	s.journalAppendLocked(j)
-	s.queue = append(s.queue, j)
-	s.qcond.Signal()
-	if _, ok := s.jobs[key]; !ok {
-		s.order = append(s.order, key)
-	}
-	s.jobs[key] = j
-	if replacing {
-		s.finished-- // a terminal job left the books; its slot is queued again
-	}
+	}, parsed: parsed}
+	s.enqueueLocked(j)
 	s.evictFinishedLocked()
 	s.mu.Unlock()
 	writeJSON(w, http.StatusAccepted, j.view())
@@ -806,7 +765,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // reports it missing and the next resubmission recomputes. Callers hold
 // s.mu.
 func (s *Server) unservableRestored(j *job, st string) bool {
-	if st != statusDone {
+	if st != runstore.StatusDone {
 		return false
 	}
 	j.mu.Lock()
@@ -821,21 +780,26 @@ func (s *Server) unservableRestored(j *job, st string) bool {
 // evictFinishedLocked drops the oldest finished jobs beyond the
 // retention bound, so a long-lived server's memory stays proportional to
 // RetainJobs rather than to its lifetime. Queued and running jobs are
-// never evicted. The terminal-job counter (maintained on every state
-// transition) gates the scan, so submissions that are under the bound —
-// the common case — pay one comparison instead of a rescan of every job.
-// Callers hold s.mu.
+// never evicted. One pass over order, newest first, counts the terminal
+// jobs, keeps the newest RetainJobs of them and rebuilds order in place.
+// Every earlier pass left at most RetainJobs terminal jobs, so the pass
+// reads at most RetainJobs + QueueSize + Executors statuses. Callers hold
+// s.mu.
 func (s *Server) evictFinishedLocked() {
-	for i := 0; i < len(s.order) && s.finished > s.cfg.RetainJobs; {
+	kept, finished := len(s.order), 0
+	for i := len(s.order) - 1; i >= 0; i-- {
 		id := s.order[i]
-		if terminalStatus(s.jobs[id].statusNow()) {
-			delete(s.jobs, id)
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			s.finished--
-			continue
+		if runstore.Terminal(s.jobs[id].statusNow()) {
+			if finished++; finished > s.cfg.RetainJobs {
+				delete(s.jobs, id)
+				continue
+			}
 		}
-		i++
+		kept--
+		s.order[kept] = id
 	}
+	clear(s.order[:kept])
+	s.order = s.order[kept:]
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -887,7 +851,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	status, errMsg, outcome := j.Status, j.Err, j.outcome
 	j.mu.Unlock()
 	switch status {
-	case statusDone:
+	case runstore.StatusDone:
 		if outcome == nil {
 			// Restored from the journal: the payload lives in the run
 			// store under the job id (the id IS the store key).
@@ -905,9 +869,9 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
 		w.Write(outcome)
-	case statusFailed:
+	case runstore.StatusFailed:
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("job failed: %s", errMsg))
-	case statusCanceled, statusInterrupted:
+	case runstore.StatusCanceled, runstore.StatusInterrupted:
 		writeError(w, http.StatusGone, fmt.Errorf("job was %s; resubmit to recompute", status))
 	default:
 		writeError(w, http.StatusNotFound, fmt.Errorf("job is %s; result not ready", status))
@@ -915,11 +879,11 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleEvents streams the job's progress as one JSON object per line
-// (application/x-ndjson), replaying buffered events first and following
-// live ones until the job completes or the client disconnects. Delivery
-// is notification-driven: the streamer blocks on the job's wake channel
-// (closed and replaced on every append), so idle streams cost nothing
-// between events instead of waking on a poll timer.
+// (application/x-ndjson), replaying the stream so far first and
+// following live appends until the job completes or the client
+// disconnects. Delivery is notification-driven: the streamer blocks on
+// the job's wake channel (closed and replaced on every append), so idle
+// streams cost nothing between events instead of waking on a poll timer.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(w, r)
 	if j == nil {
@@ -929,24 +893,26 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
 
 	next := 0
-	// emit drains events[next:] and returns the wake channel captured in
-	// the same critical section, so an append between the drain and the
-	// select below still fires the captured channel — no lost wakeups.
+	// emit writes the bytes appended since the last call and returns the
+	// wake channel captured in the same critical section, so an append
+	// between the write and the select below still fires the captured
+	// channel — no lost wakeups. Appends never touch bytes already in the
+	// stream, so they are written outside the lock.
 	emit := func() (chan struct{}, bool) {
 		j.mu.Lock()
-		pending := j.events[next:]
-		next = len(j.events)
+		pending := j.stream[next:]
+		next = len(j.stream)
 		wake := j.wake
 		j.mu.Unlock()
-		for _, e := range pending {
-			if err := enc.Encode(e); err != nil {
-				return nil, false
-			}
+		if len(pending) == 0 {
+			return wake, true
 		}
-		if len(pending) > 0 && flusher != nil {
+		if _, err := w.Write(pending); err != nil {
+			return nil, false
+		}
+		if flusher != nil {
 			flusher.Flush()
 		}
 		return wake, true
@@ -1043,8 +1009,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		QueueDepth:    depth,
 		QueueCapacity: s.cfg.QueueSize,
 		Jobs: map[string]int{
-			statusQueued: 0, statusRunning: 0, statusDone: 0,
-			statusFailed: 0, statusCanceled: 0, statusInterrupted: 0,
+			runstore.StatusQueued: 0, runstore.StatusRunning: 0, runstore.StatusDone: 0,
+			runstore.StatusFailed: 0, runstore.StatusCanceled: 0, runstore.StatusInterrupted: 0,
 		},
 		NoiseCache:  newCacheView(s.cfg.Runner.NoiseCacheSnapshot()),
 		KernelCache: newCacheView(s.cfg.Runner.KernelCache().Snapshot()),

@@ -7,10 +7,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -806,9 +808,9 @@ func TestJournalRestartListsPriorJobs(t *testing.T) {
 	}
 }
 
-// TestEvictionNeverDropsActiveJobs pins the eviction invariant under the
-// finished-job counter: only terminal jobs are evicted, oldest first,
-// and queued/running jobs survive any retention pressure.
+// TestEvictionNeverDropsActiveJobs pins the eviction invariant: only
+// terminal jobs are evicted, oldest first, and queued/running jobs
+// survive any retention pressure.
 func TestEvictionNeverDropsActiveJobs(t *testing.T) {
 	s := &Server{
 		cfg:  Config{RetainJobs: 1},
@@ -818,9 +820,6 @@ func TestEvictionNeverDropsActiveJobs(t *testing.T) {
 		j := &job{JobRecord: runstore.JobRecord{ID: id, Status: status}, done: make(chan struct{}), wake: make(chan struct{})}
 		s.jobs[id] = j
 		s.order = append(s.order, id)
-		if terminalStatus(status) {
-			s.finished++
-		}
 	}
 	add("done1", statusDone)
 	add("run1", statusRunning)
@@ -833,8 +832,14 @@ func TestEvictionNeverDropsActiveJobs(t *testing.T) {
 	s.evictFinishedLocked()
 	s.mu.Unlock()
 
-	if s.finished != 1 {
-		t.Fatalf("finished counter %d after eviction, want 1", s.finished)
+	finished := 0
+	for _, j := range s.jobs {
+		if runstore.Terminal(j.Status) {
+			finished++
+		}
+	}
+	if finished != 1 {
+		t.Fatalf("%d finished jobs after eviction, want 1", finished)
 	}
 	for _, id := range []string{"run1", "queue1"} {
 		if _, ok := s.jobs[id]; !ok {
@@ -869,10 +874,78 @@ func TestPublishWakesStreamers(t *testing.T) {
 		t.Fatal("append did not wake the streamer")
 	}
 	j.mu.Lock()
-	if len(j.events) != 1 || j.wake == wake {
-		t.Fatalf("append bookkeeping wrong: %d events", len(j.events))
+	if j.events != 1 || j.wake == wake {
+		t.Fatalf("append bookkeeping wrong: %d events", j.events)
 	}
 	j.mu.Unlock()
+}
+
+// TestQueueHoldsOnlyQueuedJobs: popping a job and removing a canceled
+// one clear the slots they vacate, so the queue's backing array keeps no
+// job alive after it leaves the queue, and eviction frees it.
+func TestQueueHoldsOnlyQueuedJobs(t *testing.T) {
+	s := &Server{jobs: map[string]*job{}}
+	s.qcond = sync.NewCond(&s.mu)
+	a, b, c := &job{}, &job{}, &job{}
+	s.queue = []*job{a, b, c}
+	if got := s.popJob(); got != a {
+		t.Fatal("popJob did not return the oldest job")
+	}
+	s.mu.Lock()
+	s.removeQueuedLocked(c)
+	s.mu.Unlock()
+	if len(s.queue) != 1 || s.queue[0] != b {
+		t.Fatalf("queue holds %d jobs, want only the second", len(s.queue))
+	}
+	for i, q := range s.queue[len(s.queue):cap(s.queue)] {
+		if q != nil {
+			t.Fatalf("slot %d past the queue still holds a job", len(s.queue)+i)
+		}
+	}
+}
+
+// TestConcurrentStreamersReadOneStream: streamers that join while a
+// search appends its events, and one that joins after the search is
+// done, read the same bytes. Streamers write the stream outside the
+// job's lock while the engine appends to it; run under -race.
+func TestConcurrentStreamersReadOneStream(t *testing.T) {
+	_, ts := newTestServer(t, nil, 4)
+	v := submit(t, ts.URL, `{"kind":"search","spec":{"benchmark":"sym6_145","strategy":"anneal","steps":60,"proposals":4,"max_evals":4}}`)
+	read := func() ([]byte, error) {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + "/events")
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		return io.ReadAll(resp.Body)
+	}
+	const streamers = 4
+	live := make([][]byte, streamers)
+	errs := make([]error, streamers)
+	var wg sync.WaitGroup
+	for i := range live {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			live[i], errs[i] = read()
+		}()
+	}
+	wg.Wait()
+	final, err := read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(final, []byte("\n")); n != getStatus(t, ts.URL, v.ID).Events || n < 2 {
+		t.Fatalf("final stream holds %d lines, status reports %d events", n, getStatus(t, ts.URL, v.ID).Events)
+	}
+	for i := range live {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !bytes.Equal(live[i], final) {
+			t.Fatalf("streamer %d read %d bytes, the finished job serves %d", i, len(live[i]), len(final))
+		}
+	}
 }
 
 // TestRestoredDoneJobWithLostOutcomeIsRetryable: a journal-restored done

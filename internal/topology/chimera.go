@@ -23,10 +23,25 @@ type Chimera struct {
 	M, N, K int
 }
 
-// NewChimera validates the grid parameters.
+// maxChimeraQubits bounds the chips NewChimera accepts: chimera(16,16,4).
+// Every job that names a chip builds its full coordinate and edge lists,
+// so the bound caps what one spelling in a job spec can cost.
+const maxChimeraQubits = 2048
+
+// NewChimera validates the grid parameters: each positive, and at most
+// maxChimeraQubits qubits in all.
 func NewChimera(m, n, k int) (Chimera, error) {
 	if m <= 0 || n <= 0 || k <= 0 {
 		return Chimera{}, fmt.Errorf("topology: chimera(%d,%d,%d): parameters must be positive", m, n, k)
+	}
+	// 2kmn, one factor at a time, each checked before it is multiplied
+	// in, so no product overflows before the bound rejects it.
+	qubits := 2
+	for _, f := range []int{k, m, n} {
+		if f > maxChimeraQubits/qubits {
+			return Chimera{}, fmt.Errorf("topology: chimera(%d,%d,%d): more than %d qubits", m, n, k, maxChimeraQubits)
+		}
+		qubits *= f
 	}
 	return Chimera{M: m, N: n, K: k}, nil
 }
@@ -112,7 +127,7 @@ func (f Chimera) BaseLayout(c *circuit.Circuit, aux int) (*arch.Architecture, *p
 		return nil, nil, err
 	}
 	coords, edges := f.Layout()
-	base, err := arch.NewGraph("", f.Name(), coords, edges, nil)
+	base, err := arch.NewGraph("", f.Name(), coords, edges)
 	if err != nil {
 		return nil, nil, fmt.Errorf("topology: %s: %w", f.Name(), err)
 	}

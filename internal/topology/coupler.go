@@ -50,7 +50,7 @@ func (Coupler) BaseLayout(c *circuit.Circuit, aux int) (*arch.Architecture, *pro
 	for _, b := range sq.Buses {
 		edges = append(edges, [2]int{b.Qubits[0], b.Qubits[1]})
 	}
-	base, err := arch.NewGraph("", "coupler", coords, edges, nil)
+	base, err := arch.NewGraph("", "coupler", coords, edges)
 	if err != nil {
 		return nil, nil, fmt.Errorf("topology: coupler: %w", err)
 	}

@@ -1,11 +1,13 @@
 // Package topology makes coupling-graph families pluggable: the paper's
 // square lattice, Bunyk et al.'s Chimera annealer grid, and Li & Jin's
 // tunable-coupler pairwise grid are all expressed behind one Family
-// interface — how qubits are laid out for a program, which multi-qubit
-// bus sites exist, and how far a qubit's frequency-interaction region
-// reaches. The collision, yield, mapping and search machinery consumes
-// architectures through their coupling graphs and bus sites, so any
-// family that can answer these questions is a first-class workload.
+// interface — how qubits are laid out for a program and how far a
+// qubit's frequency-interaction region reaches. Which multi-qubit bus
+// sites exist is decided by package arch from the family name the
+// layout carries: square layouts have the paper's unit squares, every
+// other family none. The collision, yield, mapping and search machinery
+// consumes architectures through their coupling graphs and bus sites, so
+// any family that can answer these questions is a first-class workload.
 package topology
 
 import (

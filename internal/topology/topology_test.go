@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"strings"
 	"testing"
 
 	"qproc/internal/arch"
@@ -42,6 +43,25 @@ func TestParseAndCanon(t *testing.T) {
 	// Canon leaves unknown spellings for Parse to reject at run time.
 	if got := Canon("hex"); got != "hex" {
 		t.Errorf("Canon(hex) = %q, want hex", got)
+	}
+}
+
+// TestChimeraBounded: Parse refuses a chimera grid of more than 2048
+// qubits, however large its parameters, with an error that names the
+// bound, and accepts the largest grid within it, chimera(16,16,4).
+func TestChimeraBounded(t *testing.T) {
+	for _, huge := range []string{"chimera(100000,100000,16)", "chimera(1,1,9223372036854775807)", "chimera(16,16,5)"} {
+		_, err := Parse(huge)
+		if err == nil || !strings.Contains(err.Error(), "2048") {
+			t.Errorf("Parse(%q) = %v, want an error naming the 2048-qubit bound", huge, err)
+		}
+	}
+	f, err := Parse("chimera(16,16,4)")
+	if err != nil {
+		t.Fatalf("Parse(chimera(16,16,4)): %v", err)
+	}
+	if coords, _ := f.(Chimera).Layout(); len(coords) != 2048 {
+		t.Fatalf("chimera(16,16,4) lays out %d qubits, want 2048", len(coords))
 	}
 }
 
