@@ -3,20 +3,19 @@
 // connecting them, and per-qubit design frequencies.
 //
 // Per Section 2.2 of the paper, two bus types are modelled. A 2-qubit bus
-// connects two coupled qubits. A multi-qubit bus occupies a *site* — for
-// the paper's square lattice, a unit square — and couples all qubits on
-// its member nodes pairwise (K4 coupling graph); when only three members
-// hold qubits it degenerates to a 3-qubit bus (K3, Figure 7b). Which sites
-// exist, which qubits they couple and which sites exclude each other is
-// family geometry, a bus policy chosen by the architecture's Family: the
-// square policy implements the paper's unit squares and the prohibited
-// condition of two edge-sharing squares (Figure 7a), while graph families
-// (Chimera, tunable-coupler grids) carry explicit edge lists and no bus
-// sites.
+// connects two coupled qubits. A multi-qubit bus sits on a unit square of
+// the lattice and couples the qubits on its occupied corners pairwise (K4
+// coupling graph); when only three corners hold qubits it degenerates to
+// a 3-qubit bus (K3, Figure 7b). Two squares that share an edge may not
+// both carry one (the prohibited condition, Figure 7a). Only the paper's
+// square family has bus squares: graph families (Chimera,
+// tunable-coupler grids) carry explicit edge lists, and any pair of their
+// qubits may share a 2-qubit bus.
 package arch
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"qproc/internal/lattice"
@@ -28,13 +27,13 @@ type BusKind uint8
 const (
 	// TwoQubitBus couples one qubit pair.
 	TwoQubitBus BusKind = iota
-	// MultiQubitBus is a site resonator coupling the 3 or 4 qubits on its
-	// member nodes pairwise.
+	// MultiQubitBus is a square resonator coupling the 3 or 4 qubits on
+	// its occupied corners pairwise.
 	MultiQubitBus
 )
 
 // String names the bus kind. A MultiQubitBus may couple 3 or 4 qubits
-// depending on site occupancy, so the kind alone cannot name the count —
+// depending on square occupancy, so the kind alone cannot name the count —
 // use Bus.Label for the per-bus "3-qubit"/"4-qubit" spelling.
 func (k BusKind) String() string {
 	if k == TwoQubitBus {
@@ -43,42 +42,15 @@ func (k BusKind) String() string {
 	return "multi-qubit"
 }
 
-// Site identifies a candidate multi-qubit-bus location by an opaque 2D
-// id, assigned by the architecture's bus policy. For the square family it
-// is the south-west corner of the unit square.
-type Site struct {
-	X, Y int
-}
-
-// String renders the site id.
-func (s Site) String() string { return fmt.Sprintf("site(%d,%d)", s.X, s.Y) }
-
-// Less orders sites canonically by (Y, X), matching lattice.Coord.Less.
-func (s Site) Less(t Site) bool {
-	if s.Y != t.Y {
-		return s.Y < t.Y
-	}
-	return s.X < t.X
-}
-
-// SiteOf converts a lattice square to its site id (square family).
-func SiteOf(sq lattice.Square) Site { return Site{X: sq.Origin.X, Y: sq.Origin.Y} }
-
-// Square converts a site id back to the lattice square it names under the
-// square family.
-func (s Site) Square() lattice.Square {
-	return lattice.Square{Origin: lattice.Coord{X: s.X, Y: s.Y}}
-}
-
 // Bus is one resonator.
 type Bus struct {
 	Kind BusKind
 	// Qubits are the physical qubit ids the bus couples: exactly 2 for
 	// TwoQubitBus, 3 or 4 for MultiQubitBus, ascending.
 	Qubits []int
-	// Site is the bus site a MultiQubitBus occupies; unused for
+	// Square is the lattice square a MultiQubitBus occupies; unused for
 	// TwoQubitBus.
-	Site Site
+	Square lattice.Square
 }
 
 // Label names the bus by its actual coupled-qubit count — "2-qubit",
@@ -86,72 +58,6 @@ type Bus struct {
 // square is a 3-qubit bus (Figure 7b), which BusKind.String alone cannot
 // report.
 func (b Bus) Label() string { return fmt.Sprintf("%d-qubit", len(b.Qubits)) }
-
-// busPolicy supplies the family-specific multi-qubit-bus geometry: which
-// sites exist, which qubits each site couples, which sites exclude each
-// other, and which qubit pairs may carry a 2-qubit bus.
-type busPolicy interface {
-	// CandidateSites enumerates every site of the architecture's node set
-	// with enough members to carry a multi-qubit bus, in canonical order.
-	CandidateSites(a *Architecture) []Site
-	// SiteMembers returns the qubit ids on the occupied member nodes of
-	// site s, in the site's canonical member order. Nil when the policy
-	// does not model multi-qubit bus sites.
-	SiteMembers(a *Architecture, s Site) []int
-	// Conflicts lists the sites that may not carry a bus alongside s (the
-	// family's prohibited condition). Nil when sites never conflict.
-	Conflicts(s Site) []Site
-	// PairCoupled reports whether qubits p and q may share a 2-qubit bus.
-	PairCoupled(a *Architecture, p, q int) bool
-}
-
-// squarePolicy is the paper's geometry: sites are unit squares with at
-// least three occupied corners, members are the corner qubits, and
-// edge-sharing squares conflict (the prohibited condition).
-type squarePolicy struct{}
-
-func (squarePolicy) CandidateSites(a *Architecture) []Site {
-	sqs := a.Occupied().Squares(3)
-	out := make([]Site, len(sqs))
-	for i, sq := range sqs {
-		out[i] = SiteOf(sq)
-	}
-	return out
-}
-
-func (squarePolicy) SiteMembers(a *Architecture, s Site) []int {
-	out := make([]int, 0, 4)
-	for _, c := range s.Square().Corners() {
-		if q, ok := a.QubitAt(c); ok {
-			out = append(out, q)
-		}
-	}
-	return out
-}
-
-func (squarePolicy) Conflicts(s Site) []Site {
-	nbrs := s.Square().Neighbors()
-	out := make([]Site, len(nbrs))
-	for i, n := range nbrs {
-		out[i] = SiteOf(n)
-	}
-	return out
-}
-
-func (squarePolicy) PairCoupled(a *Architecture, p, q int) bool {
-	return lattice.Adjacent(a.Coords[p], a.Coords[q])
-}
-
-// graphPolicy is the permissive policy of explicit-edge graph families
-// (and of architectures decoded from files whose family this process does
-// not know): no multi-qubit bus sites, any pair may be coupled — the edge
-// list is authoritative.
-type graphPolicy struct{}
-
-func (graphPolicy) CandidateSites(*Architecture) []Site      { return nil }
-func (graphPolicy) SiteMembers(*Architecture, Site) []int    { return nil }
-func (graphPolicy) Conflicts(Site) []Site                    { return nil }
-func (graphPolicy) PairCoupled(*Architecture, int, int) bool { return true }
 
 // Architecture is a complete processor design. The zero value is unusable;
 // construct with New or NewGraph.
@@ -215,7 +121,7 @@ func MustNew(name string, coords []lattice.Coord) *Architecture {
 // family: one qubit per coordinate and a 2-qubit bus per listed edge, in
 // list order. The coordinates serve as a deterministic embedding (for
 // rendering and tie-breaks); the edge list alone defines the coupling,
-// and there are no multi-qubit bus sites.
+// and there are no multi-qubit bus squares.
 func NewGraph(name, family string, coords []lattice.Coord, edges [][2]int) (*Architecture, error) {
 	if family == "" {
 		return nil, fmt.Errorf("arch %q: NewGraph needs a family name (use New for the square family)", name)
@@ -250,14 +156,9 @@ func NewGraph(name, family string, coords []lattice.Coord, edges [][2]int) (*Arc
 	return a, nil
 }
 
-// policy returns the family's bus policy: the square geometry for the
-// square family, else the permissive graph policy.
-func (a *Architecture) policy() busPolicy {
-	if a.Family == "" || a.Family == "square" {
-		return squarePolicy{}
-	}
-	return graphPolicy{}
-}
+// square reports whether the architecture belongs to the paper's square
+// lattice family, the only family with multi-qubit bus squares.
+func (a *Architecture) square() bool { return a.Family == "" || a.Family == "square" }
 
 // NumQubits returns the number of physical qubits.
 func (a *Architecture) NumQubits() int { return len(a.Coords) }
@@ -277,126 +178,101 @@ func (a *Architecture) Occupied() lattice.Set {
 	return s
 }
 
-// BusAtSite reports whether a multi-qubit bus occupies site s.
-func (a *Architecture) BusAtSite(s Site) bool {
+// MultiBusAt reports whether a multi-qubit bus occupies square sq.
+func (a *Architecture) MultiBusAt(sq lattice.Square) bool {
 	for _, b := range a.Buses {
-		if b.Kind == MultiQubitBus && b.Site == s {
+		if b.Kind == MultiQubitBus && b.Square == sq {
 			return true
 		}
 	}
 	return false
 }
 
-// MultiBusAt reports whether a multi-qubit bus occupies square sq.
-func (a *Architecture) MultiBusAt(sq lattice.Square) bool { return a.BusAtSite(SiteOf(sq)) }
-
-// BusSites returns the sites carrying multi-qubit buses, in creation
-// order.
-func (a *Architecture) BusSites() []Site {
-	var out []Site
-	for _, b := range a.Buses {
-		if b.Kind == MultiQubitBus {
-			out = append(out, b.Site)
-		}
-	}
-	return out
-}
-
 // MultiBusSquares returns the squares carrying multi-qubit buses, in
-// creation order (square-family view of BusSites).
+// creation order.
 func (a *Architecture) MultiBusSquares() []lattice.Square {
 	var out []lattice.Square
 	for _, b := range a.Buses {
 		if b.Kind == MultiQubitBus {
-			out = append(out, b.Site.Square())
+			out = append(out, b.Square)
 		}
 	}
 	return out
 }
 
-// CandidateSites enumerates every site of the family with enough members
-// to carry a multi-qubit bus, occupied or not, in canonical order — the
-// universe bus-placement moves draw from. Graph families without bus
-// sites return nil.
-func (a *Architecture) CandidateSites() []Site {
-	return a.policy().CandidateSites(a)
+// CandidateSquares enumerates every unit square with at least three
+// occupied corners, carrying a bus or not, in canonical (Y, X) order: the
+// universe bus-placement moves draw from. Graph families have no bus
+// squares and return nil.
+func (a *Architecture) CandidateSquares() []lattice.Square {
+	if !a.square() {
+		return nil
+	}
+	return a.Occupied().Squares(3)
 }
 
-// SiteQubits returns the qubit ids site s couples, in the site's
-// canonical member order.
-func (a *Architecture) SiteQubits(s Site) []int {
-	return a.policy().SiteMembers(a, s)
+// SquareQubits returns the qubit ids on the occupied corners of square sq,
+// in corner order: the qubits a bus on sq couples. Nil for graph families.
+func (a *Architecture) SquareQubits(sq lattice.Square) []int {
+	if !a.square() {
+		return nil
+	}
+	out := make([]int, 0, 4)
+	for _, c := range sq.Corners() {
+		if q, ok := a.QubitAt(c); ok {
+			out = append(out, q)
+		}
+	}
+	return out
 }
 
-// CanApplyBusAt reports whether site s is eligible for a multi-qubit bus:
-// at least three members occupied, no multi-qubit bus already on s, and
-// no multi-qubit bus on a conflicting site (the family's prohibited
+// CanApplyMultiBus reports whether square sq is eligible for a
+// multi-qubit bus: at least three corners occupied, no multi-qubit bus
+// already on sq, and none on an edge-sharing square (the prohibited
 // condition).
-func (a *Architecture) CanApplyBusAt(s Site) bool {
-	pol := a.policy()
-	if len(pol.SiteMembers(a, s)) < 3 {
+func (a *Architecture) CanApplyMultiBus(sq lattice.Square) bool {
+	if len(a.SquareQubits(sq)) < 3 || a.MultiBusAt(sq) {
 		return false
 	}
-	if a.BusAtSite(s) {
-		return false
-	}
-	for _, n := range pol.Conflicts(s) {
-		if a.BusAtSite(n) {
+	for _, n := range sq.Neighbors() {
+		if a.MultiBusAt(n) {
 			return false
 		}
 	}
 	return true
 }
 
-// CanApplyMultiBus reports whether square sq is eligible for a
-// multi-qubit bus (square-family view of CanApplyBusAt).
-func (a *Architecture) CanApplyMultiBus(sq lattice.Square) bool {
-	return a.CanApplyBusAt(SiteOf(sq))
-}
-
-// ApplyBusAt converts site s to a multi-qubit bus: the 2-qubit buses
-// between its member qubits are absorbed into (replaced by) the site
-// resonator, so every coupled pair remains coupled exactly once. It
-// returns an error when s is ineligible.
-func (a *Architecture) ApplyBusAt(s Site) error {
-	if !a.CanApplyBusAt(s) {
-		return fmt.Errorf("arch %q: %v ineligible for a multi-qubit bus", a.Name, s)
+// ApplyMultiBus converts square sq to a multi-qubit bus: the 2-qubit
+// buses between its corner qubits are absorbed into (replaced by) the
+// square resonator, so every coupled pair remains coupled exactly once.
+// It returns an error when sq is ineligible.
+func (a *Architecture) ApplyMultiBus(sq lattice.Square) error {
+	if !a.CanApplyMultiBus(sq) {
+		return fmt.Errorf("arch %q: %v ineligible for a multi-qubit bus", a.Name, sq)
 	}
-	pol := a.policy()
-	qubits := append([]int(nil), pol.SiteMembers(a, s)...)
+	qubits := a.SquareQubits(sq)
 	sort.Ints(qubits)
-	member := make(map[int]bool, len(qubits))
-	for _, q := range qubits {
-		member[q] = true
-	}
-	// Remove the member-pair 2-qubit buses now covered by the site.
+	// Remove the corner-pair 2-qubit buses now covered by the square.
 	kept := a.Buses[:0]
 	for _, b := range a.Buses {
-		if b.Kind == TwoQubitBus && member[b.Qubits[0]] && member[b.Qubits[1]] &&
-			pol.PairCoupled(a, b.Qubits[0], b.Qubits[1]) {
+		if b.Kind == TwoQubitBus && slices.Contains(qubits, b.Qubits[0]) && slices.Contains(qubits, b.Qubits[1]) {
 			continue
 		}
 		kept = append(kept, b)
 	}
-	a.Buses = append(kept, Bus{Kind: MultiQubitBus, Qubits: qubits, Site: s})
+	a.Buses = append(kept, Bus{Kind: MultiQubitBus, Qubits: qubits, Square: sq})
 	return nil
 }
 
-// ApplyMultiBus converts square sq to a multi-qubit bus (square-family
-// view of ApplyBusAt).
-func (a *Architecture) ApplyMultiBus(sq lattice.Square) error {
-	return a.ApplyBusAt(SiteOf(sq))
-}
-
-// MaxMultiBuses applies multi-qubit buses greedily in canonical site
-// order until no site is eligible, reproducing IBM's "as many 4-qubit
+// MaxMultiBuses applies multi-qubit buses greedily in canonical square
+// order until no square is eligible, reproducing IBM's "as many 4-qubit
 // buses as possible" baseline variants (Figure 9 (2) and (4): four buses
 // on the 2×8 chip, six on the 4×5 chip). It returns the number applied.
 func (a *Architecture) MaxMultiBuses() int {
 	n := 0
-	for _, s := range a.CandidateSites() {
-		if a.CanApplyBusAt(s) {
-			if err := a.ApplyBusAt(s); err != nil {
+	for _, sq := range a.CandidateSquares() {
+		if a.CanApplyMultiBus(sq) {
+			if err := a.ApplyMultiBus(sq); err != nil {
 				panic(err) // unreachable: eligibility just checked
 			}
 			n++
@@ -498,11 +374,11 @@ func (a *Architecture) Clone() *Architecture {
 }
 
 // Validate checks the structural invariants of the design: unique
-// coordinates, in-range bus members, multi-bus sites matching their
-// policy's member qubits, no duplicate couplings, and no conflicting bus
-// sites (the family's prohibited condition).
+// coordinates, in-range bus members, no duplicate couplings, and, on the
+// square family, 2-qubit buses between lattice neighbours, multi-qubit
+// buses on the corners of their square, and no two edge-sharing bus
+// squares (the prohibited condition).
 func (a *Architecture) Validate() error {
-	pol := a.policy()
 	seenCoord := map[lattice.Coord]int{}
 	for q, c := range a.Coords {
 		if p, dup := seenCoord[c]; dup {
@@ -522,7 +398,7 @@ func (a *Architecture) Validate() error {
 		seenEdge[e] = true
 		return nil
 	}
-	sites := map[Site]bool{}
+	squares := map[lattice.Square]bool{}
 	for i, b := range a.Buses {
 		for _, q := range b.Qubits {
 			if q < 0 || q >= a.NumQubits() {
@@ -534,7 +410,7 @@ func (a *Architecture) Validate() error {
 			if len(b.Qubits) != 2 {
 				return fmt.Errorf("arch %q: 2-qubit bus %d has %d qubits", a.Name, i, len(b.Qubits))
 			}
-			if !pol.PairCoupled(a, b.Qubits[0], b.Qubits[1]) {
+			if a.square() && !lattice.Adjacent(a.Coords[b.Qubits[0]], a.Coords[b.Qubits[1]]) {
 				return fmt.Errorf("arch %q: 2-qubit bus %d joins non-adjacent nodes", a.Name, i)
 			}
 			if err := addEdge(b.Qubits[0], b.Qubits[1]); err != nil {
@@ -544,21 +420,18 @@ func (a *Architecture) Validate() error {
 			if len(b.Qubits) < 3 || len(b.Qubits) > 4 {
 				return fmt.Errorf("arch %q: multi-qubit bus %d has %d qubits", a.Name, i, len(b.Qubits))
 			}
-			if ms := pol.SiteMembers(a, b.Site); ms != nil {
-				member := make(map[int]bool, len(ms))
-				for _, q := range ms {
-					member[q] = true
-				}
+			if a.square() {
+				corners := a.SquareQubits(b.Square)
 				for _, q := range b.Qubits {
-					if !member[q] {
-						return fmt.Errorf("arch %q: bus %d qubit %d not on %v", a.Name, i, q, b.Site)
+					if !slices.Contains(corners, q) {
+						return fmt.Errorf("arch %q: bus %d qubit %d not on %v", a.Name, i, q, b.Square)
 					}
 				}
 			}
-			if sites[b.Site] {
-				return fmt.Errorf("arch %q: %v carries two buses", a.Name, b.Site)
+			if squares[b.Square] {
+				return fmt.Errorf("arch %q: %v carries two buses", a.Name, b.Square)
 			}
-			sites[b.Site] = true
+			squares[b.Square] = true
 			for x := 0; x < len(b.Qubits); x++ {
 				for y := x + 1; y < len(b.Qubits); y++ {
 					if err := addEdge(b.Qubits[x], b.Qubits[y]); err != nil {
@@ -570,10 +443,12 @@ func (a *Architecture) Validate() error {
 			return fmt.Errorf("arch %q: bus %d has unknown kind %d", a.Name, i, b.Kind)
 		}
 	}
-	for s := range sites {
-		for _, n := range pol.Conflicts(s) {
-			if sites[n] {
-				return fmt.Errorf("arch %q: conflicting sites %v and %v both carry multi-qubit buses", a.Name, s, n)
+	if a.square() {
+		for sq := range squares {
+			for _, n := range sq.Neighbors() {
+				if squares[n] {
+					return fmt.Errorf("arch %q: edge-sharing squares %v and %v both carry multi-qubit buses", a.Name, sq, n)
+				}
 			}
 		}
 	}
@@ -592,7 +467,7 @@ func (a *Architecture) Validate() error {
 
 // String summarises the design.
 func (a *Architecture) String() string {
-	multi := len(a.BusSites())
+	multi := len(a.MultiBusSquares())
 	return fmt.Sprintf("%s: %d qubits, %d connections, %d multi-qubit buses",
 		a.Name, a.NumQubits(), a.NumConnections(), multi)
 }

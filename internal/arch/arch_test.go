@@ -203,8 +203,8 @@ func TestValidateCatchesAdjacentMultiBuses(t *testing.T) {
 	// Bypass ApplyMultiBus to inject an invalid state.
 	q := func(x, y int) int { v, _ := a.QubitAt(lattice.Coord{X: x, Y: y}); return v }
 	a.Buses = []Bus{
-		{Kind: MultiQubitBus, Qubits: []int{q(0, 0), q(1, 0), q(0, 1), q(1, 1)}, Site: Site{X: 0, Y: 0}},
-		{Kind: MultiQubitBus, Qubits: []int{q(1, 0), q(2, 0), q(1, 1), q(2, 1)}, Site: Site{X: 1, Y: 0}},
+		{Kind: MultiQubitBus, Qubits: []int{q(0, 0), q(1, 0), q(0, 1), q(1, 1)}, Square: lattice.Square{Origin: lattice.Coord{X: 0, Y: 0}}},
+		{Kind: MultiQubitBus, Qubits: []int{q(1, 0), q(2, 0), q(1, 1), q(2, 1)}, Square: lattice.Square{Origin: lattice.Coord{X: 1, Y: 0}}},
 	}
 	if err := a.Validate(); err == nil {
 		t.Fatal("adjacent multi buses not detected")
@@ -244,8 +244,8 @@ func TestAdjListSymmetric(t *testing.T) {
 // a "4-qubit" one, and the kind string no longer hardcodes a count.
 func TestBusLabelReportsActualQubitCount(t *testing.T) {
 	two := Bus{Kind: TwoQubitBus, Qubits: []int{0, 1}}
-	three := Bus{Kind: MultiQubitBus, Qubits: []int{0, 1, 2}, Site: Site{}}
-	four := Bus{Kind: MultiQubitBus, Qubits: []int{0, 1, 2, 3}, Site: Site{}}
+	three := Bus{Kind: MultiQubitBus, Qubits: []int{0, 1, 2}, Square: lattice.Square{}}
+	four := Bus{Kind: MultiQubitBus, Qubits: []int{0, 1, 2, 3}, Square: lattice.Square{}}
 	if got := two.Label(); got != "2-qubit" {
 		t.Errorf("two.Label() = %q", got)
 	}

@@ -40,7 +40,7 @@ func (a *Architecture) toJSON() jsonArch {
 			jb.Kind = "2q"
 		} else {
 			jb.Kind = "multi"
-			jb.Square = [2]int{b.Site.X, b.Site.Y}
+			jb.Square = [2]int{b.Square.Origin.X, b.Square.Origin.Y}
 		}
 		out.Buses = append(out.Buses, jb)
 	}
@@ -58,8 +58,8 @@ func fromJSON(in jsonArch) (*Architecture, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Non-square families validate under the permissive graph policy: the
-	// file's bus list is the authoritative coupling graph.
+	// Non-square families validate without the square family's lattice
+	// checks: the file's bus list is the authoritative coupling graph.
 	a.Family = in.Family
 	// Replace the auto-generated buses with the serialised ones so the
 	// file is authoritative.
@@ -71,7 +71,7 @@ func fromJSON(in jsonArch) (*Architecture, error) {
 			b.Kind = TwoQubitBus
 		case "multi":
 			b.Kind = MultiQubitBus
-			b.Site = Site{X: jb.Square[0], Y: jb.Square[1]}
+			b.Square = lattice.Square{Origin: lattice.Coord{X: jb.Square[0], Y: jb.Square[1]}}
 		default:
 			return nil, fmt.Errorf("arch: bus %d has unknown kind %q", i, jb.Kind)
 		}

@@ -100,11 +100,6 @@ func NewCCX(c0, c1, t int) Gate { return Gate{Kind: CCX, Qubits: []int{c0, c1, t
 // NewMeasure returns a measurement of q.
 func NewMeasure(q int) Gate { return Gate{Kind: Measure, Qubits: []int{q}} }
 
-// TwoQubit reports whether the gate acts on exactly two qubits as a unitary
-// (CX or SWAP). Profiling counts CX gates only, since Decompose has already
-// eliminated SWAP and CCX by profiling time.
-func (g Gate) TwoQubit() bool { return g.Kind == CX || g.Kind == SWAP }
-
 // String renders the gate compactly, e.g. "cx 0,4" or "rz(1.571) 3".
 func (g Gate) String() string {
 	var b strings.Builder

@@ -92,9 +92,6 @@ func (f *Front) Ready() []int { return f.ready }
 // Done reports whether every gate has been resolved.
 func (f *Front) Done() bool { return f.done == f.dag.Len() }
 
-// Resolved returns the number of gates resolved so far.
-func (f *Front) Resolved() int { return f.done }
-
 // Resolve marks the given front gates as executed and advances the front.
 // Each index must currently be in Ready; Resolve panics otherwise, because
 // resolving a non-ready gate is a mapper bug that would silently corrupt

@@ -284,6 +284,3 @@ func (inc *Incremental) Rescored() uint64 { return inc.rescored }
 // Partials reports how many of the bundle scorings took the term-level
 // fast path (one marginal recomputed instead of the whole bundle).
 func (inc *Incremental) Partials() uint64 { return inc.partials }
-
-// NumBundles returns the number of edge bundles compiled.
-func (inc *Incremental) NumBundles() int { return inc.kern.NumEdges() }

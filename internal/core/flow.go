@@ -222,9 +222,8 @@ func (f *Flow) series(c *circuit.Circuit, maxBuses int, cfg Config, aux int) ([]
 	if err != nil {
 		return nil, err
 	}
-	// Select on a scratch copy to learn the square order. Families
-	// without multi-qubit bus sites (their CandidateSites is empty) stop
-	// at the k = 0 design.
+	// Select on a scratch copy to learn the square order. Only the square
+	// family has bus squares; other families stop at the k = 0 design.
 	var selected []lattice.Square
 	if topology.IsSquare(f.Family) {
 		scratch := base.Clone()

@@ -2,7 +2,6 @@ package gen
 
 import (
 	"fmt"
-	"sort"
 
 	"qproc/internal/circuit"
 )
@@ -62,13 +61,5 @@ func Names() []string {
 	for i, b := range s {
 		out[i] = b.Name
 	}
-	return out
-}
-
-// SortedNames lists the benchmark names alphabetically, for stable CLI
-// help output.
-func SortedNames() []string {
-	out := Names()
-	sort.Strings(out)
 	return out
 }

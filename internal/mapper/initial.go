@@ -54,16 +54,6 @@ func (m *Mapping) Clone() *Mapping {
 	}
 }
 
-// Complete reports whether every logical qubit is placed.
-func (m *Mapping) Complete() bool {
-	for _, p := range m.L2P {
-		if p < 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // InitialMapping greedily places logical qubits on physical qubits so that
 // strongly coupled logical pairs land on nearby physical qubits. It is the
 // same coupling-driven construction as the layout subroutine, but over a

@@ -252,13 +252,13 @@ func (p *Problem) randomShift(rng *rand.Rand, st *State) (move, bool) {
 	// Re-derive eligibility without the victim on a scratch architecture.
 	scratch := p.bases[st.Aux].arch.Clone()
 	for _, s := range rest {
-		if err := scratch.ApplyBusAt(s); err != nil {
+		if err := scratch.ApplyMultiBus(s); err != nil {
 			return move{}, false // unreachable: subset of a valid set
 		}
 	}
 	var eligible []move
 	for _, s := range p.bases[st.Aux].sites {
-		if s != victim && scratch.CanApplyBusAt(s) {
+		if s != victim && scratch.CanApplyMultiBus(s) {
 			eligible = append(eligible, move{kind: moveShiftBus, old: victim, site: s})
 		}
 	}

@@ -8,8 +8,8 @@ import (
 	"math/rand"
 	"sort"
 
-	"qproc/internal/arch"
 	"qproc/internal/collision"
+	"qproc/internal/lattice"
 	"qproc/internal/yield"
 )
 
@@ -180,7 +180,7 @@ func (s *countingSource) skip(n uint64) {
 func recipeOf(st *State) StateRecipe {
 	r := StateRecipe{Aux: st.Aux, Freqs: append([]float64(nil), st.Freqs()...)}
 	for _, s := range st.Sites {
-		r.Sites = append(r.Sites, [2]int{s.X, s.Y})
+		r.Sites = append(r.Sites, [2]int{s.Origin.X, s.Origin.Y})
 	}
 	return r
 }
@@ -189,9 +189,9 @@ func recipeOf(st *State) StateRecipe {
 // inside this problem. It never bumps the proposal counter — the
 // checkpoint restores that explicitly.
 func (p *Problem) stateFromRecipe(r StateRecipe) (*State, error) {
-	sites := make([]arch.Site, len(r.Sites))
+	sites := make([]lattice.Square, len(r.Sites))
 	for i, s := range r.Sites {
-		sites[i] = arch.Site{X: s[0], Y: s[1]}
+		sites[i] = lattice.Square{Origin: lattice.Coord{X: s[0], Y: s[1]}}
 	}
 	return p.newState(r.Aux, sites, append([]float64(nil), r.Freqs...))
 }

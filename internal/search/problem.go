@@ -11,6 +11,7 @@ import (
 	"qproc/internal/collision"
 	"qproc/internal/core"
 	"qproc/internal/freq"
+	"qproc/internal/lattice"
 	"qproc/internal/topology"
 )
 
@@ -18,16 +19,16 @@ import (
 var freqCandidates = collision.Grid()
 
 // baseLayout is one auxiliary-qubit variant of the program's layout: the
-// bus-free architecture, the candidate bus sites, and the two frequency
+// bus-free architecture, the candidate bus squares, and the two frequency
 // seeds a search may start a state from.
 type baseLayout struct {
 	aux  int
 	arch *arch.Architecture
-	// sites lists every candidate multi-qubit-bus site of the family, in
-	// canonical order — the universe bus moves draw from. Empty for
-	// families without bus sites (chimera, coupler), whose searches move
-	// over frequencies and aux variants alone.
-	sites []arch.Site
+	// sites lists every candidate multi-qubit-bus square, in canonical
+	// order — the universe bus moves draw from. Empty for graph families
+	// (chimera, coupler), whose searches move over frequencies and aux
+	// variants alone.
+	sites []lattice.Square
 	// seedAlloc is the Algorithm 3 assignment on the bus-free layout
 	// (identical to the k=0 eff-full design of the exhaustive series);
 	// seedFive is IBM's regular 5-frequency scheme.
@@ -103,7 +104,7 @@ func newSpace(c *circuit.Circuit, opt Options) (*space, error) {
 		sp.bases[aux] = &baseLayout{
 			aux:       aux,
 			arch:      base,
-			sites:     base.CandidateSites(),
+			sites:     base.CandidateSquares(),
 			seedAlloc: al.AllocateWith(alMemo, base),
 			seedFive:  arch.FiveFreqScheme(base),
 		}
@@ -113,13 +114,13 @@ func newSpace(c *circuit.Circuit, opt Options) (*space, error) {
 }
 
 // State is one point of the design space: an aux layout variant, a set of
-// multi-qubit bus sites, and a frequency assignment. States are immutable
+// multi-qubit bus squares, and a frequency assignment. States are immutable
 // once returned by newState/apply.
 type State struct {
 	Aux int
-	// Sites is canonically sorted; the prohibited condition makes
-	// application order irrelevant.
-	Sites []arch.Site
+	// Sites are the bus squares, canonically sorted; the prohibited
+	// condition makes application order irrelevant.
+	Sites []lattice.Square
 	Arch  *arch.Architecture
 	// Expected is the analytic expected collision count at the search σ —
 	// the surrogate score every proposal is ranked by.
@@ -142,14 +143,14 @@ func (st *State) Freqs() []float64 { return st.inc.Freqs() }
 // tie-breaking.
 func (st *State) Key() string { return st.key }
 
-func sortSites(sites []arch.Site) {
-	sort.Slice(sites, func(i, j int) bool { return sites[i].Less(sites[j]) })
+func sortSites(sites []lattice.Square) {
+	sort.Slice(sites, func(i, j int) bool { return sites[i].Origin.Less(sites[j].Origin) })
 }
 
 // newState assembles and scores a state. sites and freqs are retained
 // (callers pass fresh copies); sites are re-sorted in place. It fails
 // when the site set violates eligibility or the prohibited condition.
-func (p *Problem) newState(aux int, sites []arch.Site, freqs []float64) (*State, error) {
+func (p *Problem) newState(aux int, sites []lattice.Square, freqs []float64) (*State, error) {
 	base, ok := p.bases[aux]
 	if !ok {
 		return nil, fmt.Errorf("search: aux=%d is not a configured layout variant", aux)
@@ -160,7 +161,7 @@ func (p *Problem) newState(aux int, sites []arch.Site, freqs []float64) (*State,
 	sortSites(sites)
 	a := base.arch.Clone()
 	for _, s := range sites {
-		if err := a.ApplyBusAt(s); err != nil {
+		if err := a.ApplyMultiBus(s); err != nil {
 			return nil, fmt.Errorf("search: %w", err)
 		}
 	}
@@ -184,11 +185,11 @@ func (p *Problem) newState(aux int, sites []arch.Site, freqs []float64) (*State,
 // plus the sorted bus sites. Equal topoKeys imply equal adjacency
 // lists (the sites are applied to the same base layout in the same
 // canonical order).
-func topoKey(aux int, sites []arch.Site) string {
+func topoKey(aux int, sites []lattice.Square) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "aux=%d|", aux)
 	for _, s := range sites {
-		fmt.Fprintf(&b, "%d,%d;", s.X, s.Y)
+		fmt.Fprintf(&b, "%d,%d;", s.Origin.X, s.Origin.Y)
 	}
 	return b.String()
 }
@@ -349,7 +350,7 @@ func (p *Problem) repairState(st *State, seeds []int, keep map[int]bool) {
 // reconstruction is exact (equal canonical key) and cannot fail for a
 // state that was legal in its home lane.
 func (p *Problem) adoptState(st *State) (*State, error) {
-	next, err := p.newState(st.Aux, append([]arch.Site(nil), st.Sites...), st.Freqs())
+	next, err := p.newState(st.Aux, append([]lattice.Square(nil), st.Sites...), st.Freqs())
 	if err != nil {
 		return nil, err
 	}
@@ -357,10 +358,10 @@ func (p *Problem) adoptState(st *State) (*State, error) {
 	return next, nil
 }
 
-// siteQubits returns the qubit ids a bus at site s would join in the
+// siteQubits returns the qubit ids a bus on square s would join in the
 // aux variant's layout.
-func (p *Problem) siteQubits(aux int, s arch.Site) []int {
-	return p.bases[aux].arch.SiteQubits(s)
+func (p *Problem) siteQubits(aux int, s lattice.Square) []int {
+	return p.bases[aux].arch.SquareQubits(s)
 }
 
 // moveKind enumerates the neighbour move types.
@@ -378,10 +379,10 @@ const (
 // data so they can be drawn serially and applied concurrently.
 type move struct {
 	kind moveKind
-	// site is the bus site to add (moveAddBus, moveShiftBus).
-	site arch.Site
-	// old is the bus site to remove (moveRemoveBus, moveShiftBus).
-	old arch.Site
+	// site is the bus square to add (moveAddBus, moveShiftBus).
+	site lattice.Square
+	// old is the bus square to remove (moveRemoveBus, moveShiftBus).
+	old lattice.Square
 	// aux and five select the seed state of an aux jump.
 	aux  int
 	five bool
@@ -395,7 +396,7 @@ type move struct {
 func (p *Problem) apply(st *State, m move) (*State, error) {
 	switch m.kind {
 	case moveAddBus:
-		sites := append(append([]arch.Site(nil), st.Sites...), m.site)
+		sites := append(append([]lattice.Square(nil), st.Sites...), m.site)
 		next, err := p.newState(st.Aux, sites, st.Freqs())
 		if err != nil {
 			return nil, err
@@ -444,7 +445,7 @@ func (p *Problem) apply(st *State, m move) (*State, error) {
 		inc.Set1(m.qubit, m.freq)
 		next := &State{
 			Aux:     st.Aux,
-			Sites:   append([]arch.Site(nil), st.Sites...),
+			Sites:   append([]lattice.Square(nil), st.Sites...),
 			Arch:    st.Arch.Clone(),
 			inc:     inc,
 			topoKey: st.topoKey,
@@ -457,8 +458,8 @@ func (p *Problem) apply(st *State, m move) (*State, error) {
 	return nil, fmt.Errorf("search: unknown move kind %d", m.kind)
 }
 
-func removeSite(sites []arch.Site, victim arch.Site) []arch.Site {
-	out := make([]arch.Site, 0, len(sites))
+func removeSite(sites []lattice.Square, victim lattice.Square) []lattice.Square {
+	out := make([]lattice.Square, 0, len(sites))
 	for _, s := range sites {
 		if s != victim {
 			out = append(out, s)
@@ -467,15 +468,15 @@ func removeSite(sites []arch.Site, victim arch.Site) []arch.Site {
 	return out
 }
 
-// addCandidates lists the sites an add-bus move may target from st, in
+// addCandidates lists the squares an add-bus move may target from st, in
 // canonical order.
-func (p *Problem) addCandidates(st *State) []arch.Site {
+func (p *Problem) addCandidates(st *State) []lattice.Square {
 	if p.opt.MaxBuses >= 0 && len(st.Sites) >= p.opt.MaxBuses {
 		return nil
 	}
-	var out []arch.Site
+	var out []lattice.Square
 	for _, s := range p.bases[st.Aux].sites {
-		if st.Arch.CanApplyBusAt(s) {
+		if st.Arch.CanApplyMultiBus(s) {
 			out = append(out, s)
 		}
 	}

@@ -405,9 +405,7 @@ func (p *Problem) finish(ev *evaluator, best *evaluated, trace []TracePoint) (*R
 	a.Name = fmt.Sprintf("%s/search-%s-%dbus", p.circ.Name, p.opt.Strategy, len(st.Sites))
 	checked, skipped := ev.condStats()
 	squares := make([]lattice.Square, len(st.Sites))
-	for i, s := range st.Sites {
-		squares[i] = s.Square()
-	}
+	copy(squares, st.Sites)
 	return &Result{
 		Strategy: p.opt.Strategy,
 		Best: &core.Design{

@@ -22,9 +22,8 @@ import (
 const deadlineSearchBody = `{"kind":"search","spec":{"benchmark":"sym6_145","strategy":"anneal","steps":200000,"max_evals":2,"timeout_sec":1}}`
 
 // fetchEvents drains the job's event stream. The stream follows live
-// events until the current job object completes, so a call made while
-// an attempt is running blocks until that attempt reaches a terminal
-// state — callers polling across retries see one attempt at a time.
+// events until the job's final attempt ends, so a call made while an
+// attempt is running or a retry is pending blocks until the job settles.
 func fetchEvents(t *testing.T, base, id string) []experiments.Event {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/jobs/" + id + "/events")

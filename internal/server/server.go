@@ -145,13 +145,15 @@ type job struct {
 	restored bool
 	outcome  []byte
 	// stream is the job's progress as GET /v1/jobs/{id}/events serves
-	// it: each event marshalled once, on append, as one JSON line.
+	// it, across every attempt: each event marshalled once, on append, as
+	// one JSON line.
 	stream []byte
 	// events counts the lines of stream; stepsDone and stepsTotal are
 	// those of the latest event that carries a total.
 	events, stepsDone, stepsTotal int
 
-	// done is closed after the final event is appended, waking streamers.
+	// done is closed after the final event of the final attempt is
+	// appended, waking streamers (endStreamLocked).
 	done chan struct{}
 	// wake is closed and replaced on every event append, so streamers
 	// block until there is something new instead of polling on a timer.
@@ -174,6 +176,22 @@ func (j *job) appendEventLocked(e experiments.Event) {
 	}
 	close(j.wake)
 	j.wake = make(chan struct{})
+}
+
+// endStreamLocked ends j's stream once no event can follow: it trims the
+// stream's append slack, so a retained job holds only its bytes, and
+// closes done, so streamers drain the final event and stop. Later calls
+// do nothing. Callers hold j.mu or own the job exclusively.
+func (j *job) endStreamLocked() {
+	select {
+	case <-j.done:
+		return
+	default:
+	}
+	exact := make([]byte, len(j.stream))
+	copy(exact, j.stream)
+	j.stream = exact
+	close(j.done)
 }
 
 // publish appends a progress event. Events may arrive from multiple
@@ -236,10 +254,10 @@ func (s *Server) restoreFromJournal() {
 			// one, a resubmission recomputes it (unservableRestored).
 			j.cached = s.cfg.Store != nil && s.cfg.Store.Has(rec.ID)
 			j.appendEventLocked(experiments.Event{Message: "job done (restored from journal; outcome in run store)"})
-			close(j.done)
+			j.endStreamLocked()
 		case runstore.StatusFailed, runstore.StatusCanceled, runstore.StatusInterrupted:
 			j.appendEventLocked(experiments.Event{Message: "job " + rec.Status + " (restored from journal)"})
-			close(j.done)
+			j.endStreamLocked()
 		default: // queued or running when the process died, and not resumed
 			s.finishLocked(j, runstore.StatusInterrupted, "",
 				experiments.Event{Message: "job interrupted by server restart; resubmit to recompute"})
@@ -280,17 +298,20 @@ func (s *Server) resumeLocked(rec runstore.JobRecord) bool {
 }
 
 // enqueueLocked admits j, which carries the work and its history, as a
-// queued job: the queued status with no start, finish or error, a fresh
-// cancellable context and the channels its streamers block on. It
-// journals the queued record, appends j to the queue, lists a new id,
-// maps the id to j and wakes an executor. The record is journaled before
-// an executor can pop the job (the pop also happens under s.mu), so the
-// "running" record can never overtake it. Callers hold s.mu and check
-// their own admission guards first.
+// queued job: the queued status with no start, finish or error and a
+// fresh cancellable context. A new job also gets the channels its
+// streamers block on; a requeued one keeps its open stream. It journals
+// the queued record, appends j to the queue, lists a new id, maps the id
+// to j and wakes an executor. The record is journaled before an executor
+// can pop the job (the pop also happens under s.mu), so the "running"
+// record can never overtake it. Callers hold s.mu, and j.mu when j is
+// reachable, and check their own admission guards first.
 func (s *Server) enqueueLocked(j *job) {
 	j.ctx, j.cancel = context.WithCancel(context.Background())
 	j.Status, j.Started, j.Finished, j.Err = runstore.StatusQueued, time.Time{}, time.Time{}, ""
-	j.done, j.wake = make(chan struct{}), make(chan struct{})
+	if j.done == nil {
+		j.done, j.wake = make(chan struct{}), make(chan struct{})
+	}
 	s.journalAppendLocked(j)
 	s.queue = append(s.queue, j)
 	if _, ok := s.jobs[j.ID]; !ok {
@@ -300,15 +321,26 @@ func (s *Server) enqueueLocked(j *job) {
 	s.qcond.Signal()
 }
 
-// finishLocked ends j in a terminal status: it stamps the status, the
-// error and the finish time, appends the final event, journals the
-// record and closes done, so streamers drain the final event and stop.
-// Callers hold j.mu or own the job exclusively.
+// finishLocked ends j's attempt in a terminal status: it stamps the
+// status, the error and the finish time, appends the final event and
+// journals the record. Unless a retry follows, it ends the stream too; a
+// failed job with retry budget left keeps its stream open, so streamers
+// follow it through the backoff into the next attempt. Callers hold j.mu
+// or own the job exclusively.
 func (s *Server) finishLocked(j *job, status, errMsg string, e experiments.Event) {
 	j.Status, j.Err, j.Finished = status, errMsg, time.Now().UTC()
 	j.appendEventLocked(e)
 	s.journalAppendLocked(j)
-	close(j.done)
+	if !s.retriesLocked(j) {
+		j.endStreamLocked()
+	}
+}
+
+// retriesLocked reports whether j's ended attempt gets another one: it
+// failed, and the retry policy's budget allows another attempt. Callers
+// hold j.mu or own the job exclusively.
+func (s *Server) retriesLocked(j *job) bool {
+	return j.Status == runstore.StatusFailed && s.cfg.Retry.Allows(runstore.StatusFailed, j.Attempts)
 }
 
 // settle follows a job the executor or a queued cancel has just ended:
@@ -346,14 +378,18 @@ func (s *Server) Close() { _ = s.Shutdown(context.Background()) }
 // running is cooperatively cancelled (recorded as "canceled") and
 // Shutdown returns once the executors have stopped — within one
 // proposal batch / trial chunk of the cancel, not after the full
-// remaining work. The return value is nil on a clean drain and
-// ctx.Err() when jobs had to be cancelled. Safe to call more than once
-// and concurrently.
+// remaining work. Failed jobs waiting out a retry backoff are not
+// retried, and their streams end too. The return value is nil on a
+// clean drain and ctx.Err() when jobs had to be cancelled. Safe to call
+// more than once and concurrently.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
 	s.qcond.Broadcast()
 	s.mu.Unlock()
+	// Deferred, so it runs once the executors have stopped and every
+	// job's attempt has ended.
+	defer s.endStreams()
 
 	drained := make(chan struct{})
 	go func() {
@@ -387,6 +423,20 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	return ctx.Err()
+}
+
+// endStreams ends every listed job's stream. Called once the executors
+// have stopped, it ends only the streams that failed jobs keep open
+// while they wait out a retry backoff; their requeue bails on the closed
+// server.
+func (s *Server) endStreams() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, j := range s.jobs {
+		j.mu.Lock()
+		j.endStreamLocked()
+		j.mu.Unlock()
+	}
 }
 
 // executor drains the queue until Close/Shutdown. Jobs admitted before
@@ -532,9 +582,9 @@ func (s *Server) deleteCheckpoint(id string) {
 // remain, the checkpoint is kept — the next attempt resumes from it.)
 func (s *Server) maybeRetry(j *job) {
 	j.mu.Lock()
-	attempts := j.Attempts
+	retries, attempts := s.retriesLocked(j), j.Attempts
 	j.mu.Unlock()
-	if !s.cfg.Retry.Allows(runstore.StatusFailed, attempts) {
+	if !retries {
 		s.deleteCheckpoint(j.ID)
 		return
 	}
@@ -543,24 +593,23 @@ func (s *Server) maybeRetry(j *job) {
 	time.AfterFunc(delay, func() { s.requeue(j) })
 }
 
-// requeue replaces a terminal failed job with a fresh queued job under
-// the same content address, carrying forward the spec, attempt count
-// and progress stream. It bails out when the server has closed, when
-// the id no longer maps to the failed job (a client resubmitted or the
-// record was evicted meanwhile), or when the queue is full — a retry
-// never evicts client work.
-func (s *Server) requeue(prev *job) {
+// requeue re-admits a failed job once its backoff has elapsed. It is the
+// same job, so its spec, attempt count and stream carry over, and its
+// streamers follow the next attempt. It bails out, ending the stream,
+// when the server has closed, when the id no longer maps to the job (a
+// client resubmitted or the record was evicted meanwhile), or when the
+// queue is full — a retry never evicts client work.
+func (s *Server) requeue(j *job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || s.jobs[prev.ID] != prev || len(s.queue) >= s.cfg.QueueSize {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if s.closed || s.jobs[j.ID] != j || len(s.queue) >= s.cfg.QueueSize {
+		j.endStreamLocked()
 		return
 	}
-	prev.mu.Lock()
-	j := &job{JobRecord: prev.JobRecord, parsed: prev.parsed, stream: slices.Clone(prev.stream),
-		events: prev.events, stepsDone: prev.stepsDone, stepsTotal: prev.stepsTotal}
-	prev.mu.Unlock()
 	s.enqueueLocked(j)
-	j.publish(experiments.Event{Message: "requeued after failure"})
+	j.appendEventLocked(experiments.Event{Message: "requeued after failure"})
 }
 
 // cancelJob cooperatively cancels one job. A queued job retires

@@ -82,16 +82,3 @@ func Classical(c *circuit.Circuit, in Bits) (Bits, error) {
 	}
 	return s, nil
 }
-
-// ClassicalFunc runs the circuit as a function from input integers to
-// output integers over the given qubit count, a convenience for
-// truth-table tests.
-func ClassicalFunc(c *circuit.Circuit) func(uint64) (uint64, error) {
-	return func(x uint64) (uint64, error) {
-		out, err := Classical(c, NewBits(c.Qubits, x))
-		if err != nil {
-			return 0, err
-		}
-		return out.Uint64(), nil
-	}
-}

@@ -15,7 +15,7 @@ import (
 // vertical qubits chain to the vertically neighbouring cell, horizontal
 // qubits to the horizontally neighbouring one. The chip is fixed: the
 // program is mapped onto it, auxiliary qubits are not supported, and
-// there are no multi-qubit bus sites — every coupler is a 2-qubit bus.
+// there are no multi-qubit bus squares — every coupler is a 2-qubit bus.
 //
 // Closed-form counts: 2kmn qubits; k²mn intra-cell + k(m−1)n vertical +
 // km(n−1) horizontal couplers.

@@ -12,7 +12,7 @@ import (
 // Coupler is the tunable-coupler family of Li & Jin: qubits on the
 // Algorithm 1 grid placement, every occupied lattice edge carrying a
 // tunable pairwise coupler, and no multi-qubit buses at all — resonator
-// bus sites are a fixed-coupling construct. Tunable couplers are
+// bus squares are a fixed-coupling construct. Tunable couplers are
 // switched off around idle spectators, so a qubit's frequency-
 // interaction region is only its direct neighbourhood (distance 1)
 // instead of the paper's distance 2.

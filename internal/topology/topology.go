@@ -2,11 +2,11 @@
 // square lattice, Bunyk et al.'s Chimera annealer grid, and Li & Jin's
 // tunable-coupler pairwise grid are all expressed behind one Family
 // interface — how qubits are laid out for a program and how far a
-// qubit's frequency-interaction region reaches. Which multi-qubit bus
-// sites exist is decided by package arch from the family name the
+// qubit's frequency-interaction region reaches. Whether multi-qubit bus
+// squares exist is decided by package arch from the family name the
 // layout carries: square layouts have the paper's unit squares, every
 // other family none. The collision, yield, mapping and search machinery
-// consumes architectures through their coupling graphs and bus sites, so
+// consumes architectures through their coupling graphs and bus squares, so
 // any family that can answer these questions is a first-class workload.
 package topology
 
@@ -22,7 +22,7 @@ import (
 
 // Family is one pluggable topology family. Implementations must be
 // deterministic: equal inputs produce identical architectures (node
-// order, edge order, candidate-site order).
+// order, edge order, candidate-square order).
 type Family interface {
 	// Name returns the canonical family name, including parameters —
 	// "square", "chimera(2,2,4)", "coupler". It is the spelling stored in

@@ -132,7 +132,7 @@ func TestChimeraArch(t *testing.T) {
 	if got := len(a.Buses); got != f.NumEdges() {
 		t.Errorf("%d buses, want %d", got, f.NumEdges())
 	}
-	if sites := a.CandidateSites(); len(sites) != 0 {
+	if sites := a.CandidateSquares(); len(sites) != 0 {
 		t.Errorf("chimera exposes %d bus sites, want none", len(sites))
 	}
 	if _, _, err := f.BaseLayout(c, 1); err == nil {
@@ -168,7 +168,7 @@ func TestCouplerArch(t *testing.T) {
 			t.Fatalf("coupler emitted non-pairwise bus %+v", b)
 		}
 	}
-	if sites := a.CandidateSites(); len(sites) != 0 {
+	if sites := a.CandidateSquares(); len(sites) != 0 {
 		t.Errorf("coupler exposes %d bus sites, want none", len(sites))
 	}
 	adj := a.AdjList()
@@ -200,11 +200,11 @@ func TestSquareProhibitedSites(t *testing.T) {
 		t.Fatal(err)
 	}
 	applied := 0
-	for _, s := range a.CandidateSites() {
-		if !a.CanApplyBusAt(s) {
+	for _, s := range a.CandidateSquares() {
+		if !a.CanApplyMultiBus(s) {
 			continue
 		}
-		if err := a.ApplyBusAt(s); err != nil {
+		if err := a.ApplyMultiBus(s); err != nil {
 			t.Fatalf("apply %v: %v", s, err)
 		}
 		applied++
@@ -215,10 +215,10 @@ func TestSquareProhibitedSites(t *testing.T) {
 	if applied == 0 {
 		t.Fatal("no bus site was eligible; property vacuous")
 	}
-	occupied := a.BusSites()
+	occupied := a.MultiBusSquares()
 	for i, s := range occupied {
 		for _, u := range occupied[i+1:] {
-			dx, dy := s.X-u.X, s.Y-u.Y
+			dx, dy := s.Origin.X-u.Origin.X, s.Origin.Y-u.Origin.Y
 			if dx < 0 {
 				dx = -dx
 			}

@@ -30,23 +30,6 @@ func newNoiseMatrix(trials, qubits int) *NoiseMatrix {
 	return m
 }
 
-// NoiseMatrixFromRows transposes a row-major matrix (rows[t][q], the
-// pre-SoA layout) into a NoiseMatrix holding the same float64 values
-// bit for bit. Rows shorter than the first row are a programming error
-// and panic via index.
-func NoiseMatrixFromRows(rows [][]float64) *NoiseMatrix {
-	if len(rows) == 0 {
-		return &NoiseMatrix{}
-	}
-	m := newNoiseMatrix(len(rows), len(rows[0]))
-	for t, row := range rows {
-		for q := range m.cols {
-			m.cols[q][t] = row[q]
-		}
-	}
-	return m
-}
-
 // Trials returns the number of simulated fabrications. A nil matrix has
 // zero trials, so callers can treat "no noise" and "empty noise"
 // uniformly (see EstimateWithNoise's zero-trials contract).
