@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 )
@@ -18,67 +19,63 @@ import (
 // evaluation. Every random draw happens on the lane's serial control
 // path, so parallel and serial runs are bit-identical.
 type annealLane struct {
-	p        *Problem
-	ev       *evaluator
-	progress func(Progress)
+	*laneCore
 	// src is the control RNG's counting source: rng draws flow through
 	// it, so a checkpoint can record the stream position and a resume
 	// can replay to it.
-	src   *countingSource
-	rng   *rand.Rand
-	cur   *State
-	best  *evaluated
-	trace []TracePoint
+	src *countingSource
+	rng *rand.Rand
+	cur *State
 	// bestExpected is the internal promotion threshold: only states that
 	// analytically beat everything evaluated so far receive a full
 	// Monte-Carlo evaluation.
 	bestExpected float64
-	step         int
 }
 
-// newAnnealLane builds the lane at step 0 and promotes its seed state.
-func newAnnealLane(p *Problem, ev *evaluator, progress func(Progress)) (*annealLane, error) {
-	seeds, err := p.seedStates()
+// newAnnealLane builds the lane at step 0 and promotes its seed state
+// (the warm-start seed when configured, else aux = AuxCounts[0] with
+// Algorithm 3 frequencies). Given a checkpoint, whose core is already
+// restored, it instead replays the control RNG to the recorded draw
+// count and rebuilds the current position and the threshold.
+func newAnnealLane(c *laneCore, lc *LaneCheckpoint) (*annealLane, error) {
+	src := newCountingSource(c.p.opt.controlSeed())
+	l := &annealLane{laneCore: c, src: src, rng: rand.New(src), bestExpected: math.Inf(1)}
+	if lc == nil {
+		seeds, err := c.p.seedStates()
+		if err != nil {
+			return nil, err
+		}
+		l.cur = seeds[0]
+		if err := l.promote(l.cur); err != nil {
+			return nil, err
+		}
+		return l, nil
+	}
+	if lc.Strategy != Anneal || lc.Cur == nil {
+		return nil, fmt.Errorf("%w: lane is not a resumable anneal lane", ErrBadCheckpoint)
+	}
+	cur, err := c.p.stateFromRecipe(*lc.Cur)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: current state: %v", ErrBadCheckpoint, err)
 	}
-	src := newCountingSource(p.opt.controlSeed())
-	l := &annealLane{
-		p:            p,
-		ev:           ev,
-		progress:     progress,
-		src:          src,
-		rng:          rand.New(src),
-		cur:          seeds[0], // warm-start seed when configured, else aux = AuxCounts[0], Algorithm 3 frequencies
-		best:         nil,
-		bestExpected: math.Inf(1),
-	}
-	if err := l.promote(0, l.cur); err != nil {
-		return nil, err
+	src.skip(lc.RNGDraws)
+	l.cur = cur
+	if lc.Threshold != nil {
+		l.bestExpected = *lc.Threshold
 	}
 	return l, nil
 }
 
 // promote runs the full scoring tier on st when it analytically beats
-// everything evaluated so far, updating the lane incumbent and trace.
-func (l *annealLane) promote(step int, st *State) error {
+// everything evaluated so far.
+func (l *annealLane) promote(st *State) error {
 	if st.Expected >= l.bestExpected {
 		return nil
 	}
 	l.bestExpected = st.Expected
-	e, ok, err := l.ev.evaluate(st)
-	if err != nil || !ok {
-		return err
-	}
-	if better(e, l.best) {
-		l.best = e
-		l.trace = append(l.trace, TracePoint{Step: step, Evals: l.ev.evals, Yield: e.yield, Expected: st.Expected})
-	}
-	return nil
+	_, err := l.probe(st)
+	return err
 }
-
-// unit returns the lane's current step.
-func (l *annealLane) unit() int { return l.step }
 
 // snapshot fills the lane-specific checkpoint fields. Serial control
 // path only.
@@ -91,34 +88,19 @@ func (l *annealLane) snapshot(lc *LaneCheckpoint) {
 	}
 	cur := recipeOf(l.cur)
 	lc.Cur = &cur
-	if l.best != nil {
-		lc.BestKey = l.best.state.key
-	}
-	lc.Trace = append([]TracePoint(nil), l.trace...)
 }
 
 // finished reports whether the lane has consumed its step budget.
-func (l *annealLane) finished() bool { return l.step >= l.p.opt.Steps }
-
-// incumbent returns the lane's evaluated best (nil before any
-// evaluation succeeded).
-func (l *annealLane) incumbent() *evaluated { return l.best }
-
-// result returns the lane's incumbent and trace.
-func (l *annealLane) result() (*evaluated, []TracePoint) { return l.best, l.trace }
+func (l *annealLane) finished() bool { return l.unit >= l.p.opt.Steps }
 
 // advance runs annealing steps up to (but not past) the step barrier
-// until, clamped to the lane's own Steps budget. A cancelled ctx aborts
-// at the next step boundary (and mid-batch via forEach / mid-evaluation
-// via the simulator), returning ctx.Err() with all partial state
-// discarded.
+// until. A cancelled ctx aborts at the next step boundary (and mid-batch
+// via forEach / mid-evaluation via the simulator), returning ctx.Err()
+// with all partial state discarded.
 func (l *annealLane) advance(ctx context.Context, until int) error {
 	opt := l.p.opt
-	if until > opt.Steps {
-		until = opt.Steps
-	}
-	for ; l.step < until; l.step++ {
-		step := l.step
+	for l.unit < until {
+		step := l.unit
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -155,51 +137,33 @@ func (l *annealLane) advance(ctx context.Context, until int) error {
 		// Exactly one uniform per step keeps the RNG stream aligned
 		// whether or not a candidate materialised.
 		u := l.rng.Float64()
+		l.unit++
 		if cand != nil {
 			dE := cand.Expected - l.cur.Expected
 			if dE <= 0 || u < math.Exp(-dE/tempAt(opt, step, opt.Steps)) {
 				l.cur = cand
-				if err := l.promote(step+1, l.cur); err != nil {
+				if err := l.promote(l.cur); err != nil {
 					return err
 				}
 			}
 		}
-		if l.progress != nil {
-			// Both numbers describe the evaluated incumbent (as in beam);
-			// bestExpected is only the internal promotion threshold.
-			pr := Progress{Step: step + 1, Total: opt.Steps, Evals: l.ev.evals}
-			pr.CondChecks, pr.CondSkipped = l.ev.condStats()
-			if l.best != nil {
-				pr.BestYield = l.best.yield
-				pr.BestExpected = l.best.state.Expected
-			}
-			l.progress(pr)
-		}
+		l.report()
 	}
 	return nil
 }
 
-// inject offers the lane an elite state found elsewhere (the portfolio
-// exchange). The state is re-materialised inside this lane's problem
-// (its own architecture and incremental scorer — lanes never share
-// mutable state), its evaluation is transplanted into the lane's memo —
-// valid because every lane scores under the same noise matrices (common
-// random numbers), so re-evaluating it here would reproduce the exact
-// numbers — and it replaces the lane's current position when strictly
-// better analytically (ties keep the lane's own trajectory, preserving
-// diversity). Runs on the portfolio's serial control path only.
+// inject offers the lane an elite state found elsewhere. The adopted
+// state lowers the promotion threshold it beats, and replaces the
+// lane's current position when strictly better analytically (ties keep
+// the lane's own trajectory, preserving diversity). Runs on the
+// portfolio's serial control path only.
 func (l *annealLane) inject(e *evaluated) error {
-	st, err := l.p.adoptState(e.state)
+	st, err := l.adopt(e)
 	if err != nil {
 		return err
 	}
-	l.ev.transplant(st, e)
 	if st.Expected < l.bestExpected {
 		l.bestExpected = st.Expected
-	}
-	if adopted, ok := l.ev.seen[st.key]; ok && better(adopted, l.best) {
-		l.best = adopted
-		l.trace = append(l.trace, TracePoint{Step: l.step, Evals: l.ev.evals, Yield: adopted.yield, Expected: st.Expected})
 	}
 	if st.Expected < l.cur.Expected {
 		l.cur = st

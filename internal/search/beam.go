@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"fmt"
 	"sort"
 )
 
@@ -17,15 +18,8 @@ import (
 // evaluations in frontier order while the budget lasts. No RNG
 // anywhere, so parallel == serial trivially.
 type beamLane struct {
-	p        *Problem
-	ev       *evaluator
-	progress func(Progress)
+	*laneCore
 	frontier []*State
-	// inFrontier indexes the frontier by canonical key for dedup.
-	inFrontier map[string]bool
-	best       *evaluated
-	trace      []TracePoint
-	depth      int
 	// done latches once the frontier stops growing or the evaluation
 	// budget runs out; an injected elite that enters the frontier
 	// un-latches it.
@@ -33,52 +27,82 @@ type beamLane struct {
 }
 
 // newBeamLane builds the lane at depth 0 and evaluates the initial
-// frontier.
-func newBeamLane(ctx context.Context, p *Problem, ev *evaluator, progress func(Progress)) (*beamLane, error) {
-	seeds, err := p.seedStates()
-	if err != nil {
-		return nil, err
+// frontier. Given a checkpoint, whose core is already restored, it
+// instead rebuilds the frontier in its saved (already sorted) order and
+// the convergence latch. evalFrontier is NOT re-run then: the checkpoint
+// was taken after it, and re-running would double-spend budget on any
+// member it had to skip.
+func newBeamLane(ctx context.Context, c *laneCore, lc *LaneCheckpoint) (*beamLane, error) {
+	l := &beamLane{laneCore: c}
+	if lc == nil {
+		seeds, err := c.p.seedStates()
+		if err != nil {
+			return nil, err
+		}
+		l.merge(seeds)
+		if err := l.evalFrontier(ctx); err != nil {
+			return nil, err
+		}
+		return l, nil
 	}
-	frontier := append([]*State(nil), seeds...)
-	sortStates(frontier)
-	if len(frontier) > p.opt.BeamWidth {
-		frontier = frontier[:p.opt.BeamWidth]
+	if lc.Strategy != Beam {
+		return nil, fmt.Errorf("%w: lane is not a resumable beam lane", ErrBadCheckpoint)
 	}
-	l := &beamLane{p: p, ev: ev, progress: progress,
-		frontier: frontier, inFrontier: map[string]bool{}}
-	for _, st := range frontier {
-		l.inFrontier[st.key] = true
+	for _, r := range lc.Frontier {
+		st, err := c.p.stateFromRecipe(r)
+		if err != nil {
+			return nil, fmt.Errorf("%w: frontier state: %v", ErrBadCheckpoint, err)
+		}
+		l.frontier = append(l.frontier, st)
 	}
-	if err := l.evalFrontier(ctx, 0); err != nil {
-		return nil, err
-	}
+	l.done = lc.Done
 	return l, nil
 }
 
 // evalFrontier runs the full scoring tier over the frontier in order
-// while the budget lasts, updating the lane incumbent and trace.
-func (l *beamLane) evalFrontier(ctx context.Context, depth int) error {
+// while the budget lasts.
+func (l *beamLane) evalFrontier(ctx context.Context) error {
 	for _, st := range l.frontier {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		e, ok, err := l.ev.evaluate(st)
-		if err != nil {
+		if ok, err := l.probe(st); !ok || err != nil {
 			return err
-		}
-		if !ok {
-			return nil // budget exhausted
-		}
-		if better(e, l.best) {
-			l.best = e
-			l.trace = append(l.trace, TracePoint{Step: depth, Evals: l.ev.evals, Yield: e.yield, Expected: st.Expected})
 		}
 	}
 	return nil
 }
 
-// unit returns the lane's current depth.
-func (l *beamLane) unit() int { return l.depth }
+// merge makes the best BeamWidth states of the frontier and cands, by
+// (analytic score, key), the new frontier. A nil candidate, or one whose
+// key is already pooled, is skipped, so the first of equal states wins.
+// It reports whether a state outside the old frontier entered.
+func (l *beamLane) merge(cands []*State) (grew bool) {
+	pool := append([]*State(nil), l.frontier...)
+	// inOld maps each pooled key to whether the old frontier holds it.
+	inOld := make(map[string]bool, len(pool)+len(cands))
+	for _, st := range pool {
+		inOld[st.key] = true
+	}
+	for _, st := range cands {
+		if st == nil {
+			continue
+		}
+		if _, dup := inOld[st.key]; !dup {
+			inOld[st.key] = false
+			pool = append(pool, st)
+		}
+	}
+	sortStates(pool)
+	if len(pool) > l.p.opt.BeamWidth {
+		pool = pool[:l.p.opt.BeamWidth]
+	}
+	for _, st := range pool {
+		grew = grew || !inOld[st.key]
+	}
+	l.frontier = pool
+	return grew
+}
 
 // snapshot fills the lane-specific checkpoint fields. Serial control
 // path only.
@@ -88,37 +112,21 @@ func (l *beamLane) snapshot(lc *LaneCheckpoint) {
 	for _, st := range l.frontier {
 		lc.Frontier = append(lc.Frontier, recipeOf(st))
 	}
-	if l.best != nil {
-		lc.BestKey = l.best.state.key
-	}
-	lc.Trace = append([]TracePoint(nil), l.trace...)
 }
 
 // finished reports whether the lane has converged or consumed its depth
 // budget (an injected elite entering the frontier un-latches done).
-func (l *beamLane) finished() bool { return l.done || l.depth >= l.p.opt.Depth }
-
-// incumbent returns the lane's evaluated best (nil before any
-// evaluation succeeded).
-func (l *beamLane) incumbent() *evaluated { return l.best }
-
-// result returns the lane's incumbent and trace.
-func (l *beamLane) result() (*evaluated, []TracePoint) { return l.best, l.trace }
+func (l *beamLane) finished() bool { return l.done || l.unit >= l.p.opt.Depth }
 
 // advance expands the frontier depth by depth up to (but not past) the
-// barrier until, clamped to the lane's own Depth budget; it stops early
-// once the frontier converges or the evaluation budget is spent. A
-// cancelled ctx aborts at the next depth boundary (and mid-expansion
-// via forEach / mid-evaluation via the simulator), returning ctx.Err()
-// with all partial state discarded.
+// barrier until; it stops early once the frontier converges or the
+// evaluation budget is spent. A cancelled ctx aborts at the next depth
+// boundary (and mid-expansion via forEach / mid-evaluation via the
+// simulator), returning ctx.Err() with all partial state discarded.
 func (l *beamLane) advance(ctx context.Context, until int) error {
 	opt := l.p.opt
-	if until > opt.Depth {
-		until = opt.Depth
-	}
-	for l.depth < until && !l.done {
-		l.depth++
-		depth := l.depth
+	for l.unit < until && !l.done {
+		l.unit++
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -162,45 +170,12 @@ func (l *beamLane) advance(ctx context.Context, until int) error {
 		}
 		l.p.proposals += len(jobs)
 
-		// Merge: dedup by key in deterministic job order, then keep the
-		// best BeamWidth of frontier ∪ candidates.
-		pool := append([]*State(nil), l.frontier...)
-		seen := map[string]bool{}
-		for k := range l.inFrontier {
-			seen[k] = true
-		}
-		grew := false
-		for _, st := range states {
-			if st == nil || seen[st.key] {
-				continue
-			}
-			seen[st.key] = true
-			pool = append(pool, st)
-		}
-		sortStates(pool)
-		if len(pool) > opt.BeamWidth {
-			pool = pool[:opt.BeamWidth]
-		}
-		l.inFrontier = map[string]bool{}
-		for _, st := range pool {
-			if !containsKey(l.frontier, st.key) {
-				grew = true
-			}
-			l.inFrontier[st.key] = true
-		}
-		l.frontier = pool
-		if err := l.evalFrontier(ctx, depth); err != nil {
+		// Merge in deterministic job order.
+		grew := l.merge(states)
+		if err := l.evalFrontier(ctx); err != nil {
 			return err
 		}
-		if l.progress != nil {
-			pr := Progress{Step: depth, Total: opt.Depth, Evals: l.ev.evals}
-			pr.CondChecks, pr.CondSkipped = l.ev.condStats()
-			if l.best != nil {
-				pr.BestYield = l.best.yield
-				pr.BestExpected = l.best.state.Expected
-			}
-			l.progress(pr)
-		}
+		l.report()
 		if !grew || !l.ev.budget() {
 			l.done = true // frontier converged, or nothing left to spend
 		}
@@ -208,41 +183,17 @@ func (l *beamLane) advance(ctx context.Context, until int) error {
 	return nil
 }
 
-// inject offers the lane an elite state found elsewhere (the portfolio
-// exchange). The state is re-materialised inside this lane's problem,
-// its evaluation transplanted into the lane's memo (valid under the
-// portfolio's common-random-numbers discipline), and merged into the
-// frontier under the usual (analytic score, key) order; entering the
-// frontier un-latches a converged lane so the next advance expands
-// around it. Runs on the portfolio's serial control path only.
+// inject offers the lane an elite state found elsewhere. The adopted
+// state is merged into the frontier under the usual (analytic score,
+// key) order; entering it un-latches a converged lane so the next
+// advance expands around it. Runs on the portfolio's serial control path
+// only.
 func (l *beamLane) inject(e *evaluated) error {
-	st, err := l.p.adoptState(e.state)
+	st, err := l.adopt(e)
 	if err != nil {
 		return err
 	}
-	l.ev.transplant(st, e)
-	if adopted, ok := l.ev.seen[st.key]; ok && better(adopted, l.best) {
-		l.best = adopted
-		l.trace = append(l.trace, TracePoint{Step: l.depth, Evals: l.ev.evals, Yield: adopted.yield, Expected: st.Expected})
-	}
-	if l.inFrontier[st.key] {
-		return nil
-	}
-	pool := append(append([]*State(nil), l.frontier...), st)
-	sortStates(pool)
-	if len(pool) > l.p.opt.BeamWidth {
-		pool = pool[:l.p.opt.BeamWidth]
-	}
-	l.inFrontier = map[string]bool{}
-	entered := false
-	for _, fst := range pool {
-		l.inFrontier[fst.key] = true
-		if fst.key == st.key {
-			entered = true
-		}
-	}
-	l.frontier = pool
-	if entered {
+	if l.merge([]*State{st}) {
 		l.done = false
 	}
 	return nil
@@ -256,13 +207,4 @@ func sortStates(sts []*State) {
 		}
 		return sts[i].key < sts[j].key
 	})
-}
-
-func containsKey(sts []*State, key string) bool {
-	for _, st := range sts {
-		if st.key == key {
-			return true
-		}
-	}
-	return false
 }

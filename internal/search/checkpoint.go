@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
@@ -269,13 +268,14 @@ func (ev *evaluator) warm(lc *LaneCheckpoint) error {
 	return nil
 }
 
-// snapshotLane captures one lane and its evaluator at a unit barrier.
-// Runs on the serial control path only.
-func snapshotLane(p *Problem, ev *evaluator, ln lane) LaneCheckpoint {
+// snapshot captures the lane, its core and its evaluator at a unit
+// barrier. Serial control path only.
+func (lr *laneRun) snapshot() LaneCheckpoint {
+	ev := lr.ev
 	lc := LaneCheckpoint{
-		Unit:      ln.unit(),
+		Unit:      lr.unit,
 		Evals:     ev.evals,
-		Proposals: p.proposals,
+		Proposals: lr.p.proposals,
 	}
 	if ev.capSet {
 		c := ev.cap
@@ -286,8 +286,36 @@ func snapshotLane(p *Problem, ev *evaluator, ln lane) LaneCheckpoint {
 		r := recipeOf(ev.lastEval)
 		lc.LastEval = &r
 	}
-	ln.snapshot(&lc)
+	if lr.best != nil {
+		lc.BestKey = lr.best.state.key
+	}
+	lc.Trace = append([]TracePoint(nil), lr.trace...)
+	lr.ln.snapshot(&lc)
 	return lc
+}
+
+// restore rebuilds a core from its checkpoint: the shared memo, the
+// evaluator's counters and incremental state, the proposal count, the
+// unit, the incumbent (looked up in the restored memo) and the trace.
+// The strategy restores its own fields on top.
+func (c *laneCore) restore(memo []EvalRecord, lc *LaneCheckpoint) error {
+	if err := c.ev.restoreMemo(memo); err != nil {
+		return err
+	}
+	if err := c.ev.warm(lc); err != nil {
+		return err
+	}
+	c.p.proposals = lc.Proposals
+	c.unit = lc.Unit
+	if lc.BestKey != "" {
+		e, ok := c.ev.seen[lc.BestKey]
+		if !ok {
+			return fmt.Errorf("%w: incumbent %q missing from memo", ErrBadCheckpoint, lc.BestKey)
+		}
+		c.best = e
+	}
+	c.trace = append([]TracePoint(nil), lc.Trace...)
+	return nil
 }
 
 // checkpointAt assembles the checkpoint at barrier unit. Called after
@@ -302,80 +330,7 @@ func checkpointAt(strategy Strategy, lanes []*laneRun, unit, exchanges int) *Che
 		Memo:      lanes[0].ev.snapshotMemo(),
 	}
 	for _, lr := range lanes {
-		cp.Lanes = append(cp.Lanes, snapshotLane(lr.p, lr.ev, lr.ln))
+		cp.Lanes = append(cp.Lanes, lr.snapshot())
 	}
 	return cp
-}
-
-// resumeAnnealLane rebuilds an anneal lane at its checkpointed step:
-// the control RNG replayed to the recorded draw count, the current
-// position reconstructed, the incumbent looked up in the restored memo.
-func resumeAnnealLane(p *Problem, ev *evaluator, progress func(Progress), lc *LaneCheckpoint) (*annealLane, error) {
-	if lc.Strategy != Anneal || lc.Cur == nil {
-		return nil, fmt.Errorf("%w: lane is not a resumable anneal lane", ErrBadCheckpoint)
-	}
-	cur, err := p.stateFromRecipe(*lc.Cur)
-	if err != nil {
-		return nil, fmt.Errorf("%w: current state: %v", ErrBadCheckpoint, err)
-	}
-	src := newCountingSource(p.opt.controlSeed())
-	src.skip(lc.RNGDraws)
-	l := &annealLane{
-		p:            p,
-		ev:           ev,
-		progress:     progress,
-		src:          src,
-		rng:          rand.New(src),
-		cur:          cur,
-		bestExpected: math.Inf(1),
-		step:         lc.Unit,
-	}
-	if lc.Threshold != nil {
-		l.bestExpected = *lc.Threshold
-	}
-	if lc.BestKey != "" {
-		e, ok := ev.seen[lc.BestKey]
-		if !ok {
-			return nil, fmt.Errorf("%w: incumbent %q missing from memo", ErrBadCheckpoint, lc.BestKey)
-		}
-		l.best = e
-	}
-	l.trace = append([]TracePoint(nil), lc.Trace...)
-	return l, nil
-}
-
-// resumeBeamLane rebuilds a beam lane at its checkpointed depth: the
-// frontier reconstructed in its saved (already sorted) order, the
-// convergence latch and incumbent restored. evalFrontier is NOT re-run —
-// the checkpoint was taken after it, and re-running would double-spend
-// budget on any member it had to skip.
-func resumeBeamLane(p *Problem, ev *evaluator, progress func(Progress), lc *LaneCheckpoint) (*beamLane, error) {
-	if lc.Strategy != Beam {
-		return nil, fmt.Errorf("%w: lane is not a resumable beam lane", ErrBadCheckpoint)
-	}
-	l := &beamLane{
-		p:          p,
-		ev:         ev,
-		progress:   progress,
-		inFrontier: map[string]bool{},
-		depth:      lc.Unit,
-		done:       lc.Done,
-	}
-	for _, r := range lc.Frontier {
-		st, err := p.stateFromRecipe(r)
-		if err != nil {
-			return nil, fmt.Errorf("%w: frontier state: %v", ErrBadCheckpoint, err)
-		}
-		l.frontier = append(l.frontier, st)
-		l.inFrontier[st.key] = true
-	}
-	if lc.BestKey != "" {
-		e, ok := ev.seen[lc.BestKey]
-		if !ok {
-			return nil, fmt.Errorf("%w: incumbent %q missing from memo", ErrBadCheckpoint, lc.BestKey)
-		}
-		l.best = e
-	}
-	l.trace = append([]TracePoint(nil), lc.Trace...)
-	return l, nil
 }

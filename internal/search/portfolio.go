@@ -79,20 +79,16 @@ type LaneResult struct {
 	Trace []TracePoint `json:"trace"`
 }
 
-// lane is the resumable per-strategy search loop the driver advances:
-// advance runs to a barrier, inject offers it the global elite, and
-// finished reports budget exhaustion. Implemented by annealLane and
-// beamLane.
+// lane is what differs between the search strategies the driver
+// advances: advance runs to a barrier, inject offers it the global
+// elite, finished reports budget exhaustion, and snapshot fills the
+// strategy's own checkpoint fields (serial control path only). The rest
+// sits in the laneCore each strategy embeds. Implemented by annealLane
+// and beamLane.
 type lane interface {
 	advance(ctx context.Context, until int) error
 	inject(e *evaluated) error
-	incumbent() *evaluated
-	result() (*evaluated, []TracePoint)
-	// unit is the lane's current position in units (steps / depths).
-	unit() int
 	finished() bool
-	// snapshot fills the lane-specific fields of a checkpoint. Serial
-	// control path only.
 	snapshot(*LaneCheckpoint)
 }
 
@@ -196,12 +192,9 @@ func laneOptions(base Options, i, n int) Options {
 	return o
 }
 
-// laneRun couples a lane with its view of the problem and the evaluator
-// it owns.
+// laneRun couples a lane with the core it shares with its strategy.
 type laneRun struct {
-	opt      Options
-	p        *Problem
-	ev       *evaluator
+	*laneCore
 	ln       lane
 	finished bool
 }
@@ -220,36 +213,27 @@ func newLaneRun(ctx context.Context, sp *space, base Options, i, n int, cache *y
 		return nil, err
 	}
 	p := sp.problem(lopt)
-	ev := newEvaluator(p, cache)
+	c := &laneCore{p: p, ev: newEvaluator(p, cache), progress: progress}
 	// The Monte-Carlo tier inherits the signal, so a cancel lands within
 	// one trial chunk even mid-evaluation.
-	ev.sim.Ctx = ctx
-	lr := &laneRun{opt: lopt, p: p, ev: ev}
-	var err error
+	c.ev.sim.Ctx = ctx
+	var lc *LaneCheckpoint
 	if resume != nil {
-		lc := &resume.Lanes[i]
-		if err := ev.restoreMemo(resume.Memo); err != nil {
+		lc = &resume.Lanes[i]
+		if err := c.restore(resume.Memo, lc); err != nil {
 			return nil, err
 		}
-		if err := ev.warm(lc); err != nil {
-			return nil, err
-		}
-		p.proposals = lc.Proposals
-		if lopt.Strategy == Beam {
-			lr.ln, err = resumeBeamLane(p, ev, progress, lc)
-		} else {
-			lr.ln, err = resumeAnnealLane(p, ev, progress, lc)
-		}
+	}
+	for k, e := range preSeed {
+		cp := *e
+		c.ev.seen[k] = &cp
+	}
+	lr := &laneRun{laneCore: c}
+	var err error
+	if lopt.Strategy == Beam {
+		lr.ln, err = newBeamLane(ctx, c, lc)
 	} else {
-		for k, e := range preSeed {
-			cp := *e
-			ev.seen[k] = &cp
-		}
-		if lopt.Strategy == Beam {
-			lr.ln, err = newBeamLane(ctx, p, ev, progress)
-		} else {
-			lr.ln, err = newAnnealLane(p, ev, progress)
-		}
+		lr.ln, err = newAnnealLane(c, lc)
 	}
 	if err != nil {
 		return nil, err
@@ -397,7 +381,7 @@ func drive(ctx context.Context, c *circuit.Circuit, opt Options, cache *yield.No
 		var best *evaluated
 		idx := -1
 		for i, lr := range lanes {
-			if e := lr.ln.incumbent(); e != nil && better(e, best) {
+			if e := lr.best; e != nil && better(e, best) {
 				best, idx = e, i
 			}
 		}
@@ -406,7 +390,7 @@ func drive(ctx context.Context, c *circuit.Circuit, opt Options, cache *yield.No
 
 	units := 0
 	for _, lr := range lanes {
-		if u := lr.opt.units(); u > units {
+		if u := lr.p.opt.units(); u > units {
 			units = u
 		}
 	}
@@ -436,7 +420,7 @@ func drive(ctx context.Context, c *circuit.Circuit, opt Options, cache *yield.No
 			until = units
 		}
 		opt.forEach(ctx, n, func(i int) {
-			errs[i] = lanes[i].ln.advance(ctx, until)
+			errs[i] = lanes[i].ln.advance(ctx, min(until, lanes[i].p.opt.units()))
 		})
 		for _, err := range errs {
 			if err != nil {
@@ -515,34 +499,30 @@ func drive(ctx context.Context, c *circuit.Circuit, opt Options, cache *yield.No
 	if best == nil {
 		return nil, fmt.Errorf("search: no design evaluated (MaxEvals=%d)", opt.MaxEvals)
 	}
-	win := lanes[bi]
-	_, winTrace := win.ln.result()
-	res, err := win.p.finish(win.ev, best, winTrace)
+	res, err := lanes[bi].finish()
 	if err != nil {
 		return nil, err
 	}
-	res.Evals, res.Proposals = 0, 0
-	res.CondChecks, res.CondSkipped = 0, 0
 	res.Lanes = make([]LaneResult, n)
 	for i, lr := range lanes {
-		e, tr := lr.ln.result()
 		res.Evals += lr.ev.evals
 		res.Proposals += lr.p.proposals
 		ch, sk := lr.ev.condStats()
 		res.CondChecks += ch
 		res.CondSkipped += sk
+		lopt := lr.p.opt
 		lres := LaneResult{
 			Lane:      i,
-			Strategy:  lr.opt.Strategy,
-			Seed:      lr.opt.controlSeed(),
+			Strategy:  lopt.Strategy,
+			Seed:      lopt.controlSeed(),
 			Evals:     lr.ev.evals,
 			Proposals: lr.p.proposals,
-			Trace:     tr,
+			Trace:     lr.trace,
 		}
-		if lr.opt.Strategy == Anneal {
-			lres.T0, lres.Tend = lr.opt.T0, lr.opt.Tend
+		if lopt.Strategy == Anneal {
+			lres.T0, lres.Tend = lopt.T0, lopt.Tend
 		}
-		if e != nil {
+		if e := lr.best; e != nil {
 			lres.Yield = e.yield
 			lres.Expected = e.state.Expected
 			lres.Objective = e.objective

@@ -2,6 +2,7 @@ package search
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -395,36 +396,24 @@ type move struct {
 // with nil error means the move degenerated to a no-op.
 func (p *Problem) apply(st *State, m move) (*State, error) {
 	switch m.kind {
-	case moveAddBus:
-		sites := append(append([]lattice.Square(nil), st.Sites...), m.site)
+	case moveAddBus, moveRemoveBus, moveShiftBus:
+		// A bus move drops m.old (remove, shift) and adds m.site (add,
+		// shift), then repairs the regions around both squares.
+		sites, seeds := st.Sites, []int(nil)
+		if m.kind != moveAddBus {
+			if sites = removeSite(st.Sites, m.old); len(sites) == len(st.Sites) {
+				return nil, fmt.Errorf("search: %v not selected", m.old)
+			}
+			seeds = p.siteQubits(st.Aux, m.old)
+		}
+		if m.kind != moveRemoveBus {
+			sites = append(slices.Clip(sites), m.site)
+			seeds = append(seeds, p.siteQubits(st.Aux, m.site)...)
+		}
 		next, err := p.newState(st.Aux, sites, st.Freqs())
 		if err != nil {
 			return nil, err
 		}
-		p.repairState(next, p.siteQubits(st.Aux, m.site), nil)
-		return next, nil
-	case moveRemoveBus:
-		sites := removeSite(st.Sites, m.old)
-		if len(sites) == len(st.Sites) {
-			return nil, fmt.Errorf("search: %v not selected", m.old)
-		}
-		next, err := p.newState(st.Aux, sites, st.Freqs())
-		if err != nil {
-			return nil, err
-		}
-		p.repairState(next, p.siteQubits(st.Aux, m.old), nil)
-		return next, nil
-	case moveShiftBus:
-		sites := removeSite(st.Sites, m.old)
-		if len(sites) == len(st.Sites) {
-			return nil, fmt.Errorf("search: %v not selected", m.old)
-		}
-		sites = append(sites, m.site)
-		next, err := p.newState(st.Aux, sites, st.Freqs())
-		if err != nil {
-			return nil, err
-		}
-		seeds := append(p.siteQubits(st.Aux, m.old), p.siteQubits(st.Aux, m.site)...)
 		p.repairState(next, seeds, nil)
 		return next, nil
 	case moveAuxJump:

@@ -389,25 +389,25 @@ func Run(ctx context.Context, c *circuit.Circuit, opt Options, cache *yield.Nois
 	return res, nil
 }
 
-// finish maps the winning state and assembles the Result. When
-// PerfWeight > 0 the winner was already mapped during evaluation.
-func (p *Problem) finish(ev *evaluator, best *evaluated, trace []TracePoint) (*Result, error) {
-	st := best.state
-	gates, swaps, normPerf := best.gates, best.swaps, best.normPerf
+// finish maps the lane's incumbent, the run's winner, and assembles the
+// Result around it. When PerfWeight > 0 the winner was already mapped
+// during evaluation. The run-wide counters are the driver's to sum.
+func (c *laneCore) finish() (*Result, error) {
+	st := c.best.state
+	gates, swaps, normPerf := c.best.gates, c.best.swaps, c.best.normPerf
 	if gates == 0 {
 		var err error
-		gates, swaps, normPerf, err = ev.performance(st)
+		gates, swaps, normPerf, err = c.ev.performance(st)
 		if err != nil {
 			return nil, err
 		}
 	}
 	a := st.Arch.Clone()
-	a.Name = fmt.Sprintf("%s/search-%s-%dbus", p.circ.Name, p.opt.Strategy, len(st.Sites))
-	checked, skipped := ev.condStats()
+	a.Name = fmt.Sprintf("%s/search-%s-%dbus", c.p.circ.Name, c.p.opt.Strategy, len(st.Sites))
 	squares := make([]lattice.Square, len(st.Sites))
 	copy(squares, st.Sites)
 	return &Result{
-		Strategy: p.opt.Strategy,
+		Strategy: c.p.opt.Strategy,
 		Best: &core.Design{
 			Arch:      a,
 			Buses:     len(st.Sites),
@@ -415,17 +415,13 @@ func (p *Problem) finish(ev *evaluator, best *evaluated, trace []TracePoint) (*R
 			Config:    core.ConfigSearch,
 			AuxQubits: st.Aux,
 		},
-		Yield:       best.yield,
-		Expected:    st.Expected,
-		Objective:   best.objective,
-		GateCount:   gates,
-		Swaps:       swaps,
-		NormPerf:    normPerf,
-		Evals:       ev.evals,
-		Proposals:   p.proposals,
-		CondChecks:  checked,
-		CondSkipped: skipped,
-		Trace:       trace,
+		Yield:     c.best.yield,
+		Expected:  st.Expected,
+		Objective: c.best.objective,
+		GateCount: gates,
+		Swaps:     swaps,
+		NormPerf:  normPerf,
+		Trace:     c.trace,
 	}, nil
 }
 
