@@ -12,7 +12,7 @@
 //	POST   /v1/jobs                {"kind":"sweep"|"search"|"portfolio","spec":{...}}
 //	GET    /v1/jobs                list all jobs, submission order
 //	GET    /v1/jobs/{id}           job status
-//	DELETE /v1/jobs/{id}           cancel a queued or running job
+//	DELETE /v1/jobs/{id}           cancel a queued or running job or a pending retry
 //	GET    /v1/jobs/{id}/result    the outcome (404 until done)
 //	GET    /v1/jobs/{id}/events    streamed progress, one JSON line per event
 //	GET    /v1/jobs/{id}/metrics   the job's progress series, windowed (metrics.go)
@@ -29,7 +29,9 @@
 // Cancellation is cooperative: DELETE on a queued job retires it
 // immediately, DELETE on a running job cancels its context and the
 // evaluation engine stops within one proposal batch / Monte-Carlo trial
-// chunk, reporting status "canceled". Cancelled outcomes are never
+// chunk, reporting status "canceled". DELETE on a failed job waiting out
+// its retry backoff retires it as "canceled" too, so the retry never
+// runs and its checkpoint is deleted. Cancelled outcomes are never
 // persisted, so a later resubmission recomputes them.
 //
 // With a job-metadata journal configured (Config.Journal), every
@@ -374,14 +376,15 @@ func (s *Server) journalAppendLocked(j *job) {
 func (s *Server) Close() { _ = s.Shutdown(context.Background()) }
 
 // Shutdown stops accepting submissions and drains queued and running
-// jobs until ctx expires; past the deadline every job still queued or
-// running is cooperatively cancelled (recorded as "canceled") and
-// Shutdown returns once the executors have stopped — within one
-// proposal batch / trial chunk of the cancel, not after the full
-// remaining work. Failed jobs waiting out a retry backoff are not
-// retried, and their streams end too. The return value is nil on a
-// clean drain and ctx.Err() when jobs had to be cancelled. Safe to call
-// more than once and concurrently.
+// jobs until ctx expires; past the deadline every job still queued,
+// running or waiting out a retry backoff is cooperatively cancelled
+// (journaled as "canceled") and Shutdown returns once the executors have
+// stopped — within one proposal batch / trial chunk of the cancel, not
+// after the full remaining work. Failed jobs waiting out a retry backoff
+// are never retried: after a clean drain they stay failed, and their
+// streams end too. The return value is nil on a clean drain and
+// ctx.Err() when jobs had to be cancelled. Safe to call more than once
+// and concurrently.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
@@ -580,31 +583,38 @@ func (s *Server) deleteCheckpoint(id string) {
 // while its attempt count stays within budget; past the budget the
 // failure is final and any checkpoint is cleaned up. (While retries
 // remain, the checkpoint is kept — the next attempt resumes from it.)
+// The retry is announced under the lock that checked it, so a DELETE
+// that cancels the pending retry either precedes the check or follows
+// the announcement, and the stream still ends on "job canceled".
 func (s *Server) maybeRetry(j *job) {
 	j.mu.Lock()
-	retries, attempts := s.retriesLocked(j), j.Attempts
+	retries := s.retriesLocked(j)
+	var delay time.Duration
+	if retries {
+		delay = s.cfg.Retry.Delay(j.ID, j.Attempts)
+		j.appendEventLocked(experiments.Event{Message: fmt.Sprintf("retrying in %s (attempt %d)", delay, j.Attempts+1)})
+	}
 	j.mu.Unlock()
 	if !retries {
 		s.deleteCheckpoint(j.ID)
 		return
 	}
-	delay := s.cfg.Retry.Delay(j.ID, attempts)
-	j.publish(experiments.Event{Message: fmt.Sprintf("retrying in %s (attempt %d)", delay, attempts+1)})
 	time.AfterFunc(delay, func() { s.requeue(j) })
 }
 
 // requeue re-admits a failed job once its backoff has elapsed. It is the
 // same job, so its spec, attempt count and stream carry over, and its
 // streamers follow the next attempt. It bails out, ending the stream,
-// when the server has closed, when the id no longer maps to the job (a
-// client resubmitted or the record was evicted meanwhile), or when the
-// queue is full — a retry never evicts client work.
+// when the server has closed, when the job is no longer failed (a DELETE
+// canceled it), when the id no longer maps to the job (a client
+// resubmitted or retention evicted it meanwhile; the journal keeps it
+// failed), or when the queue is full — a retry never evicts client work.
 func (s *Server) requeue(j *job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if s.closed || s.jobs[j.ID] != j || len(s.queue) >= s.cfg.QueueSize {
+	if s.closed || j.Status != runstore.StatusFailed || s.jobs[j.ID] != j || len(s.queue) >= s.cfg.QueueSize {
 		j.endStreamLocked()
 		return
 	}
@@ -612,27 +622,29 @@ func (s *Server) requeue(j *job) {
 	j.appendEventLocked(experiments.Event{Message: "requeued after failure"})
 }
 
-// cancelJob cooperatively cancels one job. A queued job retires
-// immediately with status "canceled" and frees its queue slot; a
-// running job has its context cancelled and the executor records the
-// terminal state when the engine stops (within one proposal batch /
-// trial chunk). Terminal jobs are left untouched. Returns whether a
-// cancellation was initiated. Lock order is s.mu, then j.mu, as
-// everywhere else.
+// cancelJob cooperatively cancels one job. A queued job, or a failed
+// one waiting out its retry backoff, retires immediately with status
+// "canceled": a queued job frees its queue slot, and a pending retry's
+// requeue bails out when its timer fires. A running job has its context
+// cancelled and the executor records the terminal state when the engine
+// stops (within one proposal batch / trial chunk). Other terminal jobs
+// are left untouched. Returns whether a cancellation was initiated. Lock
+// order is s.mu, then j.mu, as everywhere else.
 func (s *Server) cancelJob(j *job) bool {
 	s.mu.Lock()
 	j.mu.Lock()
 	status := j.Status
-	if status == runstore.StatusQueued {
+	waiting := status == runstore.StatusQueued || s.retriesLocked(j)
+	if waiting {
 		s.removeQueuedLocked(j)
 		s.finishLocked(j, runstore.StatusCanceled, "", experiments.Event{Message: "job canceled"})
 	}
 	j.mu.Unlock()
 	s.mu.Unlock()
-	switch status {
-	case runstore.StatusQueued:
+	switch {
+	case waiting:
 		s.settle(j, runstore.StatusCanceled)
-	case runstore.StatusRunning:
+	case status == runstore.StatusRunning:
 		j.cancel()
 	default:
 		return false

@@ -1,10 +1,14 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -221,5 +225,163 @@ func TestFinishedJobStreamHasNoSlack(t *testing.T) {
 	}
 	if body := readStream(t, ts.URL, v.ID); len(body) != n {
 		t.Fatalf("/events served %d bytes, the stream holds %d", len(body), n)
+	}
+}
+
+// startRetryServer starts a server over a fresh store and journal whose
+// failed jobs retry once after an hour, so a test acts on a pending
+// retry by calling requeue itself instead of waiting for the timer. It
+// returns the journal's path.
+func startRetryServer(t *testing.T, retain int) (*Server, *httptest.Server, *runstore.Store, string) {
+	t.Helper()
+	dir := t.TempDir()
+	store, err := runstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journalPath := filepath.Join(dir, "jobs.ndjson")
+	journal, err := runstore.OpenJournal(journalPath, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Runner: experiments.NewRunner(tinyOptions()), Store: store, Journal: journal,
+		QueueSize: 4, RetainJobs: retain, Retry: retry.Policy{Failed: 1, Base: time.Hour}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		s.Close()
+		ts.CloseClientConnections() // ts.Close waits for open streams
+		ts.Close()
+		journal.Close()
+	})
+	return s, ts, store, journalPath
+}
+
+// failIntoBackoff submits a sweep whose first attempt fails, and returns
+// the job once its stream announces the retry, woken by each append
+// rather than by polling.
+func failIntoBackoff(t *testing.T, s *Server, base string) *job {
+	t.Helper()
+	enableFaults(t, "store.get:error:times=1", 1)
+	v := submit(t, base, `{"kind":"sweep","spec":{"benchmarks":["sym6_145"],"configs":["ibm"],"sigmas":[0.04]}}`)
+	s.mu.Lock()
+	j := s.jobs[v.ID]
+	s.mu.Unlock()
+	for {
+		j.mu.Lock()
+		pending := bytes.Contains(j.stream, []byte(`"retrying in `))
+		wake := j.wake
+		j.mu.Unlock()
+		if pending {
+			return j
+		}
+		select {
+		case <-wake:
+		case <-time.After(2 * time.Minute):
+			t.Fatal("the failed job never announced its retry")
+		}
+	}
+}
+
+// lastJournaled returns the status of id's last journal record.
+func lastJournaled(t *testing.T, path, id string) string {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	last := ""
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	for sc.Scan() {
+		var rec runstore.JobRecord
+		if err := json.Unmarshal(sc.Bytes(), &rec); err == nil && rec.ID == id {
+			last = rec.Status
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return last
+}
+
+// TestDeleteCancelsPendingRetry: a DELETE on a failed job waiting out
+// its retry backoff cancels the retry. It answers canceled and deletes
+// the job's checkpoint; when the backoff timer then fires, the job stays
+// canceled; its stream has ended on "job canceled" without a requeue;
+// and its last journal record is canceled.
+func TestDeleteCancelsPendingRetry(t *testing.T) {
+	s, ts, store, journalPath := startRetryServer(t, 0)
+	j := failIntoBackoff(t, s, ts.URL)
+	// The retry would resume from this checkpoint; the cancel drops it.
+	if err := store.PutCheckpoint(j.ID, []byte(`{"schema":1}`)); err != nil {
+		t.Fatal(err)
+	}
+
+	if v := cancelJobHTTP(t, ts.URL, j.ID); v.Status != statusCanceled {
+		t.Fatalf("DELETE on a job waiting out its backoff answered %q, want canceled", v.Status)
+	}
+	s.requeue(j) // the backoff timer fires
+	if v := getStatus(t, ts.URL, j.ID); v.Status != statusCanceled {
+		t.Fatalf("job after its backoff elapsed is %q, want canceled", v.Status)
+	}
+	select {
+	case <-j.done:
+	default:
+		t.Fatal("the canceled job's stream is still open")
+	}
+	stream := string(readStream(t, ts.URL, j.ID))
+	lines := strings.Split(strings.TrimSuffix(stream, "\n"), "\n")
+	if last := lines[len(lines)-1]; !strings.Contains(last, `"job canceled"`) {
+		t.Fatalf("stream ends with %s, want job canceled; stream:\n%s", last, stream)
+	}
+	if strings.Contains(stream, "requeued after failure") {
+		t.Fatalf("the canceled job was requeued:\n%s", stream)
+	}
+	if data, err := store.GetCheckpoint(j.ID); err != nil || data != nil {
+		t.Fatalf("checkpoint after the cancel: %q, %v; want none", data, err)
+	}
+	if st := lastJournaled(t, journalPath, j.ID); st != statusCanceled {
+		t.Fatalf("last journal record is %q, want canceled", st)
+	}
+}
+
+// TestEvictedPendingRetryStaysFailed pins what retention does to a
+// failed job waiting out its retry backoff. Such a job counts as
+// finished, so newer finished jobs can evict it; when the backoff timer
+// then fires, requeue bails out: the job's stream ends without a
+// requeue, and the journal keeps it failed.
+func TestEvictedPendingRetryStaysFailed(t *testing.T) {
+	s, ts, _, journalPath := startRetryServer(t, 1)
+	j := failIntoBackoff(t, s, ts.URL)
+	done := submit(t, ts.URL, `{"kind":"sweep","spec":{"benchmarks":["sym6_145"],"configs":["ibm"],"sigmas":[0.05]}}`)
+	waitDone(t, ts.URL, done.ID)
+	// This submission finds two finished jobs over a bound of one.
+	last := submit(t, ts.URL, `{"kind":"sweep","spec":{"benchmarks":["sym6_145"],"configs":["ibm"],"sigmas":[0.06]}}`)
+	waitDone(t, ts.URL, last.ID)
+	s.mu.Lock()
+	_, listed := s.jobs[j.ID]
+	s.mu.Unlock()
+	if listed {
+		t.Fatal("retention kept the pending retry past its bound")
+	}
+
+	s.requeue(j) // the backoff timer fires
+	select {
+	case <-j.done:
+	default:
+		t.Fatal("the evicted job's stream is still open after its requeue bailed out")
+	}
+	j.mu.Lock()
+	status, stream := j.Status, string(j.stream)
+	j.mu.Unlock()
+	if status != statusFailed || strings.Contains(stream, "requeued after failure") {
+		t.Fatalf("evicted job is %q after its backoff; stream:\n%s", status, stream)
+	}
+	if st := lastJournaled(t, journalPath, j.ID); st != statusFailed {
+		t.Fatalf("last journal record is %q, want failed", st)
 	}
 }
