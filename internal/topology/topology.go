@@ -13,6 +13,7 @@ package topology
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"qproc/internal/arch"
@@ -66,13 +67,19 @@ func Parse(name string) (Family, error) {
 	case "chimera":
 		return NewChimera(2, 2, 4)
 	}
-	if strings.HasPrefix(s, "chimera(") && strings.HasSuffix(s, ")") {
-		var m, n, k int
-		body := s[len("chimera(") : len(s)-1]
-		if _, err := fmt.Sscanf(strings.ReplaceAll(body, " ", ""), "%d,%d,%d", &m, &n, &k); err != nil {
+	if body, ok := strings.CutPrefix(s, "chimera("); ok && strings.HasSuffix(body, ")") {
+		// Exactly three integers, with spaces allowed between them.
+		fields := strings.Split(strings.ReplaceAll(body[:len(body)-1], " ", ""), ",")
+		mnk := make([]int, 0, 3)
+		for _, f := range fields {
+			if v, err := strconv.Atoi(f); err == nil {
+				mnk = append(mnk, v)
+			}
+		}
+		if len(fields) != 3 || len(mnk) != 3 {
 			return nil, fmt.Errorf("topology: bad chimera parameters %q (want chimera(m,n,k))", name)
 		}
-		return NewChimera(m, n, k)
+		return NewChimera(mnk[0], mnk[1], mnk[2])
 	}
 	return nil, fmt.Errorf("topology: unknown family %q (have %s)", name, strings.Join(Names(), ", "))
 }

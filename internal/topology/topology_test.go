@@ -35,7 +35,8 @@ func TestParseAndCanon(t *testing.T) {
 			t.Errorf("Canon(%q) = %q, want %q", c.in, got, c.canon)
 		}
 	}
-	for _, bad := range []string{"hex", "chimera(0,1,2)", "chimera(a,b,c)", "chimera(1,2)"} {
+	for _, bad := range []string{"hex", "chimera(0,1,2)", "chimera(a,b,c)", "chimera(1,2)",
+		"chimera(2,2,4,99)", "chimera(2,2,4abc)", "chimera(2,2,4)x)"} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q): want error", bad)
 		}
@@ -44,6 +45,38 @@ func TestParseAndCanon(t *testing.T) {
 	if got := Canon("hex"); got != "hex" {
 		t.Errorf("Canon(hex) = %q, want hex", got)
 	}
+}
+
+// FuzzTopologyParse: Parse never panics on any spelling; an accepted
+// name parses back to a family of the same Name; Canon is idempotent;
+// and every chimera chip Parse accepts has at most 2048 qubits.
+func FuzzTopologyParse(f *testing.F) {
+	for _, seed := range []string{
+		"", "square", " square ", "coupler", "chimera", "chimera(3,2,4)", "chimera(1, 1, 2)",
+		"chimera(+2,02,4)", "chimera(16,16,4)", "chimera(16,16,5)", "chimera(1,1,9223372036854775807)",
+		"chimera(0,1,2)", "chimera(-1,2,3)", "chimera()", "chimera(", "hex",
+		"chimera(2,2,4,99)", "chimera(2,2,4abc)", "chimera(2,2,4)x)",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		fam, err := Parse(name)
+		if canon := Canon(name); Canon(canon) != canon {
+			t.Fatalf("Canon(%q) = %q, but Canon(%q) = %q", name, canon, canon, Canon(canon))
+		}
+		if err != nil {
+			return
+		}
+		again, err := Parse(fam.Name())
+		if err != nil || again.Name() != fam.Name() {
+			t.Fatalf("Parse(%q) is named %q, which parses to %v (%v)", name, fam.Name(), again, err)
+		}
+		if c, ok := fam.(Chimera); ok {
+			if coords, _ := c.Layout(); len(coords) > 2048 {
+				t.Fatalf("Parse(%q) accepted a %d-qubit chip", name, len(coords))
+			}
+		}
+	})
 }
 
 // TestChimeraBounded: Parse refuses a chimera grid of more than 2048
