@@ -6,28 +6,20 @@ import (
 	"qproc/internal/search"
 )
 
-// ckControl is the checkpoint plumbing runResolved threads to a search
-// or portfolio run: how often to save (single-lane jobs; portfolios
-// save at every exchange barrier), the checkpoint to resume from, and
-// the sink persisting each snapshot. It rides the context rather than
-// the spec because checkpointing is an executor concern — it never
-// changes a result, so it must not participate in job fingerprints.
-type ckControl struct {
-	every  int
-	resume *search.Checkpoint
-	save   func(*search.Checkpoint)
-}
+// checkpointKey is the context key under which runResolved hands a
+// search or portfolio run its search.CheckpointOptions: how often to
+// save (single-lane jobs; portfolios save at every exchange barrier), the
+// checkpoint to resume from, and the sink persisting each snapshot. They
+// ride the context rather than the spec because checkpointing is an
+// executor concern — it never changes a result, so it must not
+// participate in job fingerprints.
+type checkpointKey struct{}
 
-type ckControlKey struct{}
-
-func withCheckpointControl(ctx context.Context, c ckControl) context.Context {
-	return context.WithValue(ctx, ckControlKey{}, c)
-}
-
-func checkpointControl(ctx context.Context) (ckControl, bool) {
+// checkpointOptions returns the checkpointing ctx carries, or nil.
+func checkpointOptions(ctx context.Context) *search.CheckpointOptions {
 	if ctx == nil {
-		return ckControl{}, false
+		return nil
 	}
-	c, ok := ctx.Value(ckControlKey{}).(ckControl)
-	return c, ok
+	ck, _ := ctx.Value(checkpointKey{}).(*search.CheckpointOptions)
+	return ck
 }

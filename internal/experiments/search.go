@@ -101,22 +101,9 @@ func (s SearchSpec) withDefaults(opt Options) (SearchSpec, search.Options) {
 	return s, so
 }
 
-// SearchProgress mirrors search.Progress for the runner's callback
-// convention (field-for-field: the runner converts between the two).
-type SearchProgress struct {
-	Step, Total  int
-	Evals        int
-	BestYield    float64
-	BestExpected float64
-	// CondChecks / CondSkipped are the Monte-Carlo tier's cumulative
-	// condition-bundle evaluations performed and avoided by incremental
-	// re-estimation.
-	CondChecks  uint64
-	CondSkipped uint64
-	// LanesLive / LanesDone describe a portfolio run's lanes; both zero
-	// on single-lane searches.
-	LanesLive, LanesDone int
-}
+// SearchProgress is search.Progress under the runner's callback
+// convention, which gives it Event.
+type SearchProgress search.Progress
 
 // SearchOutcome is the JSON-exportable result of a guided search: the
 // winning design rendered as a sweep point (so search results compose
@@ -208,9 +195,7 @@ func (r *Runner) runSearch(ctx context.Context, kind string, spec SearchSpec, pf
 	so.Pool = r.pool
 	so.Kernels = r.kernels
 	so.Maps = r.maps
-	if ck, ok := checkpointControl(ctx); ok {
-		so.Checkpoint = &search.CheckpointOptions{Every: ck.every, Resume: ck.resume, Save: ck.save}
-	}
+	so.Checkpoint = checkpointOptions(ctx)
 
 	var cb func(search.Progress)
 	if progress != nil {

@@ -83,10 +83,10 @@ func (r *Runner) runResolved(ctx context.Context, job Job, store *runstore.Store
 	run := func(resume *search.Checkpoint) (Outcome, error) {
 		rctx := ctx
 		if ckpt {
-			rctx = withCheckpointControl(ctx, ckControl{
-				every:  r.opt.CheckpointEvery,
-				resume: resume,
-				save: func(cp *search.Checkpoint) {
+			rctx = context.WithValue(ctx, checkpointKey{}, &search.CheckpointOptions{
+				Every:  r.opt.CheckpointEvery,
+				Resume: resume,
+				Save: func(cp *search.Checkpoint) {
 					data, err := cp.Encode()
 					if err == nil {
 						err = store.PutCheckpoint(key, data)
