@@ -398,7 +398,7 @@ func (p *Problem) apply(st *State, m move) (*State, error) {
 	switch m.kind {
 	case moveAddBus, moveRemoveBus, moveShiftBus:
 		// A bus move drops m.old (remove, shift) and adds m.site (add,
-		// shift), then repairs the regions around both squares.
+		// shift), then repairs the regions around the squares it moved.
 		sites, seeds := st.Sites, []int(nil)
 		if m.kind != moveAddBus {
 			if sites = removeSite(st.Sites, m.old); len(sites) == len(st.Sites) {
@@ -407,7 +407,7 @@ func (p *Problem) apply(st *State, m move) (*State, error) {
 			seeds = p.siteQubits(st.Aux, m.old)
 		}
 		if m.kind != moveRemoveBus {
-			sites = append(slices.Clip(sites), m.site)
+			sites = append(slices.Clip(sites), m.site) // never into st.Sites
 			seeds = append(seeds, p.siteQubits(st.Aux, m.site)...)
 		}
 		next, err := p.newState(st.Aux, sites, st.Freqs())
