@@ -67,9 +67,10 @@ func Parse(name string) (Family, error) {
 	case "chimera":
 		return NewChimera(2, 2, 4)
 	}
-	if body, ok := strings.CutPrefix(s, "chimera("); ok && strings.HasSuffix(body, ")") {
+	if strings.HasPrefix(s, "chimera(") && strings.HasSuffix(s, ")") {
 		// Exactly three integers, with spaces allowed between them.
-		fields := strings.Split(strings.ReplaceAll(body[:len(body)-1], " ", ""), ",")
+		body := s[len("chimera(") : len(s)-1]
+		fields := strings.Split(strings.ReplaceAll(body, " ", ""), ",")
 		mnk := make([]int, 0, 3)
 		for _, f := range fields {
 			if v, err := strconv.Atoi(f); err == nil {
