@@ -79,12 +79,12 @@ type LaneResult struct {
 	Trace []TracePoint `json:"trace"`
 }
 
-// lane is what differs between the search strategies the driver
-// advances: advance runs to a barrier, inject offers it the global
-// elite, finished reports budget exhaustion, and snapshot fills the
-// strategy's own checkpoint fields (serial control path only). The rest
-// sits in the laneCore each strategy embeds. Implemented by annealLane
-// and beamLane.
+// lane is what differs between the search strategies drive advances:
+// advance runs to a barrier, inject offers it the global elite,
+// finished reports budget exhaustion, and snapshot fills the strategy's
+// own checkpoint fields (serial control path only). The rest sits in
+// the laneCore each strategy embeds. Implemented by annealLane and
+// beamLane.
 type lane interface {
 	advance(ctx context.Context, until int) error
 	inject(e *evaluated) error

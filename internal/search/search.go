@@ -391,7 +391,7 @@ func Run(ctx context.Context, c *circuit.Circuit, opt Options, cache *yield.Nois
 
 // finish maps the lane's incumbent, the run's winner, and assembles the
 // Result around it. When PerfWeight > 0 the winner was already mapped
-// during evaluation. The run-wide counters are the driver's to sum.
+// during evaluation. drive sums the run-wide counters over the lanes.
 func (c *laneCore) finish() (*Result, error) {
 	st := c.best.state
 	gates, swaps, normPerf := c.best.gates, c.best.swaps, c.best.normPerf
