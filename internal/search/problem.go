@@ -399,7 +399,8 @@ func (p *Problem) apply(st *State, m move) (*State, error) {
 	case moveAddBus, moveRemoveBus, moveShiftBus:
 		// A bus move drops m.old (remove, shift) and adds m.site (add,
 		// shift), then repairs the regions around the squares it moved.
-		sites, seeds := st.Sites, []int(nil)
+		// Clipped, so an add's append copies st.Sites instead of sharing it.
+		sites, seeds := slices.Clip(st.Sites), []int(nil)
 		if m.kind != moveAddBus {
 			if sites = removeSite(st.Sites, m.old); len(sites) == len(st.Sites) {
 				return nil, fmt.Errorf("search: %v not selected", m.old)
@@ -407,7 +408,7 @@ func (p *Problem) apply(st *State, m move) (*State, error) {
 			seeds = p.siteQubits(st.Aux, m.old)
 		}
 		if m.kind != moveRemoveBus {
-			sites = append(slices.Clip(sites), m.site) // never into st.Sites
+			sites = append(sites, m.site)
 			seeds = append(seeds, p.siteQubits(st.Aux, m.site)...)
 		}
 		next, err := p.newState(st.Aux, sites, st.Freqs())
