@@ -185,15 +185,23 @@ func (j *job) appendEventLocked(e experiments.Event) {
 // closes done, so streamers drain the final event and stop. Later calls
 // do nothing. Callers hold j.mu or own the job exclusively.
 func (j *job) endStreamLocked() {
-	select {
-	case <-j.done:
+	if j.streamEnded() {
 		return
-	default:
 	}
 	exact := make([]byte, len(j.stream))
 	copy(exact, j.stream)
 	j.stream = exact
 	close(j.done)
+}
+
+// streamEnded reports whether j's stream has ended.
+func (j *job) streamEnded() bool {
+	select {
+	case <-j.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // publish appends a progress event. Events may arrive from multiple
@@ -343,6 +351,15 @@ func (s *Server) finishLocked(j *job, status, errMsg string, e experiments.Event
 // hold j.mu or own the job exclusively.
 func (s *Server) retriesLocked(j *job) bool {
 	return j.Status == runstore.StatusFailed && s.cfg.Retry.Allows(runstore.StatusFailed, j.Attempts)
+}
+
+// retryPendingLocked reports whether j is a failed job waiting out its
+// retry backoff. finishLocked keeps such a job's stream open, and every
+// way the retry can fall through ends it: a requeue that bails, Shutdown,
+// and a restore from the journal, whose failed jobs are never retried.
+// Callers hold j.mu.
+func (s *Server) retryPendingLocked(j *job) bool {
+	return s.retriesLocked(j) && !j.streamEnded()
 }
 
 // settle follows a job the executor or a queued cancel has just ended:
@@ -628,13 +645,14 @@ func (s *Server) requeue(j *job) {
 // requeue bails out when its timer fires. A running job has its context
 // cancelled and the executor records the terminal state when the engine
 // stops (within one proposal batch / trial chunk). Other terminal jobs
-// are left untouched. Returns whether a cancellation was initiated. Lock
-// order is s.mu, then j.mu, as everywhere else.
+// are left untouched, a failed one whose retry will not run included.
+// Returns whether a cancellation was initiated. Lock order is s.mu, then
+// j.mu, as everywhere else.
 func (s *Server) cancelJob(j *job) bool {
 	s.mu.Lock()
 	j.mu.Lock()
 	status := j.Status
-	waiting := status == runstore.StatusQueued || s.retriesLocked(j)
+	waiting := status == runstore.StatusQueued || s.retryPendingLocked(j)
 	if waiting {
 		s.removeQueuedLocked(j)
 		s.finishLocked(j, runstore.StatusCanceled, "", experiments.Event{Message: "job canceled"})

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -69,7 +70,9 @@ func TestRetriedJobFollowerSeesEveryAttempt(t *testing.T) {
 	// The sweep waits in the queue behind a running search, so the
 	// follower connects before its first attempt starts.
 	blocker := submit(t, ts.URL, longSearchBody)
-	waitStatus(t, ts.URL, blocker.ID, statusRunning)
+	// Its first progress event follows its store lookup, which the fault
+	// below must not hit.
+	waitForEvent(t, s, blocker.ID, `"best yield `)
 	enableFaults(t, "store.get:error:times=1", 1)
 	sweep := submit(t, ts.URL, `{"kind":"sweep","spec":{"benchmarks":["sym6_145"],"configs":["ibm"],"sigmas":[0.04]}}`)
 	if sweep.Status != statusQueued {
@@ -228,13 +231,12 @@ func TestFinishedJobStreamHasNoSlack(t *testing.T) {
 	}
 }
 
-// startRetryServer starts a server over a fresh store and journal whose
+// startRetryServer starts a server over a store and journal in dir whose
 // failed jobs retry once after an hour, so a test acts on a pending
 // retry by calling requeue itself instead of waiting for the timer. It
 // returns the journal's path.
-func startRetryServer(t *testing.T, retain int) (*Server, *httptest.Server, *runstore.Store, string) {
+func startRetryServer(t *testing.T, dir string, retain int) (*Server, *httptest.Server, *runstore.Store, string) {
 	t.Helper()
-	dir := t.TempDir()
 	store, err := runstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -260,27 +262,33 @@ func startRetryServer(t *testing.T, retain int) (*Server, *httptest.Server, *run
 }
 
 // failIntoBackoff submits a sweep whose first attempt fails, and returns
-// the job once its stream announces the retry, woken by each append
-// rather than by polling.
+// the job once its stream announces the retry.
 func failIntoBackoff(t *testing.T, s *Server, base string) *job {
 	t.Helper()
 	enableFaults(t, "store.get:error:times=1", 1)
 	v := submit(t, base, `{"kind":"sweep","spec":{"benchmarks":["sym6_145"],"configs":["ibm"],"sigmas":[0.04]}}`)
+	return waitForEvent(t, s, v.ID, `"retrying in `)
+}
+
+// waitForEvent returns id's job once its stream holds substr, woken by
+// each append rather than by polling.
+func waitForEvent(t *testing.T, s *Server, id, substr string) *job {
+	t.Helper()
 	s.mu.Lock()
-	j := s.jobs[v.ID]
+	j := s.jobs[id]
 	s.mu.Unlock()
 	for {
 		j.mu.Lock()
-		pending := bytes.Contains(j.stream, []byte(`"retrying in `))
+		found := bytes.Contains(j.stream, []byte(substr))
 		wake := j.wake
 		j.mu.Unlock()
-		if pending {
+		if found {
 			return j
 		}
 		select {
 		case <-wake:
 		case <-time.After(2 * time.Minute):
-			t.Fatal("the failed job never announced its retry")
+			t.Fatalf("job %s never streamed %s", id, substr)
 		}
 	}
 }
@@ -314,7 +322,7 @@ func lastJournaled(t *testing.T, path, id string) string {
 // canceled; its stream has ended on "job canceled" without a requeue;
 // and its last journal record is canceled.
 func TestDeleteCancelsPendingRetry(t *testing.T) {
-	s, ts, store, journalPath := startRetryServer(t, 0)
+	s, ts, store, journalPath := startRetryServer(t, t.TempDir(), 0)
 	j := failIntoBackoff(t, s, ts.URL)
 	// The retry would resume from this checkpoint; the cancel drops it.
 	if err := store.PutCheckpoint(j.ID, []byte(`{"schema":1}`)); err != nil {
@@ -355,7 +363,7 @@ func TestDeleteCancelsPendingRetry(t *testing.T) {
 // then fires, requeue bails out: the job's stream ends without a
 // requeue, and the journal keeps it failed.
 func TestEvictedPendingRetryStaysFailed(t *testing.T) {
-	s, ts, _, journalPath := startRetryServer(t, 1)
+	s, ts, _, journalPath := startRetryServer(t, t.TempDir(), 1)
 	j := failIntoBackoff(t, s, ts.URL)
 	done := submit(t, ts.URL, `{"kind":"sweep","spec":{"benchmarks":["sym6_145"],"configs":["ibm"],"sigmas":[0.05]}}`)
 	waitDone(t, ts.URL, done.ID)
@@ -380,6 +388,88 @@ func TestEvictedPendingRetryStaysFailed(t *testing.T) {
 	j.mu.Unlock()
 	if status != statusFailed || strings.Contains(stream, "requeued after failure") {
 		t.Fatalf("evicted job is %q after its backoff; stream:\n%s", status, stream)
+	}
+	if st := lastJournaled(t, journalPath, j.ID); st != statusFailed {
+		t.Fatalf("last journal record is %q, want failed", st)
+	}
+}
+
+// TestDeleteLeavesRestoredFailedJob: a failed job restored from the
+// journal is never retried, though its attempts are within the retry
+// budget, so it has no pending retry to cancel. A DELETE answers failed,
+// and so does a Shutdown that cancels every listed job past its
+// deadline; neither touches the job's stream or its journal record.
+func TestDeleteLeavesRestoredFailedJob(t *testing.T) {
+	dir := t.TempDir()
+	journal, err := runstore.OpenJournal(filepath.Join(dir, "jobs.ndjson"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now().UTC()
+	if err := journal.Append(runstore.JobRecord{ID: "deadbeef", Kind: "sweep", Summary: "failed sweep",
+		Status: statusFailed, Err: "store read failed", Attempts: 1,
+		Submitted: now, Started: now, Finished: now}); err != nil {
+		t.Fatal(err)
+	}
+	journal.Close()
+	s, ts, _, journalPath := startRetryServer(t, dir, 0)
+	before := readStream(t, ts.URL, "deadbeef")
+
+	if v := cancelJobHTTP(t, ts.URL, "deadbeef"); v.Status != statusFailed {
+		t.Fatalf("DELETE on a restored failed job answered %q, want failed", v.Status)
+	}
+	// A running search outlasts the deadline, so Shutdown cancels.
+	running := submit(t, ts.URL, longSearchBody)
+	waitStatus(t, ts.URL, running.ID, statusRunning)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	if err := s.Shutdown(ctx); err == nil {
+		t.Fatal("Shutdown drained cleanly, want the running search canceled")
+	}
+	if v := getStatus(t, ts.URL, "deadbeef"); v.Status != statusFailed {
+		t.Fatalf("restored failed job after Shutdown is %q, want failed", v.Status)
+	}
+	if after := readStream(t, ts.URL, "deadbeef"); !bytes.Equal(before, after) {
+		t.Fatalf("stream before the DELETE:\n%s\nafter it and Shutdown:\n%s", before, after)
+	}
+	if st := lastJournaled(t, journalPath, "deadbeef"); st != statusFailed {
+		t.Fatalf("last journal record is %q, want failed", st)
+	}
+}
+
+// TestDeleteLeavesFailedJobWhoseRequeueBailed: when a pending retry's
+// backoff timer fires on a full queue, requeue bails out and the failure
+// is final. A DELETE then answers failed and leaves the job's ended
+// stream and its journal record as they were.
+func TestDeleteLeavesFailedJobWhoseRequeueBailed(t *testing.T) {
+	s, ts, _, journalPath := startRetryServer(t, t.TempDir(), 0)
+	t.Cleanup(func() { // runs first: cancels the work that fills the queue
+		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		defer cancel()
+		s.Shutdown(ctx)
+	})
+	j := failIntoBackoff(t, s, ts.URL)
+	running := submit(t, ts.URL, longSearchBody)
+	waitStatus(t, ts.URL, running.ID, statusRunning)
+	for _, sigma := range []string{"0.01", "0.02", "0.03", "0.05"} {
+		v := submit(t, ts.URL, `{"kind":"sweep","spec":{"benchmarks":["sym6_145"],"configs":["ibm"],"sigmas":[`+sigma+`]}}`)
+		if v.Status != statusQueued {
+			t.Fatalf("filler job is %q, want queued", v.Status)
+		}
+	}
+
+	s.requeue(j) // the backoff timer fires on the full queue
+	select {
+	case <-j.done:
+	default:
+		t.Fatal("the stream is still open after the requeue bailed out")
+	}
+	before := readStream(t, ts.URL, j.ID)
+	if v := cancelJobHTTP(t, ts.URL, j.ID); v.Status != statusFailed {
+		t.Fatalf("DELETE after the requeue bailed answered %q, want failed", v.Status)
+	}
+	if after := readStream(t, ts.URL, j.ID); !bytes.Equal(before, after) {
+		t.Fatalf("stream before the DELETE:\n%s\nafter it:\n%s", before, after)
 	}
 	if st := lastJournaled(t, journalPath, j.ID); st != statusFailed {
 		t.Fatalf("last journal record is %q, want failed", st)
