@@ -353,15 +353,6 @@ func (s *Server) retriesLocked(j *job) bool {
 	return j.Status == runstore.StatusFailed && s.cfg.Retry.Allows(runstore.StatusFailed, j.Attempts)
 }
 
-// retryPendingLocked reports whether j is a failed job waiting out its
-// retry backoff. finishLocked keeps such a job's stream open, and every
-// way the retry can fall through ends it: a requeue that bails, Shutdown,
-// and a restore from the journal, whose failed jobs are never retried.
-// Callers hold j.mu.
-func (s *Server) retryPendingLocked(j *job) bool {
-	return s.retriesLocked(j) && !j.streamEnded()
-}
-
 // settle follows a job the executor or a queued cancel has just ended:
 // it releases the job's context, deletes a canceled job's checkpoint
 // (stale by decision: the client abandoned the work; done jobs clean up
@@ -652,7 +643,9 @@ func (s *Server) cancelJob(j *job) bool {
 	s.mu.Lock()
 	j.mu.Lock()
 	status := j.Status
-	waiting := status == runstore.StatusQueued || s.retryPendingLocked(j)
+	// A failed job's stream stays open exactly while its retry is pending;
+	// a requeue that bails, Shutdown and a restore from the journal end it.
+	waiting := status == runstore.StatusQueued || (s.retriesLocked(j) && !j.streamEnded())
 	if waiting {
 		s.removeQueuedLocked(j)
 		s.finishLocked(j, runstore.StatusCanceled, "", experiments.Event{Message: "job canceled"})
