@@ -23,8 +23,6 @@ import (
 	"qproc/internal/collision"
 	"qproc/internal/core"
 	"qproc/internal/experiments"
-	"qproc/internal/gen"
-	"qproc/internal/qasm"
 	"qproc/internal/runstore"
 	"qproc/internal/search"
 	"qproc/internal/topology"
@@ -71,7 +69,7 @@ func main() {
 		fatal(err)
 	}
 
-	c, err := load(*name, *file)
+	c, err := cliutil.LoadCircuit(*name, *file)
 	if err != nil {
 		fatal(err)
 	}
@@ -293,30 +291,6 @@ func writeArchJSON(path string, a *arch.Architecture) {
 		fatal(err)
 	}
 	fmt.Printf("wrote %s\n", path)
-}
-
-func load(name, file string) (*circuit.Circuit, error) {
-	switch {
-	case name != "":
-		b, err := gen.Get(name)
-		if err != nil {
-			return nil, err
-		}
-		return b.Build(), nil
-	case file != "":
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		c, err := qasm.Parse(f)
-		if err != nil {
-			return nil, err
-		}
-		c.Name = file
-		return c, nil
-	}
-	return nil, fmt.Errorf("need -name or -qasm")
 }
 
 func fatalIf(err error) {

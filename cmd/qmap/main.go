@@ -13,9 +13,7 @@ import (
 	"fmt"
 	"os"
 
-	"qproc/internal/arch"
-	"qproc/internal/circuit"
-	"qproc/internal/gen"
+	"qproc/internal/cliutil"
 	"qproc/internal/mapper"
 	"qproc/internal/qasm"
 )
@@ -30,12 +28,12 @@ func main() {
 	)
 	flag.Parse()
 
-	c, err := loadCircuit(*name, *file)
+	c, err := cliutil.LoadCircuit(*name, *file)
 	if err != nil {
 		fatal(err)
 	}
 	c = c.Decompose()
-	a, err := loadArch(*baseline, *archFile)
+	a, err := cliutil.LoadArch(*baseline, *archFile)
 	if err != nil {
 		fatal(err)
 	}
@@ -61,48 +59,6 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *out)
 	}
-}
-
-func loadCircuit(name, file string) (*circuit.Circuit, error) {
-	switch {
-	case name != "":
-		b, err := gen.Get(name)
-		if err != nil {
-			return nil, err
-		}
-		return b.Build(), nil
-	case file != "":
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		c, err := qasm.Parse(f)
-		if err != nil {
-			return nil, err
-		}
-		c.Name = file
-		return c, nil
-	}
-	return nil, fmt.Errorf("need -name or -qasm")
-}
-
-func loadArch(baseline int, file string) (*arch.Architecture, error) {
-	if baseline < 0 || baseline > 4 {
-		return nil, fmt.Errorf("-baseline must be 1..4 (0 = use -arch), got %d", baseline)
-	}
-	switch {
-	case baseline >= 1 && baseline <= 4:
-		return arch.NewBaseline(arch.Baseline(baseline)), nil
-	case file != "":
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return arch.ReadJSON(f)
-	}
-	return nil, fmt.Errorf("need -baseline 1..4 or -arch file.json")
 }
 
 func fatal(err error) {

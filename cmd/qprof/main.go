@@ -13,11 +13,8 @@ import (
 	"fmt"
 	"os"
 
-	"qproc/internal/circuit"
 	"qproc/internal/cliutil"
-	"qproc/internal/gen"
 	"qproc/internal/profile"
-	"qproc/internal/qasm"
 )
 
 func main() {
@@ -33,7 +30,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	c, err := load(*name, *file)
+	c, err := cliutil.LoadCircuit(*name, *file)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qprof:", err)
 		os.Exit(1)
@@ -60,30 +57,4 @@ func main() {
 				w, win.TotalCX, win.Degrees[0].Qubit, win.Degrees[0].Degree)
 		}
 	}
-}
-
-func load(name, file string) (*circuit.Circuit, error) {
-	switch {
-	case name != "" && file != "":
-		return nil, fmt.Errorf("-name and -qasm are mutually exclusive")
-	case name != "":
-		b, err := gen.Get(name)
-		if err != nil {
-			return nil, err
-		}
-		return b.Build(), nil
-	case file != "":
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		c, err := qasm.Parse(f)
-		if err != nil {
-			return nil, err
-		}
-		c.Name = file
-		return c, nil
-	}
-	return nil, fmt.Errorf("need -name or -qasm (try -name %s)", gen.Names()[0])
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"os"
 
-	"qproc/internal/arch"
 	"qproc/internal/cliutil"
 	"qproc/internal/collision"
 	"qproc/internal/yield"
@@ -36,24 +35,8 @@ func main() {
 	sigmaVals, err := cliutil.ParseSigmas("sigmas", *sigmas)
 	fatalIf(err)
 
-	var a *arch.Architecture
-	switch {
-	case *baseline >= 1 && *baseline <= 4:
-		a = arch.NewBaseline(arch.Baseline(*baseline))
-	case *file != "":
-		f, err := os.Open(*file)
-		if err != nil {
-			fatal(err)
-		}
-		var rerr error
-		a, rerr = arch.ReadJSON(f)
-		f.Close()
-		if rerr != nil {
-			fatal(rerr)
-		}
-	default:
-		fatal(fmt.Errorf("need -baseline 1..4 or -arch file.json"))
-	}
+	a, err := cliutil.LoadArch(*baseline, *file)
+	fatalIf(err)
 	if a.Freqs == nil {
 		fatal(fmt.Errorf("architecture %q has no frequency assignment", a.Name))
 	}

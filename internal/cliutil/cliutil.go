@@ -1,7 +1,8 @@
 // Package cliutil validates and parses command-line flag values shared
 // by the cmd/ binaries, turning silent misbehaviour (a zero-trial
 // Monte-Carlo run, a negative worker pool, a half-numeric σ list) into
-// actionable errors before any work starts.
+// actionable errors before any work starts, and loads the programs and
+// architectures their flags name.
 package cliutil
 
 import (
@@ -14,6 +15,11 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
+
+	"qproc/internal/arch"
+	"qproc/internal/circuit"
+	"qproc/internal/gen"
+	"qproc/internal/qasm"
 )
 
 // SignalContext returns a context cancelled by Ctrl-C / SIGTERM, so a
@@ -177,4 +183,52 @@ func ParseSigmas(flagName, s string) ([]float64, error) {
 		out = append(out, v)
 	}
 	return out, nil
+}
+
+// LoadCircuit returns the program the -name and -qasm flags select: the
+// named built-in benchmark, decomposed, or the OpenQASM file, named by
+// its path. Exactly one of the two must be set.
+func LoadCircuit(name, file string) (*circuit.Circuit, error) {
+	switch {
+	case name != "" && file != "":
+		return nil, fmt.Errorf("-name and -qasm are mutually exclusive")
+	case name != "":
+		b, err := gen.Get(name)
+		if err != nil {
+			return nil, err
+		}
+		return b.Build(), nil
+	case file != "":
+		f, err := os.Open(file)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		c, err := qasm.Parse(f)
+		if err != nil {
+			return nil, err
+		}
+		c.Name = file
+		return c, nil
+	}
+	return nil, fmt.Errorf("need -name or -qasm (try -name %s)", gen.Names()[0])
+}
+
+// LoadArch returns the architecture the -baseline and -arch flags select:
+// IBM baseline 1-4, or with -baseline 0 the JSON design file.
+func LoadArch(baseline int, file string) (*arch.Architecture, error) {
+	switch {
+	case baseline < 0 || baseline > 4:
+		return nil, fmt.Errorf("-baseline must be 1..4 (0 = use -arch), got %d", baseline)
+	case baseline > 0:
+		return arch.NewBaseline(arch.Baseline(baseline)), nil
+	case file != "":
+		f, err := os.Open(file)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return arch.ReadJSON(f)
+	}
+	return nil, fmt.Errorf("need -baseline 1..4 or -arch file.json")
 }

@@ -1,10 +1,13 @@
 package cliutil
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"qproc/internal/arch"
 )
 
 func TestPositive(t *testing.T) {
@@ -115,5 +118,75 @@ func TestStoreDir(t *testing.T) {
 	}
 	if err := StoreDir("store", ""); err == nil {
 		t.Error("empty path accepted")
+	}
+}
+
+// TestLoaders drives LoadCircuit and LoadArch through every flag
+// combination the CLIs pass them.
+func TestLoaders(t *testing.T) {
+	dir := t.TempDir()
+	prog := filepath.Join(dir, "prog.qasm")
+	if err := os.WriteFile(prog, []byte("OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[1];\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bad := filepath.Join(dir, "bad.qasm")
+	if err := os.WriteFile(bad, []byte("OPENQASM 2.0;\nqreg q[2];\ncx q[1],q[1];\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	design := filepath.Join(dir, "design.json")
+	var buf bytes.Buffer
+	if err := arch.NewBaseline(arch.IBM16Q2Bus).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(design, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	circuits := []struct {
+		name, file string
+		want       string // the circuit's name, or a fragment of the error
+		ok         bool
+	}{
+		{"sym6_145", "", "sym6_145", true},
+		{"", prog, prog, true},
+		{"sym6_145", prog, "mutually exclusive", false},
+		{"", "", "need -name or -qasm", false},
+		{"no_such_benchmark", "", "no_such_benchmark", false},
+		{"", filepath.Join(dir, "missing.qasm"), "missing.qasm", false},
+		{"", bad, "line 3", false},
+	}
+	for _, tc := range circuits {
+		c, err := LoadCircuit(tc.name, tc.file)
+		switch {
+		case tc.ok && (err != nil || c.Name != tc.want):
+			t.Errorf("LoadCircuit(%q, %q) = %v, %v; want a circuit named %q", tc.name, tc.file, c, err, tc.want)
+		case !tc.ok && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("LoadCircuit(%q, %q) error = %v, want one containing %q", tc.name, tc.file, err, tc.want)
+		}
+	}
+
+	archs := []struct {
+		baseline int
+		file     string
+		want     string // the architecture's name, or a fragment of the error
+		ok       bool
+	}{
+		{2, "", arch.NewBaseline(arch.IBM16Q4Bus).Name, true},
+		{0, design, arch.NewBaseline(arch.IBM16Q2Bus).Name, true},
+		{4, design, arch.NewBaseline(arch.IBM20Q4Bus).Name, true},
+		{0, "", "need -baseline 1..4 or -arch", false},
+		{5, "", "-baseline must be 1..4", false},
+		{-1, design, "-baseline must be 1..4", false},
+		{0, filepath.Join(dir, "missing.json"), "missing.json", false},
+		{0, prog, "", false},
+	}
+	for _, tc := range archs {
+		a, err := LoadArch(tc.baseline, tc.file)
+		switch {
+		case tc.ok && (err != nil || a.Name != tc.want):
+			t.Errorf("LoadArch(%d, %q) = %v, %v; want %q", tc.baseline, tc.file, a, err, tc.want)
+		case !tc.ok && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("LoadArch(%d, %q) error = %v, want one containing %q", tc.baseline, tc.file, err, tc.want)
+		}
 	}
 }

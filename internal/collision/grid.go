@@ -60,10 +60,11 @@ const filled = 1 << 63
 // scorers of concurrent proposals can share one memo. A lookup with an
 // off-grid frequency (index −1) computes the formula.
 //
-// The tables hold ~350 KiB. A memo belongs to one search job, to one
-// design series (every Algorithm 3 call of a core.Flow series reads one)
-// or to one Allocate call, and is dropped with it; nothing caches memos
-// across jobs.
+// The tables hold ~350 KiB. Package freq keeps one process-wide memo at
+// the design flow's (DefaultParams, yield.DefaultSigma), which every
+// Algorithm 3 call at that pair reads across jobs; an Allocate call at
+// any other pair builds its own, and a search run keeps one at its job's
+// σ. The last two are dropped with their call or run.
 type Marginals struct {
 	params Params
 	sigma  float64

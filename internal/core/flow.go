@@ -22,7 +22,6 @@ import (
 	"qproc/internal/arch"
 	"qproc/internal/bus"
 	"qproc/internal/circuit"
-	"qproc/internal/collision"
 	"qproc/internal/freq"
 	"qproc/internal/lattice"
 	"qproc/internal/layout"
@@ -115,10 +114,12 @@ type Design struct {
 	AuxQubits int
 }
 
-// allocator builds the Algorithm 3 allocator for this flow. Non-square
+// Allocator builds the Algorithm 3 allocator for this flow. Non-square
 // families install their frequency-region policy; the square family
-// keeps the allocator's built-in distance-2 region.
-func (f *Flow) allocator() *freq.Allocator {
+// keeps the allocator's built-in distance-2 region. It scores at
+// collision.DefaultParams() and yield.DefaultSigma whatever σ a sweep
+// evaluates at, so every allocation reads freq's process-wide table.
+func (f *Flow) Allocator() *freq.Allocator {
 	al := freq.NewAllocator(f.Seed)
 	if f.FreqLocalTrials > 0 {
 		al.LocalTrials = f.FreqLocalTrials
@@ -232,10 +233,9 @@ func (f *Flow) series(c *circuit.Circuit, maxBuses int, cfg Config, aux int) ([]
 			return nil, fmt.Errorf("core: bus selection: %w", err)
 		}
 	}
-	al, memo := f.seriesAllocator(cfg)
 	var designs []*Design
 	for k := 0; k <= len(selected); k++ {
-		d, err := f.finishDesign(al, memo, base, p, selected[:k], cfg, c.Name)
+		d, err := f.finishDesign(base, selected[:k], cfg, c.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -266,13 +266,12 @@ func (f *Flow) SeriesRandomBus(c *circuit.Circuit, maxBuses, samples int) ([]*De
 	if maxBuses >= 0 && maxBuses < limit {
 		limit = maxBuses
 	}
-	al, memo := f.seriesAllocator(ConfigEffRdBus)
 	var designs []*Design
 	for s := 0; s < samples; s++ {
 		for k := 1; k <= limit; k++ {
 			scratch := base.Clone()
 			sel := bus.SelectRandom(scratch, k, f.Seed+int64(1000*s+k))
-			d, err := f.finishDesign(al, memo, base, p, sel, ConfigEffRdBus, c.Name)
+			d, err := f.finishDesign(base, sel, ConfigEffRdBus, c.Name)
 			if err != nil {
 				return nil, err
 			}
@@ -337,23 +336,10 @@ func (f *Flow) Baselines(c *circuit.Circuit) []*Design {
 	return out
 }
 
-// seriesAllocator returns the Algorithm 3 allocator of one series call
-// and, when cfg allocates frequencies, the one memo of the analytic
-// marginals every allocation of the series reads: the flow's allocator
-// always scores at one (Params, σ). The memo is dropped with the series.
-func (f *Flow) seriesAllocator(cfg Config) (*freq.Allocator, *collision.Marginals) {
-	al := f.allocator()
-	switch cfg {
-	case ConfigEff5Freq, ConfigEffLayoutOnly:
-		return al, nil
-	}
-	return al, al.Memo()
-}
-
 // finishDesign rebuilds the architecture from the base layout, applies
 // the given bus squares, names it, and allocates frequencies per the
-// configuration with al, reading the analytic marginals through memo.
-func (f *Flow) finishDesign(al *freq.Allocator, memo *collision.Marginals, base *arch.Architecture, p *profile.Profile, squares []lattice.Square, cfg Config, prog string) (*Design, error) {
+// configuration.
+func (f *Flow) finishDesign(base *arch.Architecture, squares []lattice.Square, cfg Config, prog string) (*Design, error) {
 	a := base.Clone()
 	for _, sq := range squares {
 		if err := a.ApplyMultiBus(sq); err != nil {
@@ -367,7 +353,7 @@ func (f *Flow) finishDesign(al *freq.Allocator, memo *collision.Marginals, base 
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	default:
-		if err := a.SetFrequencies(al.AllocateWith(memo, a)); err != nil {
+		if err := a.SetFrequencies(f.Allocator().Allocate(a)); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	}

@@ -103,37 +103,28 @@ func Candidates() []float64 { return collision.Grid() }
 // the central qubit.
 func Mid() float64 { return math.Round((Lo+Hi)/2*100) / 100 }
 
+// shared memoises the analytic marginals at the pair every design series
+// and every search seed allocation scores at, collision.DefaultParams()
+// and yield.DefaultSigma, for every Allocate call in the process. It is
+// one table of ~345 KiB whose slots fill atomically, so concurrent calls
+// share it; no other pair gets a process-wide table.
+var shared = collision.NewMarginals(collision.DefaultParams(), yield.DefaultSigma)
+
 // Allocate computes a frequency for every qubit of the architecture and
 // returns the assignment (GHz, indexed by qubit). The architecture is not
-// modified; install the result with SetFrequencies. The call reads the
-// analytic marginals through a memo of its own, dropped when it returns;
-// AllocateWith shares one memo across calls.
-func (al *Allocator) Allocate(a *arch.Architecture) []float64 {
-	return al.AllocateWith(nil, a)
-}
-
-// Memo returns an empty memo of the analytic marginals at the
-// allocator's Params and Sigma, for AllocateWith calls to share; nil in
-// ScoreMC mode, which reads none.
-func (al *Allocator) Memo() *collision.Marginals {
-	if al.Mode != ScoreAnalytic {
-		return nil
-	}
-	return collision.NewMarginals(al.Params, al.Sigma)
-}
-
-// AllocateWith is Allocate reading the analytic marginals through memo,
-// which must come from Memo on an allocator with the same Params and
-// Sigma; nil gives the call a memo of its own. Every allocation of a
-// design series shares one memo, so each grid value is computed once per
-// series rather than once per design. The memo lives as long as its
-// holder keeps it, and the assignment is bit-identical to Allocate's: a
+// modified; install the result with SetFrequencies. At the default
+// (Params, Sigma) the call reads the analytic marginals through the
+// process-wide table; at any other pair it reads a memo of its own,
+// dropped when it returns. Either way the assignment is the same bits: a
 // memo slot holds exactly the formula's value.
-func (al *Allocator) AllocateWith(memo *collision.Marginals, a *arch.Architecture) []float64 {
-	if memo == nil {
-		memo = al.Memo()
-	} else if !memo.For(al.Params, al.Sigma) {
-		panic("freq: AllocateWith given a memo of other Params or σ")
+func (al *Allocator) Allocate(a *arch.Architecture) []float64 {
+	var memo *collision.Marginals
+	switch {
+	case al.Mode != ScoreAnalytic: // ScoreMC reads no marginals
+	case shared.For(al.Params, al.Sigma):
+		memo = shared
+	default:
+		memo = collision.NewMarginals(al.Params, al.Sigma)
 	}
 	n := a.NumQubits()
 	freqs := make([]float64, n)

@@ -36,6 +36,7 @@ type parser struct {
 	circ  *circuit.Circuit
 	qname string
 	cname string
+	csize int
 	line  int
 }
 
@@ -54,10 +55,13 @@ func (p *parser) run(src string) error {
 		clean.WriteString(l)
 		clean.WriteByte('\n')
 	}
-	stmts := strings.Split(clean.String(), ";")
-	p.line = 0
-	for _, raw := range stmts {
-		p.line += strings.Count(raw, "\n")
+	// next is the 1-based line the next statement's text starts on; an
+	// error names the line of the statement's first character.
+	next := 1
+	for _, raw := range strings.Split(clean.String(), ";") {
+		lead := len(raw) - len(strings.TrimLeft(raw, " \t\r\n"))
+		p.line = next + strings.Count(raw[:lead], "\n")
+		next += strings.Count(raw, "\n")
 		stmt := strings.TrimSpace(strings.ReplaceAll(raw, "\n", " "))
 		if stmt == "" {
 			continue
@@ -94,11 +98,11 @@ func (p *parser) statement(stmt string) error {
 		p.circ = circuit.New("", size)
 		return nil
 	case strings.HasPrefix(stmt, "creg"):
-		name, _, err := parseReg(strings.TrimPrefix(stmt, "creg"))
+		name, size, err := parseReg(strings.TrimPrefix(stmt, "creg"))
 		if err != nil {
 			return p.errf("creg: %v", err)
 		}
-		p.cname = name
+		p.cname, p.csize = name, size
 		return nil
 	case strings.HasPrefix(stmt, "measure"):
 		return p.measure(strings.TrimPrefix(stmt, "measure"))
@@ -110,17 +114,14 @@ func (p *parser) statement(stmt string) error {
 
 // parseReg parses `name[size]`.
 func parseReg(s string) (string, int, error) {
-	s = strings.TrimSpace(s)
-	open := strings.IndexByte(s, '[')
-	close := strings.IndexByte(s, ']')
-	if open <= 0 || close < open {
-		return "", 0, fmt.Errorf("malformed register %q", s)
+	name, size, err := parseIndexed(s)
+	if err != nil {
+		return "", 0, fmt.Errorf("malformed register %q", strings.TrimSpace(s))
 	}
-	size, err := strconv.Atoi(s[open+1 : close])
-	if err != nil || size <= 0 {
-		return "", 0, fmt.Errorf("bad register size in %q", s)
+	if size <= 0 {
+		return "", 0, fmt.Errorf("bad register size in %q", strings.TrimSpace(s))
 	}
-	return strings.TrimSpace(s[:open]), size, nil
+	return name, size, nil
 }
 
 // qubitRef parses `q[i]` against the declared quantum register.
@@ -142,10 +143,12 @@ func (p *parser) qubitRef(s string) (int, error) {
 	return idx, nil
 }
 
+// parseIndexed parses `name[i]`, with nothing after the closing bracket.
 func parseIndexed(s string) (string, int, error) {
+	s = strings.TrimSpace(s)
 	open := strings.IndexByte(s, '[')
 	close := strings.IndexByte(s, ']')
-	if open <= 0 || close < open {
+	if open <= 0 || close < open || close != len(s)-1 {
 		return "", 0, fmt.Errorf("malformed reference %q", s)
 	}
 	idx, err := strconv.Atoi(s[open+1 : close])
@@ -164,6 +167,9 @@ func (p *parser) measure(rest string) error {
 	if err != nil {
 		return p.errf("measure: %v", err)
 	}
+	if name, c, err := parseIndexed(parts[1]); err != nil || name != p.cname || c < 0 || c >= p.csize {
+		return p.errf("measure: bad classical bit %q", strings.TrimSpace(parts[1]))
+	}
 	p.circ.Append(circuit.NewMeasure(q))
 	return nil
 }
@@ -176,16 +182,34 @@ func (p *parser) barrier(rest string) error {
 		p.circ.Append(circuit.Gate{Kind: circuit.Barrier})
 		return nil
 	}
-	var qs []int
-	for _, part := range strings.Split(rest, ",") {
-		q, err := p.qubitRef(part)
-		if err != nil {
-			return p.errf("barrier: %v", err)
-		}
-		qs = append(qs, q)
+	qs, err := p.qubitList(rest)
+	if err != nil {
+		return p.errf("barrier: %v", err)
 	}
 	p.circ.Append(circuit.Gate{Kind: circuit.Barrier, Qubits: qs})
 	return nil
+}
+
+// qubitList parses a comma-separated list of distinct qubit references;
+// an empty list is no qubits.
+func (p *parser) qubitList(s string) ([]int, error) {
+	if s == "" {
+		return nil, nil
+	}
+	var qs []int
+	seen := map[int]bool{}
+	for _, part := range strings.Split(s, ",") {
+		q, err := p.qubitRef(part)
+		if err != nil {
+			return nil, err
+		}
+		if seen[q] {
+			return nil, fmt.Errorf("qubit %d repeated", q)
+		}
+		seen[q] = true
+		qs = append(qs, q)
+	}
+	return qs, nil
 }
 
 // knownOneQubit lists the single-qubit mnemonics the circuit model (and
@@ -229,46 +253,35 @@ func (p *parser) gate(stmt string) error {
 		}
 		rest = strings.TrimSpace(rest[close+1:])
 	}
-	var qubits []int
-	for _, part := range strings.Split(rest, ",") {
-		if strings.TrimSpace(part) == "" {
-			continue
-		}
-		q, err := p.qubitRef(part)
-		if err != nil {
-			return p.errf("%s: %v", name, err)
-		}
-		qubits = append(qubits, q)
+	qubits, err := p.qubitList(rest)
+	if err != nil {
+		return p.errf("%s: %v", name, err)
 	}
+	kind, arity, np := circuit.OneQubit, 1, 0
 	switch name {
 	case "cx", "CX":
-		if len(qubits) != 2 {
-			return p.errf("cx needs 2 qubits, have %d", len(qubits))
-		}
-		p.circ.CX(qubits[0], qubits[1])
+		kind, arity = circuit.CX, 2
 	case "swap":
-		if len(qubits) != 2 {
-			return p.errf("swap needs 2 qubits, have %d", len(qubits))
-		}
-		p.circ.Swap(qubits[0], qubits[1])
+		kind, arity = circuit.SWAP, 2
 	case "ccx":
-		if len(qubits) != 3 {
-			return p.errf("ccx needs 3 qubits, have %d", len(qubits))
-		}
-		p.circ.CCX(qubits[0], qubits[1], qubits[2])
+		kind, arity = circuit.CCX, 3
 	default:
-		np, ok := knownOneQubit[name]
-		if !ok {
+		var ok bool
+		if np, ok = knownOneQubit[name]; !ok {
 			return p.errf("unsupported gate %q", name)
 		}
-		if len(qubits) != 1 {
-			return p.errf("%s needs 1 qubit, have %d", name, len(qubits))
-		}
-		if len(params) != np {
-			return p.errf("%s needs %d parameters, have %d", name, np, len(params))
-		}
-		p.circ.Append(circuit.Gate{Kind: circuit.OneQubit, Name: name, Qubits: qubits, Params: params})
 	}
+	if len(qubits) != arity {
+		return p.errf("%s needs %d qubits, have %d", name, arity, len(qubits))
+	}
+	if len(params) != np {
+		return p.errf("%s needs %d parameters, have %d", name, np, len(params))
+	}
+	g := circuit.Gate{Kind: kind, Qubits: qubits}
+	if kind == circuit.OneQubit {
+		g.Name, g.Params = name, params
+	}
+	p.circ.Append(g)
 	return nil
 }
 
@@ -283,6 +296,9 @@ func evalParam(s string) (float64, error) {
 	e.skipSpace()
 	if e.pos != len(e.src) {
 		return 0, fmt.Errorf("trailing input at %q", e.src[e.pos:])
+	}
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return 0, fmt.Errorf("value %g is not finite", v)
 	}
 	return v, nil
 }

@@ -3,10 +3,12 @@ package qasm
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"qproc/internal/circuit"
+	"qproc/internal/gen"
 )
 
 // randomCircuit draws a structurally valid circuit from the full gate
@@ -53,6 +55,26 @@ func randomCircuit(rng *rand.Rand) *circuit.Circuit {
 	return c
 }
 
+// sameCircuit reports whether b has a's qubit count and gates: equal
+// kinds, names and qubits, and parameters equal to float64 precision.
+func sameCircuit(a, b *circuit.Circuit) bool {
+	if a.Qubits != b.Qubits || len(a.Gates) != len(b.Gates) {
+		return false
+	}
+	for i := range a.Gates {
+		x, y := a.Gates[i], b.Gates[i]
+		if x.Kind != y.Kind || x.Name != y.Name || !slices.Equal(x.Qubits, y.Qubits) || len(x.Params) != len(y.Params) {
+			return false
+		}
+		for j := range x.Params {
+			if math.Abs(x.Params[j]-y.Params[j]) > 1e-12*math.Max(1, math.Abs(x.Params[j])) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // TestPropertyRoundTrip: for random circuits, parse(write(c)) reproduces
 // every gate exactly (names, qubits) and parameters to float64 precision.
 func TestPropertyRoundTrip(t *testing.T) {
@@ -68,26 +90,7 @@ func TestPropertyRoundTrip(t *testing.T) {
 			t.Logf("seed %d: parse: %v\n%s", seed, err, text)
 			return false
 		}
-		if back.Qubits != c.Qubits || len(back.Gates) != len(c.Gates) {
-			return false
-		}
-		for i := range c.Gates {
-			a, b := c.Gates[i], back.Gates[i]
-			if a.Kind != b.Kind || a.Name != b.Name || len(a.Qubits) != len(b.Qubits) || len(a.Params) != len(b.Params) {
-				return false
-			}
-			for j := range a.Qubits {
-				if a.Qubits[j] != b.Qubits[j] {
-					return false
-				}
-			}
-			for j := range a.Params {
-				if math.Abs(a.Params[j]-b.Params[j]) > 1e-12*math.Max(1, math.Abs(a.Params[j])) {
-					return false
-				}
-			}
-		}
-		return true
+		return sameCircuit(c, back)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -127,4 +130,44 @@ func TestParserNeverPanics(t *testing.T) {
 			_, _ = ParseString(string(mutated))
 		}()
 	}
+}
+
+// FuzzQASMParse: ParseString never panics; every circuit it accepts is
+// valid, so no multi-qubit gate repeats a qubit; and writing an accepted
+// circuit and parsing it back gives the same qubit count and gates. The
+// seeds are every built-in benchmark, raw and decomposed, and the
+// malformed programs of TestParseRejectsMalformedOperands.
+func FuzzQASMParse(f *testing.F) {
+	for _, b := range gen.Suite() {
+		for _, c := range []*circuit.Circuit{b.Raw(), b.Build()} {
+			text, err := String(c)
+			if err != nil {
+				f.Fatalf("%s: %v", c.Name, err)
+			}
+			f.Add(text)
+		}
+	}
+	for _, tc := range malformedOperands {
+		f.Add(tc.src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		c, err := ParseString(src)
+		if err != nil {
+			return
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("accepted an invalid circuit: %v", err)
+		}
+		text, err := String(c)
+		if err != nil {
+			t.Fatalf("cannot write an accepted circuit: %v", err)
+		}
+		back, err := ParseString(text)
+		if err != nil {
+			t.Fatalf("cannot parse the written circuit: %v\n%s", err, text)
+		}
+		if !sameCircuit(c, back) {
+			t.Fatalf("round trip changed the circuit:\n%s", text)
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package qasm
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -141,6 +142,57 @@ func TestParseErrors(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := ParseString(tc.src); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// malformedOperands are programs whose last statement, on line 3, names
+// its operands wrongly: a gate that repeats a qubit, text after a
+// reference, an empty or extra operand, or a value no writer can emit.
+var malformedOperands = []struct{ name, src string }{
+	{"cx self-coupling", "OPENQASM 2.0;\nqreg q[2];\ncx q[1],q[1];"},
+	{"ccx repeated control", "OPENQASM 2.0;\nqreg q[3];\nccx q[0],q[0],q[2];"},
+	{"swap self", "OPENQASM 2.0;\nqreg q[2];\nswap q[0],q[0];"},
+	{"barrier repeat", "OPENQASM 2.0;\nqreg q[2];\nbarrier q[0],q[0];"},
+	{"qreg trailing text", "OPENQASM 2.0;\n\nqreg q[2]garbage;"},
+	{"creg trailing text", "OPENQASM 2.0;\nqreg q[2];\ncreg c[2]x;"},
+	{"cx trailing text", "OPENQASM 2.0;\nqreg q[2];\ncx q[0]x,q[1]y;"},
+	{"empty operand", "OPENQASM 2.0;\nqreg q[2];\ncx q[0],,q[1];"},
+	{"cx parameter", "OPENQASM 2.0;\nqreg q[2];\ncx(0.5) q[0],q[1];"},
+	{"infinite parameter", "OPENQASM 2.0;\nqreg q[1];\nrz(1e308*10) q[0];"},
+	{"measure target", "qreg q[1];\ncreg c[1];\nmeasure q[0] -> c[0]x;"},
+	{"measure unknown register", "qreg q[1];\ncreg c[1];\nmeasure q[0] -> d[0];"},
+}
+
+// TestParseRejectsMalformedOperands: each malformed program is an error
+// that names line 3, the 1-based line of the bad statement.
+func TestParseRejectsMalformedOperands(t *testing.T) {
+	for _, tc := range malformedOperands {
+		c, err := ParseString(tc.src)
+		if err == nil {
+			t.Errorf("%s: accepted as %v", tc.name, c.Gates)
+		} else if !strings.HasPrefix(err.Error(), "qasm: line 3: ") {
+			t.Errorf("%s: error %q does not name line 3", tc.name, err)
+		}
+	}
+}
+
+// TestParseErrorLines: an error names the 1-based line its statement
+// starts on, past blank lines, comments and multi-line statements.
+func TestParseErrorLines(t *testing.T) {
+	cases := []struct {
+		src  string
+		line int
+	}{
+		{"OPENQASM 2.0;\nqreg q[1];\nrz(1/0) q[0];", 3},
+		{"OPENQASM 2.0;\nqreg q[1];\n\n// a comment; with a semicolon\n\nrz(1/0) q[0];", 6},
+		{"OPENQASM 2.0;\nqreg q[1]; h q[0]; rz(1/0)\nq[0];", 2},
+		{"foo q[0];", 1},
+	}
+	for _, tc := range cases {
+		_, err := ParseString(tc.src)
+		if want := fmt.Sprintf("qasm: line %d: ", tc.line); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%q: error %v, want one starting %q", tc.src, err, want)
 		}
 	}
 }

@@ -82,18 +82,12 @@ func newSpace(c *circuit.Circuit, opt Options) (*space, error) {
 	if !topology.IsSquare(sp.family) {
 		sp.region = sp.family.Region
 	}
+	// The seed allocations come from the design flow's own allocator, so
+	// the aux-k=0 seed state is the same design the exhaustive series
+	// evaluates at k=0.
 	flow := core.NewFlow(opt.Seed)
 	flow.Family = opt.Family
-	// The allocator mirrors the design flow's configuration
-	// (freq.NewAllocator defaults), so the aux-k=0 seed state is the same
-	// design the exhaustive series evaluates at k=0. Its seed allocations
-	// share one memo, as a series does.
-	al := freq.NewAllocator(opt.Seed)
-	al.Params = opt.Params
-	if !topology.IsSquare(sp.family) {
-		al.Region = sp.family.Region
-	}
-	alMemo := al.Memo()
+	al := flow.Allocator()
 	for _, aux := range opt.AuxCounts {
 		if _, dup := sp.bases[aux]; dup {
 			continue
@@ -106,7 +100,7 @@ func newSpace(c *circuit.Circuit, opt Options) (*space, error) {
 			aux:       aux,
 			arch:      base,
 			sites:     base.CandidateSquares(),
-			seedAlloc: al.AllocateWith(alMemo, base),
+			seedAlloc: al.Allocate(base),
 			seedFive:  arch.FiveFreqScheme(base),
 		}
 		sp.auxCounts = append(sp.auxCounts, aux)

@@ -38,7 +38,9 @@
 // lifecycle transition is recorded next to the run store: a restarted
 // server lists prior jobs with their final statuses, serves done ones
 // from the store, and marks jobs that were still queued or running when
-// the process died as "interrupted".
+// the process died as "interrupted". A failed job whose retry is
+// pending at a clean shutdown is journaled as queued, so a restart
+// resumes it like a job the process left in flight.
 package server
 
 import (
@@ -388,11 +390,12 @@ func (s *Server) Close() { _ = s.Shutdown(context.Background()) }
 // running or waiting out a retry backoff is cooperatively cancelled
 // (journaled as "canceled") and Shutdown returns once the executors have
 // stopped — within one proposal batch / trial chunk of the cancel, not
-// after the full remaining work. Failed jobs waiting out a retry backoff
-// are never retried: after a clean drain they stay failed, and their
-// streams end too. The return value is nil on a clean drain and
-// ctx.Err() when jobs had to be cancelled. Safe to call more than once
-// and concurrently.
+// after the full remaining work. This server runs no retry once it is
+// closing: after a clean drain, a failed job still waiting out its
+// backoff is journaled as queued and its stream ends, so a restart
+// resumes it within the interrupted budget. The return value is nil on a
+// clean drain and ctx.Err() when jobs had to be cancelled. Safe to call
+// more than once and concurrently.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
@@ -437,14 +440,22 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // endStreams ends every listed job's stream. Called once the executors
-// have stopped, it ends only the streams that failed jobs keep open
-// while they wait out a retry backoff; their requeue bails on the closed
-// server.
+// have stopped and before the journal closes, it ends only the streams
+// that failed jobs keep open while a retry is pending, which requeue
+// leaves to it on a closing server. It journals each such job as queued
+// first, as a job the process leaves in flight, so a restart resumes it
+// within the interrupted budget. The job's record in memory and its
+// stream bytes stay as they are.
 func (s *Server) endStreams() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, j := range s.jobs {
 		j.mu.Lock()
+		if s.retriesLocked(j) && !j.streamEnded() && s.cfg.Journal != nil {
+			rec := j.JobRecord
+			rec.Status, rec.Started, rec.Finished, rec.Err = runstore.StatusQueued, time.Time{}, time.Time{}, ""
+			_ = s.cfg.Journal.Append(rec)
+		}
 		j.endStreamLocked()
 		j.mu.Unlock()
 	}
@@ -612,22 +623,28 @@ func (s *Server) maybeRetry(j *job) {
 
 // requeue re-admits a failed job once its backoff has elapsed. It is the
 // same job, so its spec, attempt count and stream carry over, and its
-// streamers follow the next attempt. It bails out, ending the stream,
-// when the server has closed, when the job is no longer failed (a DELETE
-// canceled it), when the id no longer maps to the job (a client
-// resubmitted or retention evicted it meanwhile; the journal keeps it
-// failed), or when the queue is full — a retry never evicts client work.
+// streamers follow the next attempt. On a closing server it leaves a
+// listed job to Shutdown's endStreams, whether the drain is still running
+// or over. Otherwise it bails out, ending the stream, when the job is no
+// longer failed (a DELETE canceled it), when the id no longer maps to the
+// job (a client resubmitted or retention evicted it meanwhile; the
+// journal keeps it failed), or when the queue is full — a retry never
+// evicts client work.
 func (s *Server) requeue(j *job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if s.closed || j.Status != runstore.StatusFailed || s.jobs[j.ID] != j || len(s.queue) >= s.cfg.QueueSize {
+	listed := s.jobs[j.ID] == j
+	switch {
+	case s.closed && listed:
+		// endStreams journals a pending retry as queued and ends its stream.
+	case !listed || j.Status != runstore.StatusFailed || len(s.queue) >= s.cfg.QueueSize:
 		j.endStreamLocked()
-		return
+	default:
+		s.enqueueLocked(j)
+		j.appendEventLocked(experiments.Event{Message: "requeued after failure"})
 	}
-	s.enqueueLocked(j)
-	j.appendEventLocked(experiments.Event{Message: "requeued after failure"})
 }
 
 // cancelJob cooperatively cancels one job. A queued job, or a failed

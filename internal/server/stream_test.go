@@ -237,28 +237,47 @@ func TestFinishedJobStreamHasNoSlack(t *testing.T) {
 // returns the journal's path.
 func startRetryServer(t *testing.T, dir string, retain int) (*Server, *httptest.Server, *runstore.Store, string) {
 	t.Helper()
+	js := startJournaled(t, dir, Config{QueueSize: 4, RetainJobs: retain, Retry: retry.Policy{Failed: 1, Base: time.Hour}})
+	return js.s, js.ts, js.store, js.path
+}
+
+// journaled is a server over a store and journal in one directory.
+type journaled struct {
+	s       *Server
+	ts      *httptest.Server
+	store   *runstore.Store
+	journal *runstore.Journal
+	path    string // the journal's
+}
+
+// startJournaled starts a server with cfg's queue, retention and retry
+// settings over a store and journal in dir.
+func startJournaled(t *testing.T, dir string, cfg Config) *journaled {
+	t.Helper()
 	store, err := runstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	journalPath := filepath.Join(dir, "jobs.ndjson")
-	journal, err := runstore.OpenJournal(journalPath, 0)
-	if err != nil {
+	js := &journaled{store: store, path: filepath.Join(dir, "jobs.ndjson")}
+	if js.journal, err = runstore.OpenJournal(js.path, 0); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Runner: experiments.NewRunner(tinyOptions()), Store: store, Journal: journal,
-		QueueSize: 4, RetainJobs: retain, Retry: retry.Policy{Failed: 1, Base: time.Hour}})
-	if err != nil {
+	cfg.Runner, cfg.Store, cfg.Journal = experiments.NewRunner(tinyOptions()), store, js.journal
+	if js.s, err = New(cfg); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		s.Close()
-		ts.CloseClientConnections() // ts.Close waits for open streams
-		ts.Close()
-		journal.Close()
-	})
-	return s, ts, store, journalPath
+	js.ts = httptest.NewServer(js.s.Handler())
+	t.Cleanup(js.stop)
+	return js
+}
+
+// stop stops the server as qserve does on exit: the jobs, then the HTTP
+// server, then the journal. Later calls do nothing.
+func (js *journaled) stop() {
+	js.s.Close()
+	js.ts.CloseClientConnections() // ts.Close waits for open streams
+	js.ts.Close()
+	js.journal.Close()
 }
 
 // failIntoBackoff submits a sweep whose first attempt fails, and returns
@@ -296,18 +315,24 @@ func waitForEvent(t *testing.T, s *Server, id, substr string) *job {
 // lastJournaled returns the status of id's last journal record.
 func lastJournaled(t *testing.T, path, id string) string {
 	t.Helper()
+	return lastRecord(t, path, id).Status
+}
+
+// lastRecord returns id's last journal record.
+func lastRecord(t *testing.T, path, id string) runstore.JobRecord {
+	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	last := ""
+	var last runstore.JobRecord
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	for sc.Scan() {
 		var rec runstore.JobRecord
 		if err := json.Unmarshal(sc.Bytes(), &rec); err == nil && rec.ID == id {
-			last = rec.Status
+			last = rec
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -474,4 +499,100 @@ func TestDeleteLeavesFailedJobWhoseRequeueBailed(t *testing.T) {
 	if st := lastJournaled(t, journalPath, j.ID); st != statusFailed {
 		t.Fatalf("last journal record is %q, want failed", st)
 	}
+}
+
+// pendingRetryPolicy retries a failed job once, and resumes a job a
+// process left in flight once.
+func pendingRetryPolicy(base time.Duration) Config {
+	return Config{QueueSize: 4, Retry: retry.Policy{Failed: 1, Interrupted: 1, Base: base}}
+}
+
+// streamBytes returns a copy of j's stream.
+func streamBytes(j *job) []byte {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return bytes.Clone(j.stream)
+}
+
+// waitClosed returns once Shutdown has closed s, woken by the broadcast
+// that closes it. Only executors wait on qcond otherwise, so the caller
+// must not wait while a job could be enqueued.
+func waitClosed(s *Server) {
+	s.mu.Lock()
+	for !s.closed {
+		s.qcond.Wait()
+	}
+	s.mu.Unlock()
+}
+
+// checkPendingRetryResumes checks what a stopped server left of the
+// failed job j, whose retry was pending when it stopped: its stream ended
+// with the bytes it had, and its last journal record is queued. A restart
+// on the same store and journal then resumes it, and it ends done on its
+// second attempt.
+func checkPendingRetryResumes(t *testing.T, dir string, cfg Config, first *journaled, j *job, stream []byte) {
+	t.Helper()
+	select {
+	case <-j.done:
+	default:
+		t.Fatal("the pending retry's stream is still open after Shutdown")
+	}
+	if got := streamBytes(j); !bytes.Equal(got, stream) {
+		t.Fatalf("stream while the retry was pending:\n%s\nafter Shutdown:\n%s", stream, got)
+	}
+	if rec := lastRecord(t, first.path, j.ID); rec.Status != statusQueued || rec.Attempts != 1 {
+		t.Fatalf("last journal record after Shutdown is %q with %d attempts, want queued with 1", rec.Status, rec.Attempts)
+	}
+
+	second := startJournaled(t, dir, cfg)
+	waitForEvent(t, second.s, j.ID, `"job done`)
+	if rec := lastRecord(t, second.path, j.ID); rec.Status != statusDone || rec.Attempts != 2 {
+		t.Fatalf("last journal record after the restart is %q with %d attempts, want done with 2", rec.Status, rec.Attempts)
+	}
+}
+
+// TestPendingRetryAtCloseResumesOnRestart: a failed job whose backoff
+// outlasts the server is not lost with it. Close journals the job as
+// queued and ends its stream, and the restart runs the retry.
+func TestPendingRetryAtCloseResumesOnRestart(t *testing.T) {
+	dir, cfg := t.TempDir(), pendingRetryPolicy(time.Hour)
+	first := startJournaled(t, dir, cfg)
+	j := failIntoBackoff(t, first.s, first.ts.URL)
+	stream := streamBytes(j)
+	first.stop()
+	checkPendingRetryResumes(t, dir, cfg, first, j, stream)
+}
+
+// TestPendingRetryInDrainResumesOnRestart: a job that fails while
+// Shutdown drains, and whose short backoff elapses while a long search
+// keeps the drain busy, is left to Shutdown by its requeue and resumed
+// by the restart.
+func TestPendingRetryInDrainResumesOnRestart(t *testing.T) {
+	dir, cfg := t.TempDir(), pendingRetryPolicy(time.Millisecond)
+	first := startJournaled(t, dir, cfg)
+	base := first.ts.URL
+	// The sweep and a second long search wait behind a running one.
+	running := submit(t, base, longSearchBody)
+	// Its first progress event follows its store lookup, which the fault
+	// below must not hit.
+	waitForEvent(t, first.s, running.ID, `"best yield `)
+	sweep := submit(t, base, `{"kind":"sweep","spec":{"benchmarks":["sym6_145"],"configs":["ibm"],"sigmas":[0.04]}}`)
+	next := submit(t, base, strings.Replace(longSearchBody, "200000", "200001", 1))
+	enableFaults(t, "store.get:error:times=1", 1)
+	shut := make(chan error, 1)
+	go func() { shut <- first.s.Shutdown(context.Background()) }()
+	waitClosed(first.s)
+
+	// The drain runs the sweep, which fails, and then the second search,
+	// which runs past the sweep's 1 ms backoff.
+	cancelJobHTTP(t, base, running.ID)
+	j := waitForEvent(t, first.s, sweep.ID, `"retrying in `)
+	waitForEvent(t, first.s, next.ID, `"best yield `)
+	stream := streamBytes(j)
+	cancelJobHTTP(t, base, next.ID)
+	if err := <-shut; err != nil {
+		t.Fatalf("Shutdown: %v, want a clean drain", err)
+	}
+	first.stop()
+	checkPendingRetryResumes(t, dir, cfg, first, j, stream)
 }
