@@ -105,7 +105,9 @@ type Options struct {
 	// Mapper holds the SABRE parameters used when PerfWeight > 0 and for
 	// the final report.
 	Mapper mapper.Options
-	// Params are the collision-model constants.
+	// Params are the collision-model constants the search scores and
+	// evaluates designs with. Its Algorithm 3 seed allocations come from
+	// the design flow, which allocates at collision.DefaultParams().
 	Params collision.Params
 	// Parallel fans proposal construction and Monte-Carlo trials out over
 	// a bounded worker pool; results are bit-identical with it off.
