@@ -501,9 +501,9 @@ func TestDeleteLeavesFailedJobWhoseRequeueBailed(t *testing.T) {
 	}
 }
 
-// pendingRetryPolicy retries a failed job once, and resumes a job a
-// process left in flight once.
-func pendingRetryPolicy(base time.Duration) Config {
+// pendingRetryConfig retries a failed job once after a backoff of base,
+// and resumes a job a process left in flight once.
+func pendingRetryConfig(base time.Duration) Config {
 	return Config{QueueSize: 4, Retry: retry.Policy{Failed: 1, Interrupted: 1, Base: base}}
 }
 
@@ -555,7 +555,7 @@ func checkPendingRetryResumes(t *testing.T, dir string, cfg Config, first *journ
 // outlasts the server is not lost with it. Close journals the job as
 // queued and ends its stream, and the restart runs the retry.
 func TestPendingRetryAtCloseResumesOnRestart(t *testing.T) {
-	dir, cfg := t.TempDir(), pendingRetryPolicy(time.Hour)
+	dir, cfg := t.TempDir(), pendingRetryConfig(time.Hour)
 	first := startJournaled(t, dir, cfg)
 	j := failIntoBackoff(t, first.s, first.ts.URL)
 	stream := streamBytes(j)
@@ -568,7 +568,7 @@ func TestPendingRetryAtCloseResumesOnRestart(t *testing.T) {
 // keeps the drain busy, is left to Shutdown by its requeue and resumed
 // by the restart.
 func TestPendingRetryInDrainResumesOnRestart(t *testing.T) {
-	dir, cfg := t.TempDir(), pendingRetryPolicy(time.Millisecond)
+	dir, cfg := t.TempDir(), pendingRetryConfig(time.Millisecond)
 	first := startJournaled(t, dir, cfg)
 	base := first.ts.URL
 	// The sweep and a second long search wait behind a running one.
