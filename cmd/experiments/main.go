@@ -33,6 +33,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -147,46 +148,24 @@ func main() {
 		check(err)
 		fmt.Print(experiments.FormatFig10(res))
 		fmt.Fprintf(os.Stderr, "(%s)\n", time.Since(start).Round(time.Millisecond))
-	case *fig == 10, *summary != "", *all:
+	case *all:
+		start := time.Now()
+		check(writeAll(os.Stdout, r))
+		fmt.Fprintf(os.Stderr, "(%s)\n", time.Since(start).Round(time.Millisecond))
+	case *fig == 10, *summary != "":
 		start := time.Now()
 		results, err := r.RunAll()
 		check(err)
-		trials := opt.YieldTrials
-		if *fig == 10 || *all {
+		if *fig == 10 {
 			for _, res := range results {
 				fmt.Print(experiments.FormatFig10(res))
 				fmt.Println()
 			}
 		}
-		if *all {
-			s4, err := experiments.Fig4()
-			check(err)
-			s5, err := experiments.Fig5()
-			check(err)
-			fmt.Print(s4, "\n", s5, "\n", experiments.Fig9(), "\n")
-		}
-		printSummary := func(which string) {
-			switch which {
-			case "overall":
-				fmt.Print(experiments.FormatOverall(experiments.SummaryOverall(results, trials)))
-			case "layout":
-				fmt.Print(experiments.FormatLayout(experiments.SummaryLayout(results, trials)))
-			case "bus":
-				fmt.Print(experiments.FormatBus(experiments.SummaryBus(results, trials)))
-			case "freq":
-				fmt.Print(experiments.FormatFreq(experiments.SummaryFreq(results, trials)))
-			default:
-				check(fmt.Errorf("unknown summary %q", which))
-			}
-		}
 		if *summary != "" {
-			printSummary(*summary)
-		}
-		if *all {
-			for _, s := range []string{"overall", "layout", "bus", "freq"} {
-				printSummary(s)
-				fmt.Println()
-			}
+			s, err := formatSummary(*summary, results, opt.YieldTrials)
+			check(err)
+			fmt.Print(s)
 		}
 		fmt.Fprintf(os.Stderr, "(%s)\n", time.Since(start).Round(time.Millisecond))
 	default:
@@ -194,6 +173,52 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+// writeAll writes the -all report to w: Figure 10 for every benchmark,
+// Figures 4, 5 and 9, then the four §5 summary tables, each claim of the
+// paper printed above its table.
+func writeAll(w io.Writer, r *experiments.Runner) error {
+	results, err := r.RunAll()
+	if err != nil {
+		return err
+	}
+	for _, res := range results {
+		fmt.Fprint(w, experiments.FormatFig10(res), "\n")
+	}
+	s4, err := experiments.Fig4()
+	if err != nil {
+		return err
+	}
+	s5, err := experiments.Fig5()
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(w, s4, "\n", s5, "\n", experiments.Fig9(), "\n")
+	for _, which := range []string{"overall", "layout", "bus", "freq"} {
+		s, err := formatSummary(which, results, r.Options().YieldTrials)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, s, "\n")
+	}
+	return nil
+}
+
+// formatSummary renders one §5 summary table: overall, layout, bus or
+// freq.
+func formatSummary(which string, results []*experiments.BenchmarkResult, trials int) (string, error) {
+	switch which {
+	case "overall":
+		return experiments.FormatOverall(experiments.SummaryOverall(results, trials)), nil
+	case "layout":
+		return experiments.FormatLayout(experiments.SummaryLayout(results, trials)), nil
+	case "bus":
+		return experiments.FormatBus(experiments.SummaryBus(results, trials)), nil
+	case "freq":
+		return experiments.FormatFreq(experiments.SummaryFreq(results, trials)), nil
+	}
+	return "", fmt.Errorf("unknown summary %q", which)
 }
 
 // openStore opens the run store when -store was given; nil otherwise.
