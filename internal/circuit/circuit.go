@@ -11,6 +11,7 @@ package circuit
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -312,15 +313,13 @@ func (c *Circuit) Validate() error {
 		if want >= 0 && len(g.Qubits) != want {
 			return fmt.Errorf("gate %d (%v): want %d qubits, have %d", i, g, want, len(g.Qubits))
 		}
-		seen := map[int]bool{}
-		for _, q := range g.Qubits {
+		for j, q := range g.Qubits {
 			if q < 0 || q >= c.Qubits {
 				return fmt.Errorf("gate %d (%v): qubit %d outside [0,%d)", i, g, q, c.Qubits)
 			}
-			if seen[q] {
+			if slices.Contains(g.Qubits[:j], q) {
 				return fmt.Errorf("gate %d (%v): duplicate qubit %d", i, g, q)
 			}
-			seen[q] = true
 		}
 		if g.Kind == OneQubit && g.Name == "" {
 			return fmt.Errorf("gate %d: one-qubit gate with empty name", i)

@@ -5,7 +5,10 @@ package collision
 // terms a frequency change can affect. The guided design-space search
 // proposes thousands of single-qubit (or small-region) frequency moves per
 // run; recomputing every closed-form marginal each time would make the
-// surrogate as expensive as the Monte-Carlo estimate it replaces.
+// surrogate as expensive as the Monte-Carlo estimate it replaces. Its
+// coordinate descent ranks a qubit's 35 candidates by the terms a move
+// changes (Plan, see MovePlan) and previews only the few that can still
+// win.
 //
 // Terms are grouped per edge bundle of the compiled Kernel: the pair
 // conditions 1-4 of the edge in its current orientation (see orient) plus
@@ -60,6 +63,8 @@ type Incremental struct {
 	rescored uint64
 	// partials counts the re-scores served by the term-level fast path.
 	partials uint64
+	// plan is Plan's buffer; each clone owns its own.
+	plan MovePlan
 }
 
 // NewIncremental compiles the incremental scorer for the coupling graph
@@ -224,6 +229,15 @@ func (inc *Incremental) Set(qubits []int, vals []float64) {
 	}
 }
 
+// Plan returns the move plan of qubit q under the current assignment,
+// priced through the scorer's memo: its Best picks q's coordinate-descent
+// frequency with Preview1 as the literal score. The plan is the scorer's
+// own buffer, valid until the next Plan call or update.
+func (inc *Incremental) Plan(q int) *MovePlan {
+	inc.plan.plan(inc.memo, inc.adj, inc.freqs, inc.idx, q)
+	return &inc.plan
+}
+
 // Set1 is Set for a single qubit.
 func (inc *Incremental) Set1(q int, f float64) {
 	inc.Set([]int{q}, []float64{f})
@@ -236,8 +250,9 @@ func (inc *Incremental) Set1(q int, f float64) {
 // values substituted: the same values in the same order a
 // Set1 + Score + restoring Set1 round-trip would produce (so results are
 // bit-identical to that spelling), with no committed state to restore.
-// Preview is the inner loop of the guided search's coordinate descent,
-// so this path carries most of the surrogate's runtime.
+// The guided search's coordinate descent calls it only to verify the
+// candidates its move plan cannot rule out (MovePlan.Best), about one
+// per qubit.
 func (inc *Incremental) Preview1(q int, f float64) float64 {
 	old, oldIdx := inc.freqs[q], inc.idx[q]
 	if f == old {
@@ -274,6 +289,7 @@ func (inc *Incremental) Clone() *Incremental {
 	c.mark = make([]int, len(inc.edgeE))
 	c.scratch = make([]float64, len(inc.edgeE))
 	c.stamp = 0
+	c.plan = MovePlan{}
 	return &c
 }
 

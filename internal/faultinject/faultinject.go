@@ -83,7 +83,7 @@ type rule struct {
 	delay time.Duration
 	p     float64 // (0,1) fires probabilistically; else always
 	after int64   // skip the first `after` hits
-	every int64   // then fire on every k-th hit
+	every int64   // then fire on every k-th hit; 1 = every hit
 	times int64   // at most this many fires; 0 = unlimited
 	hits  atomic.Int64
 	fires atomic.Int64
@@ -117,7 +117,7 @@ func Parse(spec string, seed int64) (*Plan, error) {
 		if !knownSites[site] {
 			return nil, fmt.Errorf("faultinject: unknown site %q", site)
 		}
-		r := &rule{}
+		r := &rule{every: 1}
 		act := strings.TrimSpace(parts[1])
 		switch {
 		case act == "error":
@@ -128,6 +128,9 @@ func Parse(spec string, seed int64) (*Plan, error) {
 			d, err := time.ParseDuration(strings.TrimPrefix(act, "delay="))
 			if err != nil {
 				return nil, fmt.Errorf("faultinject: clause %q: %w", clause, err)
+			}
+			if d < 0 {
+				return nil, fmt.Errorf("faultinject: clause %q: negative delay %v", clause, d)
 			}
 			r.act, r.delay = actDelay, d
 		default:
@@ -141,7 +144,7 @@ func Parse(spec string, seed int64) (*Plan, error) {
 			switch k {
 			case "p":
 				f, err := strconv.ParseFloat(v, 64)
-				if err != nil || f < 0 || f > 1 {
+				if err != nil || !(f >= 0 && f <= 1) { // NaN fails both
 					return nil, fmt.Errorf("faultinject: clause %q: p=%q not in [0,1]", clause, v)
 				}
 				r.p = f

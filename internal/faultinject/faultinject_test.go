@@ -14,6 +14,8 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"store.get:explode",          // unknown action
 		"store.get:delay=notadur",    // bad duration
 		"store.get:error:p=2",        // p out of range
+		"store.get:error:p=NaN",      // p not a probability
+		"store.get:delay=-5ms",       // negative delay
 		"store.get:error:after=-1",   // negative after
 		"store.get:error:every=0",    // every < 1
 		"store.get:error:times=0",    // times < 1
@@ -168,4 +170,35 @@ func TestDelayRule(t *testing.T) {
 	if d := time.Since(start); d < 20*time.Millisecond {
 		t.Fatalf("delay rule slept %v, want >= 20ms", d)
 	}
+}
+
+// FuzzFaultSpec: Parse never panics, and every clause it accepts has p
+// in [0,1], a delay ≥ 0, after ≥ 0, every ≥ 1, and times ≥ 1 or unset
+// (0, unlimited).
+func FuzzFaultSpec(f *testing.F) {
+	for _, seed := range []string{
+		"", ";", "store.get:error", "store.get:error:times=1;journal.append:delay=5ms:every=3",
+		"store.put:panic:after=2:every=2:times=3", "checkpoint.get:error:p=0.25",
+		"workpool.dispatch:delay=1ms:p=1", "estimator.estimate:error:p=0", " metrics.append : error : p = 0.5 ",
+		"store.get:error:p=NaN", "store.get:error:p=-0", "store.get:error:p=1e-400", "store.get:error:p=0x1p-2",
+		"store.get:delay=-5ms", "store.get:delay=0", "store.get:delay=9223372036854775807ns",
+		"store.get:error:after=-1", "store.get:error:every=0", "store.get:error:times=0",
+		"store.get:error:times=9223372036854775808", "store.get:error:p", "store.get::p=1", "nope:error",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec, 1)
+		if err != nil {
+			return
+		}
+		for site, rules := range p.rules {
+			for _, r := range rules {
+				if !(r.p >= 0 && r.p <= 1) || r.delay < 0 || r.after < 0 || r.every < 1 || r.times < 0 {
+					t.Fatalf("Parse(%q) accepted a %s rule with p=%v delay=%v after=%d every=%d times=%d",
+						spec, site, r.p, r.delay, r.after, r.every, r.times)
+				}
+			}
+		}
+	})
 }

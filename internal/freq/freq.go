@@ -27,6 +27,7 @@ package freq
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"qproc/internal/arch"
@@ -133,6 +134,7 @@ func (al *Allocator) Allocate(a *arch.Architecture) []float64 {
 	}
 	assigned := make([]bool, n)
 	adj := a.AdjList()
+	sc := &scratch{memo: memo, pos: make([]int, n)}
 
 	// Line 1: centre qubit pinned to the middle of the range.
 	center := centerQubit(a)
@@ -144,7 +146,7 @@ func (al *Allocator) Allocate(a *arch.Architecture) []float64 {
 		if assigned[qi] {
 			continue
 		}
-		freqs[qi] = al.bestCandidate(memo, adj, freqs, assigned, qi, math.NaN())
+		freqs[qi] = al.bestCandidate(sc, adj, freqs, assigned, qi, math.NaN())
 		assigned[qi] = true
 	}
 	// Refinement sweeps: every qubit (centre included) revisited against
@@ -153,7 +155,7 @@ func (al *Allocator) Allocate(a *arch.Architecture) []float64 {
 	for s := 0; s < al.Sweeps; s++ {
 		changed := false
 		for _, qi := range order {
-			f := al.bestCandidate(memo, adj, freqs, assigned, qi, freqs[qi])
+			f := al.bestCandidate(sc, adj, freqs, assigned, qi, freqs[qi])
 			if f != freqs[qi] {
 				freqs[qi] = f
 				changed = true
@@ -166,26 +168,41 @@ func (al *Allocator) Allocate(a *arch.Architecture) []float64 {
 	return freqs
 }
 
+// scratch is what the bestCandidate calls of one Allocate call reuse: the
+// analytic memo (nil under ScoreMC), the move plan, and the local region
+// with its induced subgraph and frequencies.
+type scratch struct {
+	memo *collision.Marginals
+	plan collision.MovePlan
+	// pos[q] is 1 + q's index in the region, 0 outside it; it is all
+	// zero between calls.
+	pos      []int
+	region   []int
+	sub      [][]int
+	subFreqs []float64
+}
+
 // bestCandidate scores every candidate frequency for qubit qi against its
 // local region and returns the winner. When incumbent is a real frequency
 // it wins all ties (refinement sweeps only move on strict improvement);
 // when incumbent is NaN (initial assignment) ties break to the lowest
-// candidate. ScoreAnalytic reads the marginals through memo.
-func (al *Allocator) bestCandidate(memo *collision.Marginals, adj [][]int, freqs []float64, assigned []bool, qi int, incumbent float64) float64 {
-	region := al.regionOf(adj, qi, assigned)
-	sub := yield.Subgraph(adj, region)
-	subFreqs := make([]float64, len(region))
+// candidate. ScoreAnalytic ranks the candidates by the terms that read
+// qi and sums the region's expected collision count only for those that
+// can still win (collision.MovePlan), so the pick is the one the full
+// sum over every candidate makes.
+func (al *Allocator) bestCandidate(sc *scratch, adj [][]int, freqs []float64, assigned []bool, qi int, incumbent float64) float64 {
+	region := al.regionOf(sc, adj, qi, assigned)
+	sub := sc.subgraph(adj, region)
+	subFreqs := sc.subFreqs[:0]
 	qiIdx := -1
 	for i, q := range region {
 		if q == qi {
 			qiIdx = i
-		} else {
-			subFreqs[i] = freqs[q]
 		}
+		subFreqs = append(subFreqs, freqs[q])
 	}
-	candidates := Candidates()
-	switch al.Mode {
-	case ScoreMC:
+	sc.subFreqs = subFreqs
+	if al.Mode == ScoreMC {
 		sim := &yield.Simulator{
 			Sigma:  al.Sigma,
 			Trials: al.LocalTrials,
@@ -199,47 +216,64 @@ func (al *Allocator) bestCandidate(memo *collision.Marginals, adj [][]int, freqs
 			subFreqs[qiIdx] = incumbent
 			best, bestYield = incumbent, sim.EstimateWithNoise(sub, subFreqs, noise)
 		}
-		for _, f := range candidates {
+		for _, f := range Candidates() {
 			subFreqs[qiIdx] = f
 			if y := sim.EstimateWithNoise(sub, subFreqs, noise); y > bestYield {
 				best, bestYield = f, y
 			}
 		}
 		return best
-	default: // ScoreAnalytic
-		best, bestE := math.NaN(), math.Inf(1)
-		if !math.IsNaN(incumbent) {
-			subFreqs[qiIdx] = incumbent
-			best, bestE = incumbent, memo.Expected(sub, subFreqs)
-		}
-		for _, f := range candidates {
-			subFreqs[qiIdx] = f
-			if e := memo.Expected(sub, subFreqs); e < bestE {
-				best, bestE = f, e
-			}
-		}
-		return best
 	}
+	sc.plan.Plan(sc.memo, sub, subFreqs, qiIdx)
+	best, _ := sc.plan.Best(incumbent, func(f float64) float64 {
+		subFreqs[qiIdx] = f
+		return sc.memo.Expected(sub, subFreqs)
+	})
+	return best
 }
 
 // regionOf resolves the local region of qi under the allocator's region
-// policy, restricted to qi plus the already-assigned qubits. A nil
-// assigned slice means "all assigned".
-func (al *Allocator) regionOf(adj [][]int, qi int, assigned []bool) []int {
+// policy, restricted to qi plus the already-assigned qubits, into
+// sc.region.
+func (al *Allocator) regionOf(sc *scratch, adj [][]int, qi int, assigned []bool) []int {
 	if al.Region == nil {
-		return localRegion(adj, qi, assigned)
+		sc.region = appendRegion(sc.region[:0], sc.pos, adj, qi, assigned)
+		return sc.region
 	}
-	full := al.Region(adj, qi)
-	if assigned == nil {
-		return full
-	}
-	out := make([]int, 0, len(full))
-	for _, q := range full {
+	out := sc.region[:0]
+	for _, q := range al.Region(adj, qi) {
 		if q == qi || assigned[q] {
 			out = append(out, q)
 		}
 	}
+	sc.region = out
 	return out
+}
+
+// subgraph returns the subgraph of adj induced by region (ascending),
+// re-indexed to region positions, each list in adj's order, in rows
+// reused across calls.
+func (sc *scratch) subgraph(adj [][]int, region []int) [][]int {
+	for i, q := range region {
+		sc.pos[q] = i + 1
+	}
+	for len(sc.sub) < len(region) {
+		sc.sub = append(sc.sub, nil)
+	}
+	sub := sc.sub[:len(region)]
+	for i, q := range region {
+		row := sub[i][:0]
+		for _, nb := range adj[q] {
+			if j := sc.pos[nb]; j > 0 {
+				row = append(row, j-1)
+			}
+		}
+		sub[i] = row
+	}
+	for _, q := range region {
+		sc.pos[q] = 0
+	}
+	return sub
 }
 
 // centerQubit returns the qubit whose lattice node is closest to the
@@ -295,23 +329,36 @@ func bfsOrder(adj [][]int, start int) []int {
 // localRegion returns qi plus every already-assigned qubit within
 // coupling distance 2 of qi. A nil assigned slice means "all assigned".
 func localRegion(adj [][]int, qi int, assigned []bool) []int {
-	in := map[int]bool{qi: true}
+	return appendRegion(nil, make([]int, len(adj)), adj, qi, assigned)
+}
+
+// appendRegion appends localRegion(adj, qi, assigned), ascending, to dst.
+// mark must be all zero, and is again on return.
+func appendRegion(dst []int, mark []int, adj [][]int, qi int, assigned []bool) []int {
+	start := len(dst)
+	add := func(q int) {
+		if mark[q] == 0 {
+			mark[q] = 1
+			dst = append(dst, q)
+		}
+	}
+	add(qi)
 	for _, n1 := range adj[qi] {
 		if assigned == nil || assigned[n1] {
-			in[n1] = true
+			add(n1)
 		}
 		for _, n2 := range adj[n1] {
 			if n2 != qi && (assigned == nil || assigned[n2]) {
-				in[n2] = true
+				add(n2)
 			}
 		}
 	}
-	out := make([]int, 0, len(in))
-	for q := range in {
-		out = append(out, q)
+	out := dst[start:]
+	for _, q := range out {
+		mark[q] = 0
 	}
-	sort.Ints(out)
-	return out
+	slices.Sort(out)
+	return dst
 }
 
 // Region returns qi plus every qubit within coupling distance 2 of qi —

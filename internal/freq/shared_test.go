@@ -2,6 +2,7 @@ package freq_test
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"qproc/internal/core"
 	"qproc/internal/freq"
 	"qproc/internal/gen"
+	"qproc/internal/topology"
 )
 
 // baseLayouts returns the bus-free layout of every built-in benchmark,
@@ -103,6 +105,86 @@ func TestAllocateOtherPairSkipsSharedTable(t *testing.T) {
 		params.Params = wide
 		if got := params.Allocate(base); sameBits(got, def) {
 			t.Errorf("%s: a doubled condition-1 threshold allocates the default assignment %v", name, got)
+		}
+	}
+}
+
+// TestBestCandidateMatchesLiteral pins Algorithm 3's pruned analytic
+// pick to the literal loop over every candidate (Allocator.Picks), bit
+// for bit, under the square, coupler and chimera region policies, at
+// σ ∈ {0, 0.01, 0.03}, with and without an incumbent, over partly and
+// fully assigned layouts whose frequencies are drawn on the grid, from
+// the 5-frequency scheme (mostly off the grid) and uniformly, with some
+// qubits tied to a neighbour's frequency.
+func TestBestCandidateMatchesLiteral(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	grid := freq.Candidates()
+	draw := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return arch.FiveFreqValue(rng.Intn(5))
+		case 1:
+			return 5.00 + 0.34*rng.Float64()
+		default:
+			return grid[rng.Intn(len(grid))]
+		}
+	}
+	c, err := gen.Get("sym6_145")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, topo := range []string{"", "coupler", "chimera(2,2,4)"} {
+		fam, err := topology.Parse(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flow := core.NewFlow(1)
+		flow.Family = fam
+		var layouts []*arch.Architecture
+		if topology.IsSquare(fam) {
+			designs, err := flow.Series(c.Build(), 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range designs {
+				layouts = append(layouts, d.Arch)
+			}
+		} else {
+			base, _, err := flow.BaseLayout(c.Build(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			layouts = append(layouts, base)
+		}
+		for li, a := range layouts {
+			adj := a.AdjList()
+			n := a.NumQubits()
+			for _, sigma := range []float64{0, 0.01, 0.03} {
+				al := flow.Allocator()
+				al.Sigma = sigma
+				for round := 0; round < 4; round++ {
+					freqs := make([]float64, n)
+					assigned := make([]bool, n)
+					for q := range freqs {
+						freqs[q] = draw()
+						assigned[q] = round == 0 || rng.Intn(3) > 0
+					}
+					for q := range freqs {
+						if rng.Intn(6) == 0 && len(adj[q]) > 0 {
+							freqs[q] = freqs[adj[q][rng.Intn(len(adj[q]))]]
+						}
+					}
+					for qi := 0; qi < n; qi++ {
+						for _, incumbent := range []float64{math.NaN(), freqs[qi]} {
+							pruned, literal := al.Picks(adj, freqs, assigned, qi, incumbent)
+							if math.Float64bits(pruned) != math.Float64bits(literal) {
+								t.Fatalf("%q layout %d σ=%g round %d q%d incumbent %v: pick %v, literal loop %v",
+									topo, li, sigma, round, qi, incumbent, pruned, literal)
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }

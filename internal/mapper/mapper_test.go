@@ -2,6 +2,7 @@ package mapper
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"qproc/internal/arch"
@@ -295,5 +296,23 @@ func TestMeasurementsFollowQubit(t *testing.T) {
 	}
 	if nMeasure != 4 {
 		t.Fatalf("mapped circuit has %d measurements, want 4", nMeasure)
+	}
+}
+
+// TestMapRejectsRepeatedQubit: a two-qubit gate that names one qubit
+// twice is reported as circuit.Validate reports it, naming the qubit, by
+// Map and by Cache.Counts (a cache and the nil cache), before routing
+// could panic on it.
+func TestMapRejectsRepeatedQubit(t *testing.T) {
+	a := arch.NewBaseline(arch.IBM16Q2Bus)
+	c := circuit.New("self", 2).CX(1, 1)
+	const want = "duplicate qubit 1"
+	if _, err := Map(c, a, DefaultOptions()); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Map: error %v, want one naming %q", err, want)
+	}
+	for _, cache := range []*Cache{NewCache(), nil} {
+		if _, err := cache.Counts(NewProgram(c), a, DefaultOptions()); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Counts (cache %v): error %v, want one naming %q", cache != nil, err, want)
+		}
 	}
 }

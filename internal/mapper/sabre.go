@@ -58,11 +58,15 @@ type Result struct {
 }
 
 // Map routes the circuit onto the architecture and returns the mapping
-// result. The circuit must be decomposed (no SWAP/CCX) and must not have
-// more logical qubits than the architecture has physical qubits; the
-// architecture's coupling graph must connect all physical qubits that end
-// up holding logical qubits (guaranteed for connected graphs).
+// result. The circuit must be valid (circuit.Validate: no gate repeats a
+// qubit) and decomposed (no SWAP/CCX), and must not have more logical
+// qubits than the architecture has physical qubits; the architecture's
+// coupling graph must connect all physical qubits that end up holding
+// logical qubits (guaranteed for connected graphs).
 func Map(c *circuit.Circuit, a *arch.Architecture, opt Options) (*Result, error) {
+	if err := c.Validate(); err != nil {
+		return nil, fmt.Errorf("mapper: %w", err)
+	}
 	for i, g := range c.Gates {
 		if g.Kind == circuit.SWAP || g.Kind == circuit.CCX {
 			return nil, fmt.Errorf("mapper: gate %d (%v) not decomposed", i, g)

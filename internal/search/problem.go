@@ -295,18 +295,13 @@ func repair(inc *collision.Incremental, qubits []int) {
 
 // bestFreqFor runs one coordinate-descent step for qubit q: the candidate
 // frequency minimising the incremental analytic score. The incumbent wins
-// ties; improved reports whether a strictly better candidate exists.
+// ties, then the lowest candidate; improved reports whether a strictly
+// better candidate exists. q's move plan ranks all 35 candidates by the
+// terms a move changes, and Preview1 verifies only those that can still
+// win (collision.MovePlan), so the pick is the full Preview1 loop's.
 func bestFreqFor(inc *collision.Incremental, q int) (best float64, bestE float64, improved bool) {
 	cur := inc.Freq(q)
-	best, bestE = cur, inc.Score()
-	for _, f := range freqCandidates {
-		if f == cur {
-			continue
-		}
-		if e := inc.Preview1(q, f); e < bestE {
-			best, bestE = f, e
-		}
-	}
+	best, bestE = inc.Plan(q).Best(cur, func(f float64) float64 { return inc.Preview1(q, f) })
 	return best, bestE, best != cur
 }
 

@@ -9,6 +9,7 @@ import (
 	"qproc/internal/circuit"
 	"qproc/internal/collision"
 	"qproc/internal/gen"
+	"qproc/internal/topology"
 	"qproc/internal/workpool"
 	"qproc/internal/yield"
 )
@@ -354,4 +355,58 @@ func TestRunNilContextMatchesBackground(t *testing.T) {
 		t.Fatal(err)
 	}
 	resultsEqual(t, a, b)
+}
+
+// TestBestFreqForMatchesLiteral pins the repair's pruned coordinate
+// descent to the loop it stands for, which previews every candidate
+// (incumbent first, winning ties), bit for bit in pick and score: on the
+// seed states (Algorithm 3 and 5-frequency, mostly off the grid) of the
+// square, coupler and chimera families at σ ∈ {0, 0.01, 0.03}, and on
+// each state again after every qubit has been moved to its pick.
+func TestBestFreqForMatchesLiteral(t *testing.T) {
+	c := testCircuit(t)
+	for _, topo := range []string{"", "coupler", "chimera(2,2,4)"} {
+		fam, err := topology.Parse(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sigma := range []float64{0, 0.01, 0.03} {
+			opt := testOptions(Anneal)
+			opt.Family, opt.Sigma = fam, sigma
+			if !topology.IsSquare(fam) {
+				opt.AuxCounts = []int{0}
+			}
+			p, err := newProblem(c, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seeds, err := p.seedStates()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, st := range seeds {
+				inc := st.inc.Clone()
+				for pass := 0; pass < 2; pass++ {
+					for q := range inc.Adj() {
+						cur := inc.Freq(q)
+						wantF, wantE := cur, inc.Score()
+						for _, f := range collision.Grid() {
+							if e := inc.Preview1(q, f); e < wantE {
+								wantF, wantE = f, e
+							}
+						}
+						gotF, gotE, improved := bestFreqFor(inc, q)
+						if math.Float64bits(gotF) != math.Float64bits(wantF) ||
+							math.Float64bits(gotE) != math.Float64bits(wantE) || improved != (wantF != cur) {
+							t.Fatalf("%q σ=%g %s pass %d q%d: (%v, %v, %v), literal loop (%v, %v)",
+								topo, sigma, st.key, pass, q, gotF, gotE, improved, wantF, wantE)
+						}
+						if pass == 0 && improved {
+							inc.Set1(q, gotF)
+						}
+					}
+				}
+			}
+		}
+	}
 }

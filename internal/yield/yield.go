@@ -290,23 +290,3 @@ func (s *Simulator) forChunks(n int, fn func(int)) {
 	// at that level.
 	_ = pool.ForEachCtx(s.Ctx, n, fn)
 }
-
-// Subgraph extracts the induced coupling subgraph on the qubit set keep
-// (arbitrary order, no duplicates) from adj, returning the re-indexed
-// adjacency lists: new index i is qubit keep[i]. Frequency allocation uses
-// it to simulate a qubit's local region only.
-func Subgraph(adj [][]int, keep []int) [][]int {
-	index := make(map[int]int, len(keep))
-	for i, q := range keep {
-		index[q] = i
-	}
-	out := make([][]int, len(keep))
-	for i, q := range keep {
-		for _, nb := range adj[q] {
-			if j, ok := index[nb]; ok {
-				out[i] = append(out[i], j)
-			}
-		}
-	}
-	return out
-}

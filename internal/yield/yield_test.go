@@ -149,21 +149,6 @@ func TestCommonRandomNumbers(t *testing.T) {
 	}
 }
 
-func TestSubgraph(t *testing.T) {
-	adj := [][]int{{1, 2}, {0, 3}, {0}, {1}}
-	sub := Subgraph(adj, []int{0, 1, 3})
-	// Expected: 0-1 edge kept, 1-3 kept (as 1-2 in new indices), 0-2 dropped.
-	if len(sub[0]) != 1 || sub[0][0] != 1 {
-		t.Fatalf("sub[0] = %v", sub[0])
-	}
-	if len(sub[1]) != 2 {
-		t.Fatalf("sub[1] = %v", sub[1])
-	}
-	if len(sub[2]) != 1 || sub[2][0] != 1 {
-		t.Fatalf("sub[2] = %v", sub[2])
-	}
-}
-
 func TestGenNoiseShapeAndScale(t *testing.T) {
 	s := New(13)
 	s.Trials = 5000
