@@ -2,6 +2,7 @@ package collision
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 )
 
@@ -103,7 +104,13 @@ func (pl *MovePlan) Plan(memo *Marginals, adj [][]int, freqs []float64, q int) {
 // plan is Plan with the grid indices given: idx[x] = GridIndex(freqs[x]).
 func (pl *MovePlan) plan(memo *Marginals, adj [][]int, freqs []float64, idx []int8, q int) {
 	pl.memo, pl.q = memo, q
-	pl.nbrs, pl.specs, pl.around = pl.nbrs[:0], pl.specs[:0], pl.around[:0]
+	specs := 0
+	for _, n := range adj[q] {
+		specs += len(adj[q]) + len(adj[n])
+	}
+	pl.nbrs = slices.Grow(pl.nbrs[:0], len(adj[q]))
+	pl.specs = slices.Grow(pl.specs[:0], specs)
+	pl.around = slices.Grow(pl.around[:0], specs)
 	at := func(x int) gridFreq { return gridFreq{freqs[x], int(idx[x])} }
 	for _, n := range adj[q] {
 		e := planEdge{n: n, fn: at(n), lo: int32(len(pl.specs))}
