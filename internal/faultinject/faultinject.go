@@ -81,7 +81,7 @@ const (
 type rule struct {
 	act   action
 	delay time.Duration
-	p     float64 // (0,1) fires probabilistically; else always
+	p     float64 // fire probability per eligible hit; 1 unless p= is given
 	after int64   // skip the first `after` hits
 	every int64   // then fire on every k-th hit; 1 = every hit
 	times int64   // at most this many fires; 0 = unlimited
@@ -117,7 +117,7 @@ func Parse(spec string, seed int64) (*Plan, error) {
 		if !knownSites[site] {
 			return nil, fmt.Errorf("faultinject: unknown site %q", site)
 		}
-		r := &rule{every: 1}
+		r := &rule{p: 1, every: 1}
 		act := strings.TrimSpace(parts[1])
 		switch {
 		case act == "error":
@@ -218,7 +218,7 @@ func (r *rule) check(seed int64, site string) error {
 	if r.every > 1 && n%r.every != 0 {
 		return nil
 	}
-	if r.p > 0 && r.p < 1 && hashFrac(seed, site, hit) >= r.p {
+	if r.p < 1 && hashFrac(seed, site, hit) >= r.p {
 		return nil
 	}
 	if r.times > 0 && r.fires.Add(1) > r.times {

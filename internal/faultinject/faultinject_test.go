@@ -141,6 +141,35 @@ func TestProbabilisticRuleIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestProbabilityBounds: p=0 never fires and p=1 fires on every hit, as
+// a rule with no p= does.
+func TestProbabilityBounds(t *testing.T) {
+	for _, c := range []struct {
+		spec string
+		want int
+	}{
+		{"store.get:error:p=0", 0},
+		{"store.get:error:p=1", 100},
+		{"store.get:error", 100},
+	} {
+		p, err := Parse(c.spec, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		Enable(p)
+		fires := 0
+		for i := 0; i < 100; i++ {
+			if Check(SiteStoreGet) != nil {
+				fires++
+			}
+		}
+		Disable()
+		if fires != c.want {
+			t.Errorf("%s fired on %d of 100 hits, want %d", c.spec, fires, c.want)
+		}
+	}
+}
+
 func TestPanicRule(t *testing.T) {
 	p, err := Parse("workpool.dispatch:panic:times=1", 1)
 	if err != nil {

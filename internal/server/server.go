@@ -45,10 +45,12 @@ package server
 
 import (
 	"bytes"
+	"compress/flate"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime/debug"
 	"slices"
@@ -150,8 +152,11 @@ type job struct {
 	outcome  []byte
 	// stream is the job's progress as GET /v1/jobs/{id}/events serves
 	// it, across every attempt: each event marshalled once, on append, as
-	// one JSON line.
+	// one JSON line. Once the stream ends, packed holds its bytes
+	// flate-compressed, about 30× smaller for a search, and stream is
+	// empty (streamLocked reads both).
 	stream []byte
+	packed []byte
 	// events counts the lines of stream; stepsDone and stepsTotal are
 	// those of the latest event that carries a total.
 	events, stepsDone, stepsTotal int
@@ -182,18 +187,34 @@ func (j *job) appendEventLocked(e experiments.Event) {
 	j.wake = make(chan struct{})
 }
 
-// endStreamLocked ends j's stream once no event can follow: it trims the
-// stream's append slack, so a retained job holds only its bytes, and
-// closes done, so streamers drain the final event and stop. Later calls
-// do nothing. Callers hold j.mu or own the job exclusively.
+// endStreamLocked ends j's stream once no event can follow: it keeps the
+// stream compressed, so a retained job holds neither its plain bytes nor
+// their append slack, and closes done, so streamers drain the final event
+// and stop. Later calls do nothing. Callers hold j.mu or own the job
+// exclusively.
 func (j *job) endStreamLocked() {
 	if j.streamEnded() {
 		return
 	}
-	exact := make([]byte, len(j.stream))
-	copy(exact, j.stream)
-	j.stream = exact
+	var buf bytes.Buffer
+	w, _ := flate.NewWriter(&buf, flate.DefaultCompression) // a valid level
+	w.Write(j.stream)                                       // a bytes.Buffer takes every write
+	w.Close()
+	j.packed, j.stream = bytes.Clone(buf.Bytes()), nil
 	close(j.done)
+}
+
+// streamLocked returns the stream's bytes, inflating an ended stream's.
+// Callers hold j.mu or own the job exclusively.
+func (j *job) streamLocked() []byte {
+	if j.packed == nil {
+		return j.stream
+	}
+	b, err := io.ReadAll(flate.NewReader(bytes.NewReader(j.packed)))
+	if err != nil {
+		panic(fmt.Sprintf("server: job %s: inflating its stream: %v", j.ID, err)) // unreachable: packed is deflate's output
+	}
+	return append(b, j.stream...)
 }
 
 // streamEnded reports whether j's stream has ended.
@@ -987,35 +1008,35 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// emit writes the bytes appended since the last call and returns the
 	// wake channel captured in the same critical section, so an append
 	// between the write and the select below still fires the captured
-	// channel — no lost wakeups. Appends never touch bytes already in the
-	// stream, so they are written outside the lock.
-	emit := func() (chan struct{}, bool) {
+	// channel — no lost wakeups — and whether the stream had ended, so
+	// the write was its final drain. Appends never touch bytes already in
+	// the stream, so they are written outside the lock.
+	emit := func() (wake chan struct{}, ended, ok bool) {
 		j.mu.Lock()
-		pending := j.stream[next:]
-		next = len(j.stream)
-		wake := j.wake
+		stream := j.streamLocked()
+		pending := stream[next:]
+		next = len(stream)
+		wake, ended = j.wake, j.streamEnded()
 		j.mu.Unlock()
 		if len(pending) == 0 {
-			return wake, true
+			return wake, ended, true
 		}
 		if _, err := w.Write(pending); err != nil {
-			return nil, false
+			return nil, ended, false
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
-		return wake, true
+		return wake, ended, true
 	}
 
 	for {
-		wake, ok := emit()
-		if !ok {
+		wake, ended, ok := emit()
+		if !ok || ended {
 			return
 		}
 		select {
-		case <-j.done:
-			emit() // final drain: completion appends its event before close
-			return
+		case <-j.done: // the next emit drains the final event
 		case <-r.Context().Done():
 			return
 		case <-wake:

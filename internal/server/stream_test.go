@@ -204,15 +204,16 @@ func TestRequeueThatBailsEndsTheStream(t *testing.T) {
 		t.Fatal("the replaced job's stream is still open after its retry bailed out")
 	}
 	failed.mu.Lock()
-	stream := string(failed.stream)
+	stream := string(failed.streamLocked())
 	failed.mu.Unlock()
 	if strings.Contains(stream, "requeued after failure") {
 		t.Fatalf("the replaced job was requeued:\n%s", stream)
 	}
 }
 
-// TestFinishedJobStreamHasNoSlack: once a job is done, its retained
-// stream holds exactly its bytes, without the append slack it grew by.
+// TestFinishedJobStreamHasNoSlack: once a job is done, it retains its
+// stream compressed, with no plain copy or append slack left, and
+// /events still serves every byte.
 func TestFinishedJobStreamHasNoSlack(t *testing.T) {
 	s, ts := newTestServer(t, nil, 4)
 	v := submit(t, ts.URL, `{"kind":"search","spec":{"benchmark":"sym6_145","strategy":"anneal","steps":40,"proposals":3,"max_evals":3,"aux_counts":[0]}}`)
@@ -221,13 +222,14 @@ func TestFinishedJobStreamHasNoSlack(t *testing.T) {
 	j := s.jobs[v.ID]
 	s.mu.Unlock()
 	j.mu.Lock()
-	n, c := len(j.stream), cap(j.stream)
+	plain, packed, held := j.streamLocked(), len(j.packed), cap(j.stream)
 	j.mu.Unlock()
-	if n == 0 || c != n {
-		t.Fatalf("finished stream holds %d bytes in %d of capacity, want equal", n, c)
+	if len(plain) == 0 || held != 0 || packed == 0 || 10*packed > len(plain) {
+		t.Fatalf("finished job holds %d compressed bytes and %d plain for a %d-byte stream, want under a tenth and none",
+			packed, held, len(plain))
 	}
-	if body := readStream(t, ts.URL, v.ID); len(body) != n {
-		t.Fatalf("/events served %d bytes, the stream holds %d", len(body), n)
+	if body := readStream(t, ts.URL, v.ID); !bytes.Equal(body, plain) {
+		t.Fatalf("/events served %d bytes, the stream holds %d", len(body), len(plain))
 	}
 }
 
@@ -298,7 +300,7 @@ func waitForEvent(t *testing.T, s *Server, id, substr string) *job {
 	s.mu.Unlock()
 	for {
 		j.mu.Lock()
-		found := bytes.Contains(j.stream, []byte(substr))
+		found := bytes.Contains(j.streamLocked(), []byte(substr))
 		wake := j.wake
 		j.mu.Unlock()
 		if found {
@@ -409,7 +411,7 @@ func TestEvictedPendingRetryStaysFailed(t *testing.T) {
 		t.Fatal("the evicted job's stream is still open after its requeue bailed out")
 	}
 	j.mu.Lock()
-	status, stream := j.Status, string(j.stream)
+	status, stream := j.Status, string(j.streamLocked())
 	j.mu.Unlock()
 	if status != statusFailed || strings.Contains(stream, "requeued after failure") {
 		t.Fatalf("evicted job is %q after its backoff; stream:\n%s", status, stream)
@@ -511,7 +513,7 @@ func pendingRetryConfig(base time.Duration) Config {
 func streamBytes(j *job) []byte {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return bytes.Clone(j.stream)
+	return bytes.Clone(j.streamLocked())
 }
 
 // waitClosed returns once Shutdown has closed s, woken by the broadcast
