@@ -63,8 +63,6 @@ type Incremental struct {
 	rescored uint64
 	// partials counts the re-scores served by the term-level fast path.
 	partials uint64
-	// plan is Plan's buffer; each clone owns its own.
-	plan MovePlan
 }
 
 // NewIncremental compiles the incremental scorer for the coupling graph
@@ -231,11 +229,10 @@ func (inc *Incremental) Set(qubits []int, vals []float64) {
 
 // Plan returns the move plan of qubit q under the current assignment,
 // priced through the scorer's memo: its Best picks q's coordinate-descent
-// frequency with Preview1 as the literal score. The plan is the scorer's
-// own buffer, valid until the next Plan call or update.
-func (inc *Incremental) Plan(q int) *MovePlan {
-	inc.plan.plan(inc.memo, inc.adj, inc.freqs, inc.idx, q)
-	return &inc.plan
+// frequency with Preview1 as the literal score. The plan reads the
+// scorer's state in place, so it is valid until the next update.
+func (inc *Incremental) Plan(q int) MovePlan {
+	return MovePlan{memo: inc.memo, adj: inc.adj, freqs: inc.freqs, idx: inc.idx, q: q}
 }
 
 // Set1 is Set for a single qubit.
@@ -289,7 +286,6 @@ func (inc *Incremental) Clone() *Incremental {
 	c.mark = make([]int, len(inc.edgeE))
 	c.scratch = make([]float64, len(inc.edgeE))
 	c.stamp = 0
-	c.plan = MovePlan{}
 	return &c
 }
 

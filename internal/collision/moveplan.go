@@ -2,7 +2,6 @@ package collision
 
 import (
 	"math"
-	"slices"
 	"sync/atomic"
 )
 
@@ -55,87 +54,32 @@ const relSlack = 1e-9
 // Grid indices are kept beside every frequency, so lookups read the
 // Marginals memo without rounding; a term with an off-grid frequency
 // (such as most of the 5-frequency seed scheme) is priced by the
-// formula, through Marginals.Pair and Spectator. A plan's buffers are
-// reused by the next Plan call; it is not safe for concurrent use.
+// formula, through Marginals.Pair and Spectator. A plan reads the
+// coupling graph and the assignment it was made from in place, so it
+// costs no allocation beyond its 35 sums; it is not safe for concurrent
+// use.
 type MovePlan struct {
-	memo *Marginals
-	q    int
-	// nbrs are q's couplings in adjacency order; specs holds their
-	// spectators, and around the couplings q is a spectator of.
-	nbrs   []planEdge
-	specs  []gridFreq
-	around []planAround
-	// idx is the scratch for grid indices when Plan computes them.
+	memo  *Marginals
+	adj   [][]int
+	freqs []float64
+	// idx[x] is GridIndex(freqs[x]); Plan fills it, an Incremental lends
+	// its own.
 	idx []int8
+	q   int
 	// moving[c] is M at grid frequency c (fill).
 	moving [GridSize]float64
 }
 
-// gridFreq is a frequency with its grid index (−1 off the grid).
-type gridFreq struct {
-	f float64
-	i int
-}
-
-// planEdge is the coupling (q, n): when q controls, its spectators are
-// specs[lo:mid], q's other neighbours; when n controls, specs[mid:hi],
-// n's other neighbours.
-type planEdge struct {
-	n           int
-	fn          gridFreq
-	lo, mid, hi int32
-}
-
-// planAround is a coupling (ctl, tgt) not incident to q whose control
-// neighbours q.
-type planAround struct{ ctl, tgt gridFreq }
-
-// Plan enumerates the terms that read qubit q of the coupling graph adj
+// Plan makes pl the plan of qubit q of the coupling graph adj
 // (symmetric, no repeated neighbours) under the assignment freqs, whose
-// entry for q is ignored, priced through memo.
+// entry for q is ignored, priced through memo. Both slices are read in
+// place until the plan's last use. pl's grid-index buffer is reused.
 func (pl *MovePlan) Plan(memo *Marginals, adj [][]int, freqs []float64, q int) {
-	pl.idx = pl.idx[:0]
+	idx := pl.idx[:0]
 	for _, f := range freqs {
-		pl.idx = append(pl.idx, int8(GridIndex(f)))
+		idx = append(idx, int8(GridIndex(f)))
 	}
-	pl.plan(memo, adj, freqs, pl.idx, q)
-}
-
-// plan is Plan with the grid indices given: idx[x] = GridIndex(freqs[x]).
-func (pl *MovePlan) plan(memo *Marginals, adj [][]int, freqs []float64, idx []int8, q int) {
-	pl.memo, pl.q = memo, q
-	specs := 0
-	for _, n := range adj[q] {
-		specs += len(adj[q]) + len(adj[n])
-	}
-	pl.nbrs = slices.Grow(pl.nbrs[:0], len(adj[q]))
-	pl.specs = slices.Grow(pl.specs[:0], specs)
-	pl.around = slices.Grow(pl.around[:0], specs)
-	at := func(x int) gridFreq { return gridFreq{freqs[x], int(idx[x])} }
-	for _, n := range adj[q] {
-		e := planEdge{n: n, fn: at(n), lo: int32(len(pl.specs))}
-		for _, i := range adj[q] {
-			if i != n {
-				pl.specs = append(pl.specs, at(i))
-			}
-		}
-		e.mid = int32(len(pl.specs))
-		for _, i := range adj[n] {
-			if i != q {
-				pl.specs = append(pl.specs, at(i))
-			}
-		}
-		e.hi = int32(len(pl.specs))
-		pl.nbrs = append(pl.nbrs, e)
-		for _, t := range adj[n] {
-			if t == q {
-				continue
-			}
-			if ctl, _ := orient(n, t, freqs); ctl == n {
-				pl.around = append(pl.around, planAround{at(n), at(t)})
-			}
-		}
-	}
+	*pl = MovePlan{memo: memo, adj: adj, freqs: freqs, idx: idx, q: q}
 }
 
 // fill sets moving[c] to M with q at grid frequency c, one term at a
@@ -143,34 +87,44 @@ func (pl *MovePlan) plan(memo *Marginals, adj [][]int, freqs []float64, idx []in
 // apart, so filled slots are read in place.
 func (pl *MovePlan) fill() {
 	const g, g2 = GridSize, GridSize * GridSize
-	m, mv := pl.memo, &pl.moving
+	m, mv, q, adj, freqs := pl.memo, &pl.moving, pl.q, pl.adj, pl.freqs
 	*mv = [GridSize]float64{}
 	var pairs, specs []atomic.Uint64
 	if m.pairs != nil {
 		pairs, specs = m.pairs[:], m.specs[:]
 	}
-	for _, e := range pl.nbrs {
-		fn, n := e.fn.f, e.fn.i
+	for _, nq := range adj[q] {
+		fn, n := freqs[nq], int(pl.idx[nq])
 		split := 0 // below split, n controls (orient)
-		for split < g && (grid[split] < fn || grid[split] == fn && e.n < pl.q) {
+		for split < g && (grid[split] < fn || grid[split] == fn && nq < q) {
 			split++
 		}
+		// n controls: the pair, and n's other neighbours as spectators.
 		addRow(mv, 0, split, pairs, onGrid(n*g, n), 1,
 			func(c int) float64 { return m.Pair(fn, grid[c], n, c) })
-		for _, sp := range pl.specs[e.mid:e.hi] {
-			addRow(mv, 0, split, specs, onGrid((n*g+sp.i)*g, min(n, sp.i)), 1,
-				func(c int) float64 { return m.Spectator(fn, sp.f, grid[c], n, sp.i, c) })
+		for _, x := range adj[nq] {
+			if fi, i := freqs[x], int(pl.idx[x]); x != q {
+				addRow(mv, 0, split, specs, onGrid((n*g+i)*g, min(n, i)), 1,
+					func(c int) float64 { return m.Spectator(fn, fi, grid[c], n, i, c) })
+			}
 		}
+		// q controls: the pair, and q's other neighbours as spectators.
 		addRow(mv, split, g, pairs, onGrid(n, n), g,
 			func(c int) float64 { return m.Pair(grid[c], fn, c, n) })
-		for _, sp := range pl.specs[e.lo:e.mid] {
-			addRow(mv, split, g, specs, onGrid(sp.i*g+n, min(n, sp.i)), g2,
-				func(c int) float64 { return m.Spectator(grid[c], sp.f, fn, c, sp.i, n) })
+		for _, x := range adj[q] {
+			if fi, i := freqs[x], int(pl.idx[x]); x != nq {
+				addRow(mv, split, g, specs, onGrid(i*g+n, min(n, i)), g2,
+					func(c int) float64 { return m.Spectator(grid[c], fi, fn, c, i, n) })
+			}
 		}
-	}
-	for _, a := range pl.around {
-		addRow(mv, 0, g, specs, onGrid(a.ctl.i*g2+a.tgt.i, min(a.ctl.i, a.tgt.i)), g,
-			func(c int) float64 { return m.Spectator(a.ctl.f, grid[c], a.tgt.f, a.ctl.i, c, a.tgt.i) })
+		// q as a spectator of every other coupling n controls.
+		for _, t := range adj[nq] {
+			if ctl, _ := orient(nq, t, freqs); t != q && ctl == nq {
+				ft, it := freqs[t], int(pl.idx[t])
+				addRow(mv, 0, g, specs, onGrid(n*g2+it, min(n, it)), g,
+					func(c int) float64 { return m.Spectator(fn, grid[c], ft, n, c, it) })
+			}
+		}
 	}
 }
 

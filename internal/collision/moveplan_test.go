@@ -131,7 +131,8 @@ func TestMovePlanBestMatchesLiteral(t *testing.T) {
 							name, incumbent, gotF, gotE, wantF, wantE)
 					}
 					wantF, wantE = literalBest(incumbent, preview)
-					gotF, gotE = inc.Plan(q).Best(incumbent, counted(preview))
+					ipl := inc.Plan(q)
+					gotF, gotE = ipl.Best(incumbent, counted(preview))
 					picks++
 					if !sameFloat(gotF, wantF) || !sameFloat(gotE, wantE) {
 						t.Fatalf("%s incumbent %v: Preview1 pick (%v, %v), literal loop (%v, %v)",

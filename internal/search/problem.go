@@ -301,7 +301,8 @@ func repair(inc *collision.Incremental, qubits []int) {
 // win (collision.MovePlan), so the pick is the full Preview1 loop's.
 func bestFreqFor(inc *collision.Incremental, q int) (best float64, bestE float64, improved bool) {
 	cur := inc.Freq(q)
-	best, bestE = inc.Plan(q).Best(cur, func(f float64) float64 { return inc.Preview1(q, f) })
+	plan := inc.Plan(q)
+	best, bestE = plan.Best(cur, func(f float64) float64 { return inc.Preview1(q, f) })
 	return best, bestE, best != cur
 }
 
