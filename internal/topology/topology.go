@@ -105,23 +105,21 @@ func Canon(name string) string {
 // q, ascending. Radius 2 reproduces freq.Region: conditions 1-4 need
 // distance 1, conditions 5-7 a common neighbour.
 func regionAt(adj [][]int, q, radius int) []int {
-	in := map[int]bool{q: true}
-	frontier := []int{q}
-	for d := 0; d < radius; d++ {
-		var next []int
-		for _, u := range frontier {
+	in := make([]bool, len(adj))
+	in[q] = true
+	out := []int{q}
+	// out[lo:] is the frontier: the qubits first reached at distance d.
+	for d, lo := 0, 0; d < radius; d++ {
+		hi := len(out)
+		for _, u := range out[lo:hi] {
 			for _, v := range adj[u] {
 				if !in[v] {
 					in[v] = true
-					next = append(next, v)
+					out = append(out, v)
 				}
 			}
 		}
-		frontier = next
-	}
-	out := make([]int, 0, len(in))
-	for v := range in {
-		out = append(out, v)
+		lo = hi
 	}
 	sort.Ints(out)
 	return out
