@@ -20,7 +20,7 @@ func ResetShared() {
 // incumbent (unless NaN) and every candidate, strict improvement only.
 func (al *Allocator) Picks(adj [][]int, freqs []float64, assigned []bool, qi int, incumbent float64) (pruned, literal float64) {
 	memo := collision.NewMarginals(al.Params, al.Sigma)
-	pruned = al.bestCandidate(&scratch{memo: memo, pos: make([]int, len(adj))}, adj, freqs, assigned, qi, incumbent)
+	pruned = al.bestCandidate(&workspace{memo: memo, pos: make([]int, len(adj))}, adj, freqs, assigned, qi, incumbent)
 
 	in := map[int]bool{qi: true}
 	if al.Region != nil {

@@ -134,7 +134,7 @@ func (al *Allocator) Allocate(a *arch.Architecture) []float64 {
 	}
 	assigned := make([]bool, n)
 	adj := a.AdjList()
-	sc := &scratch{memo: memo, pos: make([]int, n)}
+	ws := &workspace{memo: memo, pos: make([]int, n)}
 
 	// Line 1: centre qubit pinned to the middle of the range.
 	center := centerQubit(a)
@@ -146,7 +146,7 @@ func (al *Allocator) Allocate(a *arch.Architecture) []float64 {
 		if assigned[qi] {
 			continue
 		}
-		freqs[qi] = al.bestCandidate(sc, adj, freqs, assigned, qi, math.NaN())
+		freqs[qi] = al.bestCandidate(ws, adj, freqs, assigned, qi, math.NaN())
 		assigned[qi] = true
 	}
 	// Refinement sweeps: every qubit (centre included) revisited against
@@ -155,7 +155,7 @@ func (al *Allocator) Allocate(a *arch.Architecture) []float64 {
 	for s := 0; s < al.Sweeps; s++ {
 		changed := false
 		for _, qi := range order {
-			f := al.bestCandidate(sc, adj, freqs, assigned, qi, freqs[qi])
+			f := al.bestCandidate(ws, adj, freqs, assigned, qi, freqs[qi])
 			if f != freqs[qi] {
 				freqs[qi] = f
 				changed = true
@@ -168,10 +168,10 @@ func (al *Allocator) Allocate(a *arch.Architecture) []float64 {
 	return freqs
 }
 
-// scratch is what the bestCandidate calls of one Allocate call reuse: the
+// workspace is what the bestCandidate calls of one Allocate call reuse: the
 // analytic memo (nil under ScoreMC), the move plan, and the local region
 // with its induced subgraph and frequencies.
-type scratch struct {
+type workspace struct {
 	memo *collision.Marginals
 	plan collision.MovePlan
 	// pos[q] is 1 + q's index in the region, 0 outside it; it is all
@@ -190,10 +190,10 @@ type scratch struct {
 // qi and sums the region's expected collision count only for those that
 // can still win (collision.MovePlan), so the pick is the one the full
 // sum over every candidate makes.
-func (al *Allocator) bestCandidate(sc *scratch, adj [][]int, freqs []float64, assigned []bool, qi int, incumbent float64) float64 {
-	region := al.regionOf(sc, adj, qi, assigned)
-	sub := sc.subgraph(adj, region)
-	subFreqs := sc.subFreqs[:0]
+func (al *Allocator) bestCandidate(ws *workspace, adj [][]int, freqs []float64, assigned []bool, qi int, incumbent float64) float64 {
+	region := al.regionOf(ws, adj, qi, assigned)
+	sub := ws.subgraph(adj, region)
+	subFreqs := ws.subFreqs[:0]
 	qiIdx := -1
 	for i, q := range region {
 		if q == qi {
@@ -201,7 +201,7 @@ func (al *Allocator) bestCandidate(sc *scratch, adj [][]int, freqs []float64, as
 		}
 		subFreqs = append(subFreqs, freqs[q])
 	}
-	sc.subFreqs = subFreqs
+	ws.subFreqs = subFreqs
 	if al.Mode == ScoreMC {
 		sim := &yield.Simulator{
 			Sigma:  al.Sigma,
@@ -224,54 +224,54 @@ func (al *Allocator) bestCandidate(sc *scratch, adj [][]int, freqs []float64, as
 		}
 		return best
 	}
-	sc.plan.Plan(sc.memo, sub, subFreqs, qiIdx)
-	best, _ := sc.plan.Best(incumbent, func(f float64) float64 {
+	ws.plan.Plan(ws.memo, sub, subFreqs, qiIdx)
+	best, _ := ws.plan.Best(incumbent, func(f float64) float64 {
 		subFreqs[qiIdx] = f
-		return sc.memo.Expected(sub, subFreqs)
+		return ws.memo.Expected(sub, subFreqs)
 	})
 	return best
 }
 
 // regionOf resolves the local region of qi under the allocator's region
 // policy, restricted to qi plus the already-assigned qubits, into
-// sc.region.
-func (al *Allocator) regionOf(sc *scratch, adj [][]int, qi int, assigned []bool) []int {
+// ws.region.
+func (al *Allocator) regionOf(ws *workspace, adj [][]int, qi int, assigned []bool) []int {
 	if al.Region == nil {
-		sc.region = appendRegion(sc.region[:0], sc.pos, adj, qi, assigned)
-		return sc.region
+		ws.region = appendRegion(ws.region[:0], ws.pos, adj, qi, assigned)
+		return ws.region
 	}
-	out := sc.region[:0]
+	out := ws.region[:0]
 	for _, q := range al.Region(adj, qi) {
 		if q == qi || assigned[q] {
 			out = append(out, q)
 		}
 	}
-	sc.region = out
+	ws.region = out
 	return out
 }
 
 // subgraph returns the subgraph of adj induced by region (ascending),
 // re-indexed to region positions, each list in adj's order, in rows
 // reused across calls.
-func (sc *scratch) subgraph(adj [][]int, region []int) [][]int {
+func (ws *workspace) subgraph(adj [][]int, region []int) [][]int {
 	for i, q := range region {
-		sc.pos[q] = i + 1
+		ws.pos[q] = i + 1
 	}
-	for len(sc.sub) < len(region) {
-		sc.sub = append(sc.sub, nil)
+	for len(ws.sub) < len(region) {
+		ws.sub = append(ws.sub, nil)
 	}
-	sub := sc.sub[:len(region)]
+	sub := ws.sub[:len(region)]
 	for i, q := range region {
 		row := sub[i][:0]
 		for _, nb := range adj[q] {
-			if j := sc.pos[nb]; j > 0 {
+			if j := ws.pos[nb]; j > 0 {
 				row = append(row, j-1)
 			}
 		}
 		sub[i] = row
 	}
 	for _, q := range region {
-		sc.pos[q] = 0
+		ws.pos[q] = 0
 	}
 	return sub
 }

@@ -289,22 +289,22 @@ func TestEmptyAndSingleQubit(t *testing.T) {
 
 // TestSubgraph: the region's induced subgraph keeps exactly the couplings
 // inside the region, re-indexed to region positions in adjacency order,
-// and leaves the position scratch all zero for the next call.
+// and leaves the position marks all zero for the next call.
 func TestSubgraph(t *testing.T) {
 	adj := [][]int{{1, 2}, {0, 3}, {0}, {1}}
-	sc := &scratch{pos: make([]int, len(adj))}
-	sub := sc.subgraph(adj, []int{0, 1, 3})
+	ws := &workspace{pos: make([]int, len(adj))}
+	sub := ws.subgraph(adj, []int{0, 1, 3})
 	// 0-1 kept, 1-3 kept (as 1-2 in new indices), 0-2 dropped.
 	want := [][]int{{1}, {0, 2}, {1}}
 	if fmt.Sprint(sub) != fmt.Sprint(want) {
 		t.Fatalf("subgraph = %v, want %v", sub, want)
 	}
-	for q, p := range sc.pos {
+	for q, p := range ws.pos {
 		if p != 0 {
 			t.Fatalf("pos[%d] = %d after the call", q, p)
 		}
 	}
-	if sub = sc.subgraph(adj, []int{0, 2}); fmt.Sprint(sub) != fmt.Sprint([][]int{{1}, {0}}) {
+	if sub = ws.subgraph(adj, []int{0, 2}); fmt.Sprint(sub) != fmt.Sprint([][]int{{1}, {0}}) {
 		t.Fatalf("reused subgraph = %v, want [[1] [0]]", sub)
 	}
 }
