@@ -78,17 +78,28 @@ func (p Params) PairProb(fj, fk, sigma float64) float64 {
 }
 
 // SpectatorProb returns the probability that spectator pair (fi, fk)
-// around hub fj triggers any of conditions 5-7. Conditions 5-6 depend on
-// fi − fk (sd σ√2); condition 7 on 2fj − fi − fk (sd σ√6).
+// around hub fj triggers any of conditions 5-7: the conditions 5-6 term
+// plus the condition 7 term, in that order.
 func (p Params) SpectatorProb(fj, fi, fk, sigma float64) float64 {
+	return p.cond56Prob(fi, fk, sigma) + p.cond7Prob(fj, fi, fk, sigma)
+}
+
+// cond56Prob is SpectatorProb's conditions 5-6 term. It depends on
+// fi − fk alone (sd σ√2), not on the hub, so the memo keeps it per
+// (fi, fk).
+func (p Params) cond56Prob(fi, fk, sigma float64) float64 {
 	sd2 := sigma * math.Sqrt2
 	d := fi - fk
-	pr := windowProb(d, 0, p.T5, sd2) +
+	return windowProb(d, 0, p.T5, sd2) +
 		windowProb(d, -p.Delta, p.T6, sd2)
+}
+
+// cond7Prob is SpectatorProb's condition 7 term, on 2fj − fi − fk
+// (sd σ√6).
+func (p Params) cond7Prob(fj, fi, fk, sigma float64) float64 {
 	sd6 := sigma * math.Sqrt(6)
 	v := 2*fj + p.Delta - fi - fk
-	pr += windowProb(v, 0, p.T7, sd6)
-	return pr
+	return windowProb(v, 0, p.T7, sd6)
 }
 
 // ExpectedCollisions returns the expected number of triggered condition

@@ -3,6 +3,8 @@ package collision
 import (
 	"math"
 	"sync/atomic"
+
+	"qproc/internal/arch"
 )
 
 // The candidate frequency grid of Algorithm 3 (§4.3): 5.00, 5.01, ...,
@@ -34,8 +36,9 @@ var grid = func() (g [GridSize]float64) {
 func Grid() []float64 { return append([]float64(nil), grid[:]...) }
 
 // GridIndex returns i when f is grid frequency i bit for bit, and −1
-// otherwise: an off-grid value (such as most of the 5-frequency seed
-// scheme) is priced by the formula, never by a neighbouring slot.
+// otherwise, never a neighbouring slot by rounding. Candidates keep
+// their grid indices; a memo lookup reads memoIndex, which also has
+// slots for the 5-frequency scheme values off the grid.
 func GridIndex(f float64) int {
 	x := (f - GridLo) / GridStep
 	if !(x > -0.5 && x < float64(GridSize)-0.5) {
@@ -47,20 +50,64 @@ func GridIndex(f float64) int {
 	return -1
 }
 
+// MemoSize is the number of frequencies the Marginals memo has slots
+// for: the grid, then the three values of IBM's 5-frequency scheme
+// (arch.FiveFreqValue) that lie off it — 5.0675, 5.135 and 5.2025 GHz;
+// its first and last values, 5.00 and 5.27, are grid frequencies. The
+// scheme seeds every search, so the memo covers every frequency the
+// engine assigns.
+const MemoSize = GridSize + 3
+
+// memoFreqs holds the memo frequencies by slot.
+var memoFreqs = func() (m [MemoSize]float64) {
+	n := copy(m[:], grid[:])
+	for v := 0; v < 5; v++ {
+		if f := arch.FiveFreqValue(v); GridIndex(f) < 0 {
+			m[n] = f // out of range if the scheme had more off-grid values
+			n++
+		}
+	}
+	if n != MemoSize {
+		panic("collision: the 5-frequency scheme has fewer off-grid values than memo slots")
+	}
+	return m
+}()
+
+// memoIndex returns f's memo slot: its grid index, else the slot of
+// the scheme value it equals bit for bit, else −1, for which every
+// lookup computes the formula.
+func memoIndex(f float64) int {
+	if i := GridIndex(f); i >= 0 {
+		return i
+	}
+	for i := GridSize; i < MemoSize; i++ {
+		if memoFreqs[i] == f {
+			return i
+		}
+	}
+	return -1
+}
+
+// inMemo reports whether both indices have memo slots.
+func inMemo(i, k int) bool { return uint(i) < uint(MemoSize) && uint(k) < uint(MemoSize) }
+
 // filled marks a memo slot as holding a value. The marginals are never
 // negative, so the sign bit is free and a zero slot means "empty"; a
 // value whose sign bit is set is not cached.
 const filled = 1 << 63
 
-// Marginals memoises PairProb and SpectatorProb on the grid for one
+// Marginals memoises PairProb and SpectatorProb on the memo
+// frequencies (MemoSize: the grid and the 5-frequency scheme) for one
 // (Params, σ): a slot holds the float64 the formula returned, so every
 // sum built from lookups is bit-identical to the formula's. Slots fill
-// lazily on first use — an eager fill of the GridSize³ spectator values
+// lazily on first use — an eager fill of the MemoSize³ spectator values
 // costs more than a short search spends in them — and atomically, so the
-// scorers of concurrent proposals can share one memo. A lookup with an
-// off-grid frequency (index −1) computes the formula.
+// scorers of concurrent proposals can share one memo. A spectator fill
+// computes only condition 7: the conditions 5-6 term depends on (fi, fk)
+// alone and has a table of its own. A lookup with a frequency outside
+// the set (index −1) computes the formula.
 //
-// The tables hold ~350 KiB. Package freq keeps one process-wide memo at
+// The tables hold ~451 KiB. Package freq keeps one process-wide memo at
 // the design flow's (DefaultParams, yield.DefaultSigma), which every
 // Algorithm 3 call at that pair reads across jobs; an Allocate call at
 // any other pair builds its own, and a search run keeps one at its job's
@@ -68,19 +115,23 @@ const filled = 1 << 63
 type Marginals struct {
 	params Params
 	sigma  float64
-	// pairs[j·GridSize+k] and specs[(j·GridSize+i)·GridSize+k] are the
-	// slots; nil tables make every lookup compute the formula.
-	pairs *[GridSize * GridSize]atomic.Uint64
-	specs *[GridSize * GridSize * GridSize]atomic.Uint64
+	// pairs[j·MemoSize+k], specs[(j·MemoSize+i)·MemoSize+k] and
+	// specs56[i·MemoSize+k] are the slots of PairProb, SpectatorProb and
+	// its conditions 5-6 term (cond56Prob); nil tables make every
+	// lookup compute the formula.
+	pairs   *[MemoSize * MemoSize]atomic.Uint64
+	specs   *[MemoSize * MemoSize * MemoSize]atomic.Uint64
+	specs56 *[MemoSize * MemoSize]atomic.Uint64
 }
 
 // NewMarginals returns an empty memo for p at σ = sigma.
 func NewMarginals(p Params, sigma float64) *Marginals {
 	return &Marginals{
-		params: p,
-		sigma:  sigma,
-		pairs:  new([GridSize * GridSize]atomic.Uint64),
-		specs:  new([GridSize * GridSize * GridSize]atomic.Uint64),
+		params:  p,
+		sigma:   sigma,
+		pairs:   new([MemoSize * MemoSize]atomic.Uint64),
+		specs:   new([MemoSize * MemoSize * MemoSize]atomic.Uint64),
+		specs56: new([MemoSize * MemoSize]atomic.Uint64),
 	}
 }
 
@@ -89,44 +140,63 @@ func (m *Marginals) For(p Params, sigma float64) bool {
 	return m.params == p && m.sigma == sigma
 }
 
-// Pair returns p.PairProb(fj, fk, σ); j and k are the grid indices of
-// fj and fk (GridIndex).
+// Pair returns p.PairProb(fj, fk, σ); j and k are the memo indices of
+// fj and fk (memoIndex).
 func (m *Marginals) Pair(fj, fk float64, j, k int) float64 {
-	if m.pairs != nil && uint(j) < uint(GridSize) && uint(k) < uint(GridSize) {
-		if b := m.pairs[j*GridSize+k].Load(); b != 0 {
+	if m.pairs != nil && inMemo(j, k) {
+		if b := m.pairs[j*MemoSize+k].Load(); b != 0 {
 			return math.Float64frombits(b &^ filled)
 		}
 	}
 	return m.pairMiss(fj, fk, j, k)
 }
 
-// pairMiss computes Pair's formula, filling the slot when on the grid.
+// pairMiss computes Pair's formula, filling the slot when in the memo.
 func (m *Marginals) pairMiss(fj, fk float64, j, k int) float64 {
 	v := m.params.PairProb(fj, fk, m.sigma)
-	if m.pairs != nil && uint(j) < uint(GridSize) && uint(k) < uint(GridSize) {
-		fill(&m.pairs[j*GridSize+k], v)
+	if m.pairs != nil && inMemo(j, k) {
+		fill(&m.pairs[j*MemoSize+k], v)
 	}
 	return v
 }
 
 // Spectator returns p.SpectatorProb(fj, fi, fk, σ); j, i and k are the
-// grid indices of fj, fi and fk.
+// memo indices of fj, fi and fk.
 func (m *Marginals) Spectator(fj, fi, fk float64, j, i, k int) float64 {
-	if m.specs != nil && uint(j) < uint(GridSize) && uint(i) < uint(GridSize) && uint(k) < uint(GridSize) {
-		if b := m.specs[(j*GridSize+i)*GridSize+k].Load(); b != 0 {
+	if m.specs != nil && inMemo(j, i) && uint(k) < uint(MemoSize) {
+		if b := m.specs[(j*MemoSize+i)*MemoSize+k].Load(); b != 0 {
 			return math.Float64frombits(b &^ filled)
 		}
 	}
 	return m.spectatorMiss(fj, fi, fk, j, i, k)
 }
 
-// spectatorMiss computes Spectator's formula, filling the slot when on
-// the grid.
+// spectatorMiss computes Spectator's value — the memoised conditions
+// 5-6 term plus condition 7 by the formula, SpectatorProb's sum in its
+// order — filling the slot when in the memo.
 func (m *Marginals) spectatorMiss(fj, fi, fk float64, j, i, k int) float64 {
-	v := m.params.SpectatorProb(fj, fi, fk, m.sigma)
-	if m.specs != nil && uint(j) < uint(GridSize) && uint(i) < uint(GridSize) && uint(k) < uint(GridSize) {
-		fill(&m.specs[(j*GridSize+i)*GridSize+k], v)
+	if m.specs == nil {
+		return m.params.SpectatorProb(fj, fi, fk, m.sigma)
 	}
+	v := m.cond56(fi, fk, i, k) + m.params.cond7Prob(fj, fi, fk, m.sigma)
+	if inMemo(j, i) && uint(k) < uint(MemoSize) {
+		fill(&m.specs[(j*MemoSize+i)*MemoSize+k], v)
+	}
+	return v
+}
+
+// cond56 returns p.cond56Prob(fi, fk, σ) through its table; i and k are
+// the memo indices of fi and fk.
+func (m *Marginals) cond56(fi, fk float64, i, k int) float64 {
+	if !inMemo(i, k) {
+		return m.params.cond56Prob(fi, fk, m.sigma)
+	}
+	slot := &m.specs56[i*MemoSize+k]
+	if b := slot.Load(); b != 0 {
+		return math.Float64frombits(b &^ filled)
+	}
+	v := m.params.cond56Prob(fi, fk, m.sigma)
+	fill(slot, v)
 	return v
 }
 
@@ -146,7 +216,7 @@ func (m *Marginals) Expected(adj [][]int, freqs []float64) float64 {
 	var buf [32]int
 	idx := buf[:0]
 	for _, f := range freqs {
-		idx = append(idx, GridIndex(f))
+		idx = append(idx, memoIndex(f))
 	}
 	e := 0.0
 	for a, nbrs := range adj {

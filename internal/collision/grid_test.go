@@ -6,30 +6,63 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"qproc/internal/arch"
 )
 
 // TestGridIndex checks that exactly the grid values map to their index:
 // neighbouring floats, the off-grid 5-frequency scheme values and
-// non-finite inputs all take the formula.
+// non-finite inputs are not candidates. The memo index agrees on the
+// grid, gives every scheme value a slot, and leaves only the rest to
+// the formula.
 func TestGridIndex(t *testing.T) {
 	g := Grid()
 	if len(g) != GridSize || g[0] != GridLo || g[GridSize-1] != GridHi {
 		t.Fatalf("grid %v", g)
 	}
 	for i, f := range g {
-		if got := GridIndex(f); got != i {
-			t.Errorf("GridIndex(%v) = %d, want %d", f, got, i)
+		if got, slot := GridIndex(f), memoIndex(f); got != i || slot != i {
+			t.Errorf("GridIndex(%v) = %d, memoIndex %d, want %d", f, got, slot, i)
 		}
+		// f + GridStep/2 is scheme value 5.135 for f = 5.13: memoIndex
+		// may give it that slot, never a grid one.
 		for _, off := range []float64{math.Nextafter(f, 0), math.Nextafter(f, 10), f + GridStep/2} {
-			if got := GridIndex(off); got != -1 {
-				t.Errorf("GridIndex(%v) = %d, want -1", off, got)
+			if got, slot := GridIndex(off), memoIndex(off); got != -1 || slot != -1 && memoFreqs[slot] != off {
+				t.Errorf("GridIndex(%v) = %d, memoIndex %d, want -1", off, got, slot)
 			}
 		}
+	}
+	offGrid := 0
+	for v := 0; v < 5; v++ {
+		f := arch.FiveFreqValue(v)
+		slot := memoIndex(f)
+		if slot < 0 || memoFreqs[slot] != f {
+			t.Errorf("memoIndex(scheme value %v) = %d, want its slot", f, slot)
+		}
+		if GridIndex(f) < 0 {
+			offGrid++
+			if slot < GridSize {
+				t.Errorf("memoIndex(off-grid scheme value %v) = %d, want a slot after the grid", f, slot)
+			}
+		}
+		for _, off := range []float64{math.Nextafter(f, 0), math.Nextafter(f, 10)} {
+			if got := memoIndex(off); got != -1 {
+				t.Errorf("memoIndex(%v) = %d, want -1", off, got)
+			}
+		}
+	}
+	if offGrid != MemoSize-GridSize {
+		t.Errorf("%d scheme values off the grid, memo has %d slots for them", offGrid, MemoSize-GridSize)
 	}
 	for _, f := range []float64{4.99, 5.35, 5.0675, 5.135, 5.2025, 0, -5.17,
 		math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if got := GridIndex(f); got != -1 {
 			t.Errorf("GridIndex(%v) = %d, want -1", f, got)
+		}
+	}
+	for _, f := range []float64{4.99, 5.35, 5.0676, 0, -5.17, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if got := memoIndex(f); got != -1 {
+			t.Errorf("memoIndex(%v) = %d, want -1", f, got)
 		}
 	}
 }
@@ -38,25 +71,48 @@ func TestGridIndex(t *testing.T) {
 // noise-free step functions and realistic fabrication spreads.
 var memoSigmas = []float64{0, 0.02, 0.03, 0.045}
 
-// TestMarginalsMatchFormula reads every grid pair and triple through a
-// fresh memo twice — cold, filling the slot, then warm, from it — and
-// requires the formula's exact bits both times.
+// TestMarginalsMatchFormula reads every pair and triple of memo
+// frequencies — the grid and the 5-frequency scheme — through a fresh
+// memo twice, cold, filling the slot, then warm, from it, and requires
+// the formula's exact bits both times. After the cold pass every slot of
+// the three tables must hold its formula value, so each warm read,
+// scheme slots included, is served by the memo.
 func TestMarginalsMatchFormula(t *testing.T) {
 	p := DefaultParams()
+	slot := func(v float64) uint64 { return math.Float64bits(v) | filled }
 	for _, sigma := range memoSigmas {
 		m := NewMarginals(p, sigma)
 		for pass := 0; pass < 2; pass++ {
-			for j, fj := range grid {
-				for k, fk := range grid {
+			for j, fj := range memoFreqs {
+				for k, fk := range memoFreqs {
 					got, want := m.Pair(fj, fk, j, k), p.PairProb(fj, fk, sigma)
 					if math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("σ=%g pass %d: Pair(%v, %v) = %v, formula %v", sigma, pass, fj, fk, got, want)
 					}
-					for i, fi := range grid {
+					for i, fi := range memoFreqs {
 						got, want := m.Spectator(fj, fi, fk, j, i, k), p.SpectatorProb(fj, fi, fk, sigma)
 						if math.Float64bits(got) != math.Float64bits(want) {
 							t.Fatalf("σ=%g pass %d: Spectator(%v, %v, %v) = %v, formula %v",
 								sigma, pass, fj, fi, fk, got, want)
+						}
+					}
+				}
+			}
+			if pass > 0 {
+				continue
+			}
+			for j, fj := range memoFreqs {
+				for k, fk := range memoFreqs {
+					if got, want := m.pairs[j*MemoSize+k].Load(), slot(p.PairProb(fj, fk, sigma)); got != want {
+						t.Fatalf("σ=%g: pair slot (%d, %d) holds %#x, want %#x", sigma, j, k, got, want)
+					}
+					if got, want := m.specs56[j*MemoSize+k].Load(), slot(p.cond56Prob(fj, fk, sigma)); got != want {
+						t.Fatalf("σ=%g: conditions 5-6 slot (%d, %d) holds %#x, want %#x", sigma, j, k, got, want)
+					}
+					for i, fi := range memoFreqs {
+						got, want := m.specs[(j*MemoSize+i)*MemoSize+k].Load(), slot(p.SpectatorProb(fj, fi, fk, sigma))
+						if got != want {
+							t.Fatalf("σ=%g: spectator slot (%d, %d, %d) holds %#x, want %#x", sigma, j, i, k, got, want)
 						}
 					}
 				}
@@ -125,9 +181,9 @@ func randomAdj(rng *rand.Rand, n int, prob float64) [][]int {
 }
 
 // TestMarginalsConcurrentFill has 8 goroutines fill one memo at once,
-// each walking the slots from a different starting point so that fills
-// and reads of the same slot race; every read must carry the formula's
-// bits. CI runs it under -race -count=10.
+// each walking the memo frequencies from a different starting point so
+// that fills and reads of the same slot race, in all three tables; every
+// read must carry the formula's bits. CI runs it under -race -count=10.
 func TestMarginalsConcurrentFill(t *testing.T) {
 	p := DefaultParams()
 	const sigma = 0.03
@@ -139,14 +195,14 @@ func TestMarginalsConcurrentFill(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for n := 0; n < GridSize; n++ {
-				j := (n + 4*w) % GridSize
-				fj := grid[j]
-				for k, fk := range grid {
+			for n := 0; n < MemoSize; n++ {
+				j := (n + 5*w) % MemoSize
+				fj := memoFreqs[j]
+				for k, fk := range memoFreqs {
 					if math.Float64bits(m.Pair(fj, fk, j, k)) != math.Float64bits(p.PairProb(fj, fk, sigma)) {
 						bad.Add(1)
 					}
-					for i, fi := range grid {
+					for i, fi := range memoFreqs {
 						got := m.Spectator(fj, fi, fk, j, i, k)
 						if math.Float64bits(got) != math.Float64bits(p.SpectatorProb(fj, fi, fk, sigma)) {
 							bad.Add(1)

@@ -31,8 +31,10 @@ package collision
 // where the coordinate-descent inner loop wins its time back.
 //
 // The marginals themselves are read through a Marginals memo: each
-// qubit's grid index is kept beside its frequency, so a lookup needs no
-// rounding, and an off-grid frequency falls back to the formula.
+// qubit's memo index (memoIndex) is kept beside its frequency, so a
+// lookup needs no rounding. The memo covers the grid and the 5-frequency
+// seed scheme; only a frequency outside that set falls back to the
+// formula.
 //
 // The total is summed over bundles in edge-index order on every Score
 // call, so it is a pure function of the current frequencies — no
@@ -43,7 +45,7 @@ type Incremental struct {
 	memo  *Marginals
 	adj   [][]int
 	freqs []float64
-	// idx[q] is GridIndex(freqs[q]); Set, Preview1 and Clone keep the
+	// idx[q] is memoIndex(freqs[q]); Set, Preview1 and Clone keep the
 	// two in step.
 	idx []int8
 	// edgeE holds the current bundle score per kernel edge.
@@ -97,7 +99,7 @@ func NewIncrementalWith(adj [][]int, freqs []float64, memo *Marginals) *Incremen
 	}
 	inc.terms = make([]float64, inc.termOff[m])
 	for q, f := range freqs {
-		inc.idx[q] = int8(GridIndex(f))
+		inc.idx[q] = int8(memoIndex(f))
 	}
 	for e := range inc.edgeE {
 		inc.edgeE[e] = inc.scoreBundle(e, true)
@@ -206,7 +208,7 @@ func (inc *Incremental) Freqs() []float64 {
 func (inc *Incremental) Set(qubits []int, vals []float64) {
 	for i, q := range qubits {
 		inc.freqs[q] = vals[i]
-		inc.idx[q] = int8(GridIndex(vals[i]))
+		inc.idx[q] = int8(memoIndex(vals[i]))
 	}
 	inc.stamp++
 	if len(qubits) == 1 {
@@ -255,7 +257,7 @@ func (inc *Incremental) Preview1(q int, f float64) float64 {
 	if f == old {
 		return inc.Score()
 	}
-	inc.freqs[q], inc.idx[q] = f, int8(GridIndex(f))
+	inc.freqs[q], inc.idx[q] = f, int8(memoIndex(f))
 	inc.stamp++
 	for _, e := range inc.kern.Deps(q) {
 		inc.mark[e] = inc.stamp

@@ -51,18 +51,18 @@ const relSlack = 1e-9
 // literal score it returns is the literal sum's. The literal scores
 // remain only as this verifier: about one or two per pick.
 //
-// Grid indices are kept beside every frequency, so lookups read the
-// Marginals memo without rounding; a term with an off-grid frequency
-// (such as most of the 5-frequency seed scheme) is priced by the
-// formula, through Marginals.Pair and Spectator. A plan reads the
-// coupling graph and the assignment it was made from in place, so it
-// costs no allocation beyond its 35 sums; it is not safe for concurrent
-// use.
+// Memo indices (memoIndex) are kept beside every frequency, so lookups
+// read the Marginals memo without rounding, the 5-frequency seed values
+// included; only a term with a frequency outside the memo's set is
+// priced by the formula, through Marginals.Pair and Spectator. A
+// candidate's memo index is its grid index. A plan reads the coupling
+// graph and the assignment it was made from in place, so it costs no
+// allocation beyond its 35 sums; it is not safe for concurrent use.
 type MovePlan struct {
 	memo  *Marginals
 	adj   [][]int
 	freqs []float64
-	// idx[x] is GridIndex(freqs[x]); Plan fills it, an Incremental lends
+	// idx[x] is memoIndex(freqs[x]); Plan fills it, an Incremental lends
 	// its own.
 	idx []int8
 	q   int
@@ -73,11 +73,11 @@ type MovePlan struct {
 // Plan makes pl the plan of qubit q of the coupling graph adj
 // (symmetric, no repeated neighbours) under the assignment freqs, whose
 // entry for q is ignored, priced through memo. Both slices are read in
-// place until the plan's last use. pl's grid-index buffer is reused.
+// place until the plan's last use. pl's memo-index buffer is reused.
 func (pl *MovePlan) Plan(memo *Marginals, adj [][]int, freqs []float64, q int) {
 	idx := pl.idx[:0]
 	for _, f := range freqs {
-		idx = append(idx, int8(GridIndex(f)))
+		idx = append(idx, int8(memoIndex(f)))
 	}
 	*pl = MovePlan{memo: memo, adj: adj, freqs: freqs, idx: idx, q: q}
 }
@@ -86,7 +86,7 @@ func (pl *MovePlan) Plan(memo *Marginals, adj [][]int, freqs []float64, q int) {
 // time across the candidates: a term's memo slots sit a fixed stride
 // apart, so filled slots are read in place.
 func (pl *MovePlan) fill() {
-	const g, g2 = GridSize, GridSize * GridSize
+	const g, g2 = MemoSize, MemoSize * MemoSize // memo strides
 	m, mv, q, adj, freqs := pl.memo, &pl.moving, pl.q, pl.adj, pl.freqs
 	*mv = [GridSize]float64{}
 	var pairs, specs []atomic.Uint64
@@ -96,24 +96,24 @@ func (pl *MovePlan) fill() {
 	for _, nq := range adj[q] {
 		fn, n := freqs[nq], int(pl.idx[nq])
 		split := 0 // below split, n controls (orient)
-		for split < g && (grid[split] < fn || grid[split] == fn && nq < q) {
+		for split < GridSize && (grid[split] < fn || grid[split] == fn && nq < q) {
 			split++
 		}
 		// n controls: the pair, and n's other neighbours as spectators.
-		addRow(mv, 0, split, pairs, onGrid(n*g, n), 1,
+		addRow(mv, 0, split, pairs, inSet(n*g, n), 1,
 			func(c int) float64 { return m.Pair(fn, grid[c], n, c) })
 		for _, x := range adj[nq] {
 			if fi, i := freqs[x], int(pl.idx[x]); x != q {
-				addRow(mv, 0, split, specs, onGrid((n*g+i)*g, min(n, i)), 1,
+				addRow(mv, 0, split, specs, inSet((n*g+i)*g, min(n, i)), 1,
 					func(c int) float64 { return m.Spectator(fn, fi, grid[c], n, i, c) })
 			}
 		}
 		// q controls: the pair, and q's other neighbours as spectators.
-		addRow(mv, split, g, pairs, onGrid(n, n), g,
+		addRow(mv, split, GridSize, pairs, inSet(n, n), g,
 			func(c int) float64 { return m.Pair(grid[c], fn, c, n) })
 		for _, x := range adj[q] {
 			if fi, i := freqs[x], int(pl.idx[x]); x != nq {
-				addRow(mv, split, g, specs, onGrid(i*g+n, min(n, i)), g2,
+				addRow(mv, split, GridSize, specs, inSet(i*g+n, min(n, i)), g2,
 					func(c int) float64 { return m.Spectator(grid[c], fi, fn, c, i, n) })
 			}
 		}
@@ -121,16 +121,16 @@ func (pl *MovePlan) fill() {
 		for _, t := range adj[nq] {
 			if ctl, _ := orient(nq, t, freqs); t != q && ctl == nq {
 				ft, it := freqs[t], int(pl.idx[t])
-				addRow(mv, 0, g, specs, onGrid(n*g2+it, min(n, it)), g,
+				addRow(mv, 0, GridSize, specs, inSet(n*g2+it, min(n, it)), g,
 					func(c int) float64 { return m.Spectator(fn, grid[c], ft, n, c, it) })
 			}
 		}
 	}
 }
 
-// onGrid returns the memo offset off when the least of a term's fixed
-// grid indices, least, is on the grid, and −1 otherwise.
-func onGrid(off, least int) int {
+// inSet returns the memo offset off when the least of a term's fixed
+// memo indices, least, has a slot, and −1 otherwise.
+func inSet(off, least int) int {
 	if least < 0 {
 		return -1
 	}
@@ -139,7 +139,8 @@ func onGrid(off, least int) int {
 
 // addRow adds one term to mv[c] for the candidates c in [lo, hi): the
 // filled memo slot tab[base + c·stride], or term(c), which fills it, for
-// an empty slot, a memo without tables or an off-grid term (base < 0).
+// an empty slot, a memo without tables or a term with a frequency
+// outside the memo's set (base < 0).
 func addRow(mv *[GridSize]float64, lo, hi int, tab []atomic.Uint64, base, stride int, term func(c int) float64) {
 	if base < 0 || tab == nil {
 		for c := lo; c < hi; c++ {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"qproc/internal/arch"
 	"qproc/internal/collision"
 )
 
@@ -154,3 +155,29 @@ func TestMovePlanBestMatchesLiteral(t *testing.T) {
 
 // sameFloat reports whether a and b have the same bits.
 func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// BenchmarkPlanFreshMemo prices the picks of a job whose memo is still
+// cold, as every search at a fresh σ starts: each iteration makes a new
+// memo at σ = 0.03 and picks every qubit of baseline (4) under the
+// 5-frequency scheme, three of whose values lie off the grid, through
+// MovePlan.Best with Marginals.Expected as the literal score.
+func BenchmarkPlanFreshMemo(b *testing.B) {
+	a := arch.NewBaseline(arch.IBM20Q4Bus)
+	adj, freqs := a.AdjList(), arch.FiveFreqScheme(a)
+	work := append([]float64(nil), freqs...)
+	p := collision.DefaultParams()
+	var pl collision.MovePlan
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		memo := collision.NewMarginals(p, 0.03)
+		for q, cur := range freqs {
+			pl.Plan(memo, adj, freqs, q)
+			pl.Best(cur, func(f float64) float64 {
+				work[q] = f
+				e := memo.Expected(adj, work)
+				work[q] = cur
+				return e
+			})
+		}
+	}
+}

@@ -101,53 +101,57 @@ func TestInterruptedJobResumesFromCheckpoint(t *testing.T) {
 }
 
 // TestRejectedCheckpointRestartsCold: a checkpoint the engine rejects
-// (here: saved by a different strategy under a forged key) is discarded
-// and the job restarts cold instead of failing.
+// is discarded and the job restarts cold instead of failing, and the
+// cold restart's outcome is a clean run's, byte for byte. The forged
+// checkpoints, stored under the job's key, are one saved by a different
+// strategy and one whose anneal lane claims more control-RNG draws than
+// its steps can make (replaying 2⁶⁴−1 draws would never end).
 func TestRejectedCheckpointRestartsCold(t *testing.T) {
 	opt := tinyOptions()
 	opt.CheckpointEvery = 5
 	job := checkpointSearchJob()
-	st := openStore(t)
 	key, err := JobKey(job, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A decodable checkpoint whose strategy does not match the job's.
-	if err := st.PutCheckpoint(key, []byte(`{"schema":1,"strategy":"beam","lanes":[{"strategy":"beam"}]}`)); err != nil {
-		t.Fatal(err)
-	}
-
-	var events []string
-	out, _, err := NewRunner(opt).RunJob(context.Background(), job, st, func(e Event) {
-		if e.Message != "" {
-			events = append(events, e.Message)
-		}
-	})
-	if err != nil {
-		t.Fatalf("job failed instead of restarting cold: %v", err)
-	}
-	rejected := false
-	for _, m := range events {
-		if strings.Contains(m, "checkpoint rejected; restarting cold") {
-			rejected = true
-		}
-	}
-	if !rejected {
-		t.Fatalf("no rejection event emitted; events: %q", events)
-	}
-
 	base, _, err := NewRunner(opt).RunJob(context.Background(), job, openStore(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var a, b bytes.Buffer
-	if err := base.WriteJSON(&a); err != nil {
+	var want bytes.Buffer
+	if err := base.WriteJSON(&want); err != nil {
 		t.Fatal(err)
 	}
-	if err := out.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("cold restart after a rejected checkpoint diverged from a clean run")
+	const freqs = `{"aux":0,"freqs":[5.1,5.31,5.31,5.27,5.26,5.26,5.17]}`
+	for _, tc := range []struct{ name, checkpoint, reason string }{
+		{"strategy", `{"schema":1,"strategy":"beam","lanes":[{"strategy":"beam"}]}`, "strategy"},
+		{"rng draws", `{"schema":1,"strategy":"anneal","unit":5,` +
+			`"memo":[{"state":` + freqs + `,"yield":0.4,"objective":0.4}],` +
+			`"lanes":[{"strategy":"anneal","unit":5,"evals":1,"rng_draws":18446744073709551615,` +
+			`"cur":` + freqs + `,"best_key":"aux=0||5.1 5.31 5.31 5.27 5.26 5.26 5.17 "}]}`, "control draws"},
+	} {
+		st := openStore(t)
+		if err := st.PutCheckpoint(key, []byte(tc.checkpoint)); err != nil {
+			t.Fatal(err)
+		}
+		var rejection string
+		out, _, err := NewRunner(opt).RunJob(context.Background(), job, st, func(e Event) {
+			if strings.Contains(e.Message, "checkpoint rejected; restarting cold") {
+				rejection = e.Err
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: job failed instead of restarting cold: %v", tc.name, err)
+		}
+		if !strings.Contains(rejection, tc.reason) {
+			t.Fatalf("%s: rejection %q does not name %q", tc.name, rejection, tc.reason)
+		}
+		var got bytes.Buffer
+		if err := out.WriteJSON(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want.Bytes(), got.Bytes()) {
+			t.Fatalf("%s: cold restart after a rejected checkpoint diverged from a clean run", tc.name)
+		}
 	}
 }

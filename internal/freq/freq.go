@@ -107,7 +107,7 @@ func Mid() float64 { return math.Round((Lo+Hi)/2*100) / 100 }
 // shared memoises the analytic marginals at the pair every design series
 // and every search seed allocation scores at, collision.DefaultParams()
 // and yield.DefaultSigma, for every Allocate call in the process. It is
-// one table of ~345 KiB whose slots fill atomically, so concurrent calls
+// one table of ~451 KiB whose slots fill atomically, so concurrent calls
 // share it; no other pair gets a process-wide table.
 var shared = collision.NewMarginals(collision.DefaultParams(), yield.DefaultSigma)
 

@@ -32,6 +32,11 @@ type annealLane struct {
 	bestExpected float64
 }
 
+// maxMoveDraws bounds, with generous slack, the control draws of one
+// move, a step's Metropolis uniform counted as one more: randomMove
+// makes at most five, and Intn's rejection sampling rarely adds one.
+const maxMoveDraws = 64
+
 // newAnnealLane builds the lane at step 0 and promotes its seed state
 // (the warm-start seed when configured, else aux = AuxCounts[0] with
 // Algorithm 3 frequencies). Given a checkpoint, whose core is already
@@ -53,6 +58,12 @@ func newAnnealLane(c *laneCore, lc *LaneCheckpoint) (*annealLane, error) {
 	}
 	if lc.Strategy != Anneal || lc.Cur == nil {
 		return nil, fmt.Errorf("%w: lane is not a resumable anneal lane", ErrBadCheckpoint)
+	}
+	// Replaying costs one Int63 per recorded draw, so a count no run of
+	// lc.Unit steps could reach is rejected before it is replayed.
+	if float64(lc.RNGDraws) > float64(lc.Unit)*(float64(c.p.opt.Proposals)+1)*maxMoveDraws {
+		return nil, fmt.Errorf("%w: %d control draws, more than %d steps of %d proposals make",
+			ErrBadCheckpoint, lc.RNGDraws, lc.Unit, c.p.opt.Proposals)
 	}
 	cur, err := c.p.stateFromRecipe(*lc.Cur)
 	if err != nil {

@@ -296,9 +296,12 @@ func (lr *laneRun) snapshot() LaneCheckpoint {
 
 // restore rebuilds a core from its checkpoint: the shared memo, the
 // evaluator's counters and incremental state, the proposal count, the
-// unit, the incumbent (looked up in the restored memo) and the trace.
-// The strategy restores its own fields on top.
+// unit, the incumbent (looked up in the restored memo, and required) and
+// the trace. The strategy restores its own fields on top.
 func (c *laneCore) restore(memo []EvalRecord, lc *LaneCheckpoint) error {
+	if units := c.p.opt.units(); lc.Unit < 0 || lc.Unit > units {
+		return fmt.Errorf("%w: lane at unit %d of %d", ErrBadCheckpoint, lc.Unit, units)
+	}
 	if err := c.ev.restoreMemo(memo); err != nil {
 		return err
 	}
@@ -307,13 +310,13 @@ func (c *laneCore) restore(memo []EvalRecord, lc *LaneCheckpoint) error {
 	}
 	c.p.proposals = lc.Proposals
 	c.unit = lc.Unit
-	if lc.BestKey != "" {
-		e, ok := c.ev.seen[lc.BestKey]
-		if !ok {
-			return fmt.Errorf("%w: incumbent %q missing from memo", ErrBadCheckpoint, lc.BestKey)
-		}
-		c.best = e
+	// Every lane evaluates a seed before its first barrier, so a lane
+	// saved without an incumbent would end the run with none.
+	e, ok := c.ev.seen[lc.BestKey]
+	if !ok {
+		return fmt.Errorf("%w: incumbent %q missing from memo", ErrBadCheckpoint, lc.BestKey)
 	}
+	c.best = e
 	c.trace = append([]TracePoint(nil), lc.Trace...)
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -242,6 +243,26 @@ func TestCheckpointResumeRejectsMismatches(t *testing.T) {
 		t.Errorf("portfolio mismatch: err = %v, want ErrBadCheckpoint", err)
 	}
 
+	// Lane fields no run writes: a control-RNG position beyond what the
+	// lane's steps can draw (replaying 2⁶⁴−1 draws would never end), a
+	// negative unit, and no incumbent.
+	for name, forge := range map[string]func(*LaneCheckpoint){
+		"rng draws":    func(lc *LaneCheckpoint) { lc.RNGDraws = math.MaxUint64 },
+		"unit":         func(lc *LaneCheckpoint) { lc.Unit = -1 << 40 },
+		"no incumbent": func(lc *LaneCheckpoint) { lc.BestKey = "" },
+	} {
+		forged, err := DecodeCheckpoint(saved[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		forge(&forged.Lanes[0])
+		o := opt
+		o.Checkpoint = &CheckpointOptions{Resume: forged}
+		if _, err := Run(context.Background(), c, o, yield.NewNoiseCache(), nil); !errors.Is(err, ErrBadCheckpoint) {
+			t.Errorf("forged %s: err = %v, want ErrBadCheckpoint", name, err)
+		}
+	}
+
 	// A state that no longer reconstructs (aux variant not configured).
 	narrow := testOptions(Anneal)
 	narrow.AuxCounts = []int{0}
@@ -384,4 +405,42 @@ func TestCheckpointSavesOnlyWhileLanesHaveWork(t *testing.T) {
 		}
 		portfolioResultsEqual(t, base, resumed)
 	}
+}
+
+// FuzzCheckpointRestore resumes a short run from arbitrary checkpoint
+// bytes: Run when the checkpoint has at most one lane, RunPortfolio over
+// its lanes (at most four) otherwise. Whatever the input, the restore
+// must not panic or run away, and must return a result or an error
+// wrapping ErrBadCheckpoint, the one error a caller answers with a cold
+// restart. It is seeded with the committed checkpoints.
+func FuzzCheckpointRestore(f *testing.F) {
+	for _, name := range []string{"checkpoint-anneal-unit28.json", "checkpoint-portfolio3-barrier20.json"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	c := testCircuit(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cp, err := DecodeCheckpoint(data)
+		if err != nil {
+			if !errors.Is(err, ErrBadCheckpoint) {
+				t.Fatalf("decode error %v does not wrap ErrBadCheckpoint", err)
+			}
+			return
+		}
+		opt := portfolioOptions()
+		opt.Parallel = false
+		opt.Checkpoint = &CheckpointOptions{Resume: cp}
+		if len(cp.Lanes) <= 1 {
+			_, err = Run(context.Background(), c, opt, yield.NewNoiseCache(), nil)
+		} else {
+			pf := PortfolioOptions{Lanes: min(len(cp.Lanes), 4), ExchangeEvery: 10}
+			_, err = RunPortfolio(context.Background(), c, opt, pf, yield.NewNoiseCache(), nil)
+		}
+		if err != nil && !errors.Is(err, ErrBadCheckpoint) {
+			t.Fatalf("resume error %v does not wrap ErrBadCheckpoint", err)
+		}
+	})
 }

@@ -110,7 +110,8 @@ func newSpace(c *circuit.Circuit, opt Options) (*space, error) {
 
 // State is one point of the design space: an aux layout variant, a set of
 // multi-qubit bus squares, and a frequency assignment. States are immutable
-// once returned by newState/apply.
+// once returned by newState/apply; a reseed's state shares its origin's
+// architecture topology and owns only its frequencies.
 type State struct {
 	Aux int
 	// Sites are the bus squares, canonically sorted; the prohibited
@@ -421,12 +422,16 @@ func (p *Problem) apply(st *State, m move) (*State, error) {
 		// Topology unchanged: clone the compiled scorer instead of
 		// rebuilding architecture and term bundles from scratch — this is
 		// the annealer's most common move and the incremental fast path.
+		// The new architecture shares st's coordinates and buses, which
+		// no state mutates, and owns only the frequencies repairState
+		// installs.
 		inc := st.inc.Clone()
 		inc.Set1(m.qubit, m.freq)
+		a := *st.Arch
 		next := &State{
 			Aux:     st.Aux,
 			Sites:   append([]lattice.Square(nil), st.Sites...),
-			Arch:    st.Arch.Clone(),
+			Arch:    &a,
 			inc:     inc,
 			topoKey: st.topoKey,
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"qproc/internal/circuit"
@@ -228,6 +229,47 @@ func TestStateRepairNeverWorsens(t *testing.T) {
 		p.repairState(clone, []int{0}, nil)
 		if clone.Expected > before+1e-12 {
 			t.Fatalf("repair worsened E: %g -> %g", before, clone.Expected)
+		}
+	}
+}
+
+// TestReseedLeavesOriginUnchanged: a reseed shares its origin's
+// topology, so it must leave the origin's architecture — coordinates,
+// buses with their qubits, frequencies — exactly as it was, and give the
+// new state frequencies of its own.
+func TestReseedLeavesOriginUnchanged(t *testing.T) {
+	c := testCircuit(t)
+	p, err := newProblem(c, testOptions(Anneal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds, err := p.seedStates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin := seeds[0]
+	if cands := p.addCandidates(origin); len(cands) > 0 {
+		// A multi-qubit bus, so the shared bus list has qubit slices.
+		if origin, err = p.apply(origin, move{kind: moveAddBus, site: cands[0]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := origin.Arch.Clone()
+	wantFreqs := origin.Freqs()
+	for q := 0; q < origin.Arch.NumQubits(); q++ {
+		f := freqCandidates[(q*7+3)%len(freqCandidates)]
+		if f == wantFreqs[q] {
+			continue
+		}
+		next, err := p.apply(origin, move{kind: moveReseed, qubit: q, freq: f})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(origin.Arch, want) || !reflect.DeepEqual(origin.Freqs(), wantFreqs) {
+			t.Fatalf("reseed of qubit %d changed its origin: %+v, want %+v", q, origin.Arch, want)
+		}
+		if got := next.Freqs(); !reflect.DeepEqual(next.Arch.Freqs, got) || got[q] != f {
+			t.Fatalf("reseed of qubit %d to %v: arch frequencies %v, state %v", q, f, next.Arch.Freqs, got)
 		}
 	}
 }
