@@ -299,30 +299,35 @@ func BenchmarkSearch(b *testing.B) {
 		b.ReportMetric(float64(out.Evals), "evals")
 		b.ReportMetric(float64(out.Exchanges), "exchanges")
 	})
-	// The chimera family exercises the graph-policy path end-to-end: no
-	// bus sites, policy-driven regions, annealing over frequencies and
-	// aux variants alone.
-	b.Run("anneal-chimera", func(b *testing.B) {
-		opt := benchOptions()
-		opt.Parallel = true
-		var out *experiments.SearchOutcome
-		for i := 0; i < b.N; i++ {
-			r := experiments.NewRunner(opt)
-			var err error
-			out, err = r.Search(context.Background(), experiments.SearchSpec{
-				Benchmark: "sym6_145",
-				Strategy:  search.Anneal,
-				Topology:  "chimera(2,2,4)",
-				Steps:     60,
-				MaxEvals:  10,
-			}, nil)
-			if err != nil {
-				b.Fatal(err)
+	// The families without bus sites anneal over frequencies and aux
+	// variants alone, repairing at reach 2 (chimera) and reach 1
+	// (coupler).
+	for _, tc := range []struct{ name, topology string }{
+		{"anneal-chimera", "chimera(2,2,4)"},
+		{"anneal-coupler", "coupler"},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			opt := benchOptions()
+			opt.Parallel = true
+			var out *experiments.SearchOutcome
+			for i := 0; i < b.N; i++ {
+				r := experiments.NewRunner(opt)
+				var err error
+				out, err = r.Search(context.Background(), experiments.SearchSpec{
+					Benchmark: "sym6_145",
+					Strategy:  search.Anneal,
+					Topology:  tc.topology,
+					Steps:     60,
+					MaxEvals:  10,
+				}, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		b.ReportMetric(out.Best.Yield, "yield")
-		b.ReportMetric(float64(out.Evals), "evals")
-	})
+			b.ReportMetric(out.Best.Yield, "yield")
+			b.ReportMetric(float64(out.Evals), "evals")
+		})
+	}
 }
 
 // benchFamilyArch generates the eff-full base design of sym6_145 on the
@@ -523,7 +528,7 @@ func BenchmarkAblationAuxQubits(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				flow := core.NewFlow(1)
 				flow.FreqLocalTrials = 150
-				designs, err := flow.SeriesWithAux(c, 0, aux)
+				designs, err := flow.SeriesConfig(c, core.ConfigEffFull, 0, aux, 0)
 				if err != nil {
 					b.Fatal(err)
 				}

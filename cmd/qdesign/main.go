@@ -38,7 +38,6 @@ func main() {
 		config = flag.String("config", "eff-full", "configuration: eff-full, eff-5-freq, eff-layout-only")
 		aux    = flag.Int("aux", 0, "auxiliary physical qubits (series: exact count; -search: explores 0..aux)")
 		seed   = flag.Int64("seed", 1, "deterministic seed")
-		trials = flag.Int("freq-trials", 2000, "Monte-Carlo budget per frequency candidate (MC mode)")
 		jsonTo = flag.String("json", "", "write the selected design as JSON")
 		quiet  = flag.Bool("q", false, "suppress the rendered lattice")
 
@@ -57,7 +56,6 @@ func main() {
 	fatalIf(cliutil.AtLeast("buses", *buses, -1))
 	fatalIf(cliutil.AtLeast("max-buses", *maxB, -1))
 	fatalIf(cliutil.NonNegative("aux", *aux))
-	fatalIf(cliutil.Positive("freq-trials", *trials))
 	fatalIf(cliutil.NonNegative("max-evals", *maxEvals))
 	fatalIf(cliutil.NonNegative("steps", *steps))
 	fatalIf(cliutil.NonNegative("beam-width", *beamWidth))
@@ -85,7 +83,7 @@ func main() {
 		// Series-only knobs must not be silently ignored in search mode.
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "config", "freq-trials", "buses":
+			case "config", "buses":
 				fatal(fmt.Errorf("-%s does not apply to -search mode (the search picks its own bus counts and uses analytic frequency scoring)", f.Name))
 			}
 		})
@@ -108,23 +106,15 @@ func main() {
 		return
 	}
 
-	flow := core.NewFlow(*seed)
-	flow.FreqLocalTrials = *trials
-	if !topology.IsSquare(family) {
-		flow.Family = family
-	}
-
-	var designs []*core.Design
-	switch core.Config(*config) {
-	case core.ConfigEffFull:
-		designs, err = flow.SeriesWithAux(c, *maxB, *aux)
-	case core.ConfigEff5Freq:
-		designs, err = flow.SeriesFiveFreq(c, *maxB)
-	case core.ConfigEffLayoutOnly:
-		designs, err = flow.LayoutOnly(c)
+	cfg := core.Config(*config)
+	switch cfg {
+	case core.ConfigEffFull, core.ConfigEff5Freq, core.ConfigEffLayoutOnly:
 	default:
-		err = fmt.Errorf("unknown -config %q (have eff-full, eff-5-freq, eff-layout-only)", *config)
+		fatal(fmt.Errorf("unknown -config %q (have eff-full, eff-5-freq, eff-layout-only)", *config))
 	}
+	flow := core.NewFlow(*seed)
+	flow.Family = family
+	designs, err := flow.SeriesConfig(c, cfg, *maxB, *aux, 0)
 	if err != nil {
 		fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 	"qproc/internal/topology"
 )
 
-// TestSeriesWithAux exercises the Section 6 auxiliary-qubit extension:
+// TestSeriesWithAux exercises SeriesConfig's Section 6 auxiliary qubits:
 // the generated architectures carry extra physical qubits, all programs
 // still map, and the extra routing freedom never hurts the gate count.
 func TestSeriesWithAux(t *testing.T) {
@@ -19,11 +19,11 @@ func TestSeriesWithAux(t *testing.T) {
 	c := b.Build()
 	f := quickFlow()
 
-	plain, err := f.SeriesWithAux(c, 0, 0)
+	plain, err := f.SeriesConfig(c, ConfigEffFull, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withAux, err := f.SeriesWithAux(c, 0, 2)
+	withAux, err := f.SeriesConfig(c, ConfigEffFull, 0, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestSeriesWithAux(t *testing.T) {
 
 func TestSeriesWithAuxRejectsNegative(t *testing.T) {
 	b, _ := gen.Get("sym6_145")
-	if _, err := quickFlow().SeriesWithAux(b.Build(), 0, -1); err == nil {
+	if _, err := quickFlow().SeriesConfig(b.Build(), ConfigEffFull, 0, -1, 0); err == nil {
 		t.Fatal("negative aux count accepted")
 	}
 }
@@ -74,7 +74,7 @@ func TestSeriesWithAuxZeroMatchesSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := f.SeriesWithAux(c, 1, 0)
+	s2, err := f.SeriesConfig(c, ConfigEffFull, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

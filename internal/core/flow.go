@@ -76,7 +76,8 @@ type Flow struct {
 	// local simulations, random bus selection) deterministically.
 	Seed int64
 	// FreqLocalTrials is the Monte-Carlo budget per candidate frequency
-	// during Algorithm 3.
+	// of Algorithm 3's freq.ScoreMC mode. The flow's allocator scores
+	// analytically, so it changes no design.
 	FreqLocalTrials int
 	// Family selects the topology family the flow designs for; nil means
 	// the paper's square lattice. Non-square families have no 4-qubit bus
@@ -114,9 +115,8 @@ type Design struct {
 	AuxQubits int
 }
 
-// Allocator builds the Algorithm 3 allocator for this flow. Non-square
-// families install their frequency-region policy; the square family
-// keeps the allocator's built-in distance-2 region. It scores at
+// Allocator builds the Algorithm 3 allocator for this flow, at the
+// family's frequency-interaction reach. It scores at
 // collision.DefaultParams() and yield.DefaultSigma whatever σ a sweep
 // evaluates at, so every allocation reads freq's process-wide table.
 func (f *Flow) Allocator() *freq.Allocator {
@@ -124,9 +124,7 @@ func (f *Flow) Allocator() *freq.Allocator {
 	if f.FreqLocalTrials > 0 {
 		al.LocalTrials = f.FreqLocalTrials
 	}
-	if !topology.IsSquare(f.Family) {
-		al.Region = f.Family.Region
-	}
+	al.Reach = f.family().Reach()
 	return al
 }
 
@@ -155,31 +153,14 @@ func (f *Flow) Series(c *circuit.Circuit, maxBuses int) ([]*Design, error) {
 	return f.series(c, maxBuses, ConfigEffFull, 0)
 }
 
-// SeriesFiveFreq is the eff-5-freq ablation: identical topologies to
-// Series, frequencied with IBM's 5-frequency scheme instead of
-// Algorithm 3.
-func (f *Flow) SeriesFiveFreq(c *circuit.Circuit, maxBuses int) ([]*Design, error) {
-	return f.series(c, maxBuses, ConfigEff5Freq, 0)
-}
-
-// SeriesWithAux is the Section 6 design-space extension: the layout is
-// augmented with aux auxiliary physical qubits (zero logical coupling,
-// placed on the frontier nodes with the most occupied neighbours) before
-// bus selection and frequency allocation. Auxiliary qubits give the
-// router extra freedom — trading yield (more connections) for
-// performance, the opposite direction to the bus knob.
-func (f *Flow) SeriesWithAux(c *circuit.Circuit, maxBuses, aux int) ([]*Design, error) {
-	if aux < 0 {
-		return nil, fmt.Errorf("core: negative aux qubit count %d", aux)
-	}
-	return f.series(c, maxBuses, ConfigEffFull, aux)
-}
-
 // SeriesConfig generates the design series of any configuration through
 // one entry point, the dispatch the design-space sweep engine fans out
-// over. samples is only consulted by ConfigEffRdBus. A configuration
-// that does not support the flow's family and aux count (Supports) is an
-// error.
+// over. aux auxiliary physical qubits join the layout before bus
+// selection and frequency allocation (the Section 6 extension: placed on
+// the frontier nodes with the most occupied neighbours, they trade yield
+// for routing freedom, the opposite direction to the bus knob). samples
+// is only consulted by ConfigEffRdBus. A configuration that does not
+// support the flow's family and aux count (Supports) is an error.
 func (f *Flow) SeriesConfig(c *circuit.Circuit, cfg Config, maxBuses, aux, samples int) ([]*Design, error) {
 	if aux < 0 {
 		return nil, fmt.Errorf("core: negative aux qubit count %d", aux)

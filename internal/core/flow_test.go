@@ -109,7 +109,7 @@ func TestFiveFreqSeriesSharesTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	five, err := f.SeriesFiveFreq(c, -1)
+	five, err := f.SeriesConfig(c, ConfigEff5Freq, -1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestFullFlowYieldBeatsFiveFreq(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	five, err := f.SeriesFiveFreq(c, 1)
+	five, err := f.SeriesConfig(c, ConfigEff5Freq, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,8 +30,9 @@ type Options struct {
 	// YieldTrials is the Monte-Carlo budget per reported yield
 	// (paper: 10 000).
 	YieldTrials int
-	// FreqLocalTrials is the Monte-Carlo budget per candidate frequency
-	// inside Algorithm 3.
+	// FreqLocalTrials is the flow's core.Flow.FreqLocalTrials. It
+	// changes no design, since Algorithm 3 scores analytically, but it
+	// enters every JobKey fingerprint.
 	FreqLocalTrials int
 	// RandomBusSamples is the number of random draws per bus count for
 	// the eff-rd-bus configuration.

@@ -15,29 +15,24 @@ func ResetShared() {
 }
 
 // Picks returns the analytic pick of bestCandidate for qi, and the pick
-// of the literal loop it stands for: the region and its subgraph built
-// with maps, and the region's expected collision count summed for the
+// of the literal loop it stands for: the region within the allocator's
+// reach and its subgraph built with maps, and the region's expected collision count summed for the
 // incumbent (unless NaN) and every candidate, strict improvement only.
 func (al *Allocator) Picks(adj [][]int, freqs []float64, assigned []bool, qi int, incumbent float64) (pruned, literal float64) {
 	memo := collision.NewMarginals(al.Params, al.Sigma)
 	pruned = al.bestCandidate(&workspace{memo: memo, pos: make([]int, len(adj))}, adj, freqs, assigned, qi, incumbent)
 
 	in := map[int]bool{qi: true}
-	if al.Region != nil {
-		for _, q := range al.Region(adj, qi) {
-			if assigned[q] {
-				in[q] = true
-			}
+	for _, n1 := range adj[qi] {
+		if assigned[n1] {
+			in[n1] = true
 		}
-	} else {
-		for _, n1 := range adj[qi] {
-			if assigned[n1] {
-				in[n1] = true
-			}
-			for _, n2 := range adj[n1] {
-				if n2 != qi && assigned[n2] {
-					in[n2] = true
-				}
+		if al.Reach < 2 {
+			continue
+		}
+		for _, n2 := range adj[n1] {
+			if n2 != qi && assigned[n2] {
+				in[n2] = true
 			}
 		}
 	}

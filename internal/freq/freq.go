@@ -74,18 +74,16 @@ type Allocator struct {
 	Seed int64
 	// Params are the collision-model constants.
 	Params collision.Params
-	// Region optionally overrides the frequency-interaction region a
-	// candidate is scored against: it must return qubit q plus every
-	// qubit whose frequency can interact with q's, sorted ascending.
-	// Topology families with non-standard interaction reach (e.g.
-	// tunable couplers) install their policy here; nil keeps the paper's
-	// distance-2 region.
-	Region func(adj [][]int, q int) []int
+	// Reach is the coupling distance within which two qubits'
+	// frequencies interact, 1 or 2: a candidate is scored against the
+	// assigned qubits within it (Region). The paper's lattice has reach
+	// 2; a topology family declares its own (topology.Family.Reach).
+	Reach int
 }
 
-// NewAllocator returns an Allocator with the paper's physical constants,
-// analytic scoring, one refinement sweep, and a 2000-trial budget for
-// ScoreMC mode.
+// NewAllocator returns an Allocator with the paper's physical constants
+// and distance-2 reach, analytic scoring, one refinement sweep, and a
+// 2000-trial budget for ScoreMC mode.
 func NewAllocator(seed int64) *Allocator {
 	return &Allocator{
 		Sigma:       yield.DefaultSigma,
@@ -94,6 +92,7 @@ func NewAllocator(seed int64) *Allocator {
 		Sweeps:      1,
 		Seed:        seed,
 		Params:      collision.DefaultParams(),
+		Reach:       2,
 	}
 }
 
@@ -183,15 +182,17 @@ type workspace struct {
 }
 
 // bestCandidate scores every candidate frequency for qubit qi against its
-// local region and returns the winner. When incumbent is a real frequency
-// it wins all ties (refinement sweeps only move on strict improvement);
-// when incumbent is NaN (initial assignment) ties break to the lowest
+// local region, qi plus the assigned qubits within the allocator's reach,
+// and returns the winner. When incumbent is a real frequency it wins all
+// ties (refinement sweeps only move on strict improvement); when
+// incumbent is NaN (initial assignment) ties break to the lowest
 // candidate. ScoreAnalytic ranks the candidates by the terms that read
 // qi and sums the region's expected collision count only for those that
 // can still win (collision.MovePlan), so the pick is the one the full
 // sum over every candidate makes.
 func (al *Allocator) bestCandidate(ws *workspace, adj [][]int, freqs []float64, assigned []bool, qi int, incumbent float64) float64 {
-	region := al.regionOf(ws, adj, qi, assigned)
+	region := appendRegion(ws.region[:0], ws.pos, adj, qi, al.Reach, assigned)
+	ws.region = region
 	sub := ws.subgraph(adj, region)
 	subFreqs := ws.subFreqs[:0]
 	qiIdx := -1
@@ -230,24 +231,6 @@ func (al *Allocator) bestCandidate(ws *workspace, adj [][]int, freqs []float64, 
 		return ws.memo.Expected(sub, subFreqs)
 	})
 	return best
-}
-
-// regionOf resolves the local region of qi under the allocator's region
-// policy, restricted to qi plus the already-assigned qubits, into
-// ws.region.
-func (al *Allocator) regionOf(ws *workspace, adj [][]int, qi int, assigned []bool) []int {
-	if al.Region == nil {
-		ws.region = appendRegion(ws.region[:0], ws.pos, adj, qi, assigned)
-		return ws.region
-	}
-	out := ws.region[:0]
-	for _, q := range al.Region(adj, qi) {
-		if q == qi || assigned[q] {
-			out = append(out, q)
-		}
-	}
-	ws.region = out
-	return out
 }
 
 // subgraph returns the subgraph of adj induced by region (ascending),
@@ -326,15 +309,11 @@ func bfsOrder(adj [][]int, start int) []int {
 	return order
 }
 
-// localRegion returns qi plus every already-assigned qubit within
-// coupling distance 2 of qi. A nil assigned slice means "all assigned".
-func localRegion(adj [][]int, qi int, assigned []bool) []int {
-	return appendRegion(nil, make([]int, len(adj)), adj, qi, assigned)
-}
-
-// appendRegion appends localRegion(adj, qi, assigned), ascending, to dst.
-// mark must be all zero, and is again on return.
-func appendRegion(dst []int, mark []int, adj [][]int, qi int, assigned []bool) []int {
+// appendRegion appends qi and every qubit within coupling distance reach
+// (1 or 2) of qi that assigned marks, ascending, to dst; a nil assigned
+// marks every qubit. The walk passes through unassigned neighbours. mark
+// must be all zero, and is again on return.
+func appendRegion(dst []int, mark []int, adj [][]int, qi, reach int, assigned []bool) []int {
 	start := len(dst)
 	add := func(q int) {
 		if mark[q] == 0 {
@@ -346,6 +325,9 @@ func appendRegion(dst []int, mark []int, adj [][]int, qi int, assigned []bool) [
 	for _, n1 := range adj[qi] {
 		if assigned == nil || assigned[n1] {
 			add(n1)
+		}
+		if reach < 2 {
+			continue
 		}
 		for _, n2 := range adj[n1] {
 			if n2 != qi && (assigned == nil || assigned[n2]) {
@@ -361,12 +343,12 @@ func appendRegion(dst []int, mark []int, adj [][]int, qi int, assigned []bool) [
 	return dst
 }
 
-// Region returns qi plus every qubit within coupling distance 2 of qi —
-// exactly the qubits that can participate in a collision condition with
-// qi (conditions 1-4 need distance 1, conditions 5-7 a common neighbour,
-// i.e. distance ≤ 2). Sorted ascending with qi included. The guided
+// Region returns qi plus every qubit within coupling distance reach (1 or
+// 2) of qi, sorted ascending: the qubits that can share a collision
+// condition with qi. At reach 2, the paper's, that is conditions 1-4 at
+// distance 1 and conditions 5-7 through a common neighbour. The guided
 // design-space search uses it to bound which frequencies a local move may
 // perturb.
-func Region(adj [][]int, qi int) []int {
-	return localRegion(adj, qi, nil)
+func Region(adj [][]int, qi, reach int) []int {
+	return appendRegion(nil, make([]int, len(adj)), adj, qi, reach, nil)
 }

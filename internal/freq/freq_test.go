@@ -191,8 +191,9 @@ func TestRefinementDeterministicWithSweeps(t *testing.T) {
 	}
 }
 
-// TestRegionMatchesLocalRegion pins the exported Region helper to the
-// all-assigned local region the allocator uses internally.
+// TestRegionMatchesLocalRegion pins the exported Region helper, at reach
+// 1 and 2, to the local region the allocator walks with every qubit
+// assigned, and checks the walk leaves its marks all zero.
 func TestRegionMatchesLocalRegion(t *testing.T) {
 	a := busyGrid(t)
 	adj := a.AdjList()
@@ -200,15 +201,17 @@ func TestRegionMatchesLocalRegion(t *testing.T) {
 	for q := range assigned {
 		assigned[q] = true
 	}
-	for q := 0; q < a.NumQubits(); q++ {
-		want := localRegion(adj, q, assigned)
-		got := Region(adj, q)
-		if len(got) != len(want) {
-			t.Fatalf("q%d: Region = %v, localRegion = %v", q, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("q%d: Region = %v, localRegion = %v", q, got, want)
+	mark := make([]int, a.NumQubits())
+	for _, reach := range []int{1, 2} {
+		for q := 0; q < a.NumQubits(); q++ {
+			want := appendRegion(nil, mark, adj, q, reach, assigned)
+			if got := Region(adj, q, reach); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("reach %d q%d: Region = %v, local region = %v", reach, q, got, want)
+			}
+			for r, m := range mark {
+				if m != 0 {
+					t.Fatalf("reach %d q%d: mark[%d] = %d after the walk", reach, q, r, m)
+				}
 			}
 		}
 	}
@@ -246,29 +249,35 @@ func TestBFSOrderCoversAll(t *testing.T) {
 }
 
 func TestLocalRegionDistanceTwo(t *testing.T) {
-	// Path 0-1-2-3-4: region of 2 with all assigned = {0,1,2,3,4};
-	// qubit 0's region excludes distance-3+ nodes.
+	// Path 0-1-2-3-4: at reach 2 the region of 2 with all assigned is
+	// {0,1,2,3,4}, and qubit 0's excludes distance-3+ nodes; at reach 1
+	// each stops at the neighbours.
 	adj := [][]int{{1}, {0, 2}, {1, 3}, {2, 4}, {3}}
 	assigned := []bool{true, true, true, true, true}
-	r := localRegion(adj, 2, assigned)
-	if len(r) != 5 {
-		t.Fatalf("region of middle = %v", r)
+	region := func(qi, reach int) string {
+		return fmt.Sprint(appendRegion(nil, make([]int, len(adj)), adj, qi, reach, assigned))
 	}
-	r0 := localRegion(adj, 0, assigned)
-	want := []int{0, 1, 2}
-	if len(r0) != len(want) {
-		t.Fatalf("region of end = %v, want %v", r0, want)
-	}
-	for i := range want {
-		if r0[i] != want[i] {
-			t.Fatalf("region of end = %v, want %v", r0, want)
+	for _, c := range []struct {
+		qi, reach int
+		want      string
+	}{
+		{2, 2, "[0 1 2 3 4]"},
+		{0, 2, "[0 1 2]"},
+		{2, 1, "[1 2 3]"},
+		{0, 1, "[0 1]"},
+	} {
+		if got := region(c.qi, c.reach); got != c.want {
+			t.Fatalf("reach %d: region of %d = %s, want %s", c.reach, c.qi, got, c.want)
 		}
 	}
-	// Unassigned qubits are excluded (except the subject).
+	// Unassigned qubits are excluded (except the subject), though the
+	// walk passes through them.
 	assigned[1] = false
-	r0 = localRegion(adj, 0, assigned)
-	if len(r0) != 2 || r0[0] != 0 || r0[1] != 2 {
-		t.Fatalf("region with unassigned neighbour = %v", r0)
+	if got := region(0, 2); got != "[0 2]" {
+		t.Fatalf("region with unassigned neighbour = %s, want [0 2]", got)
+	}
+	if got := region(0, 1); got != "[0]" {
+		t.Fatalf("reach-1 region with unassigned neighbour = %s, want [0]", got)
 	}
 }
 

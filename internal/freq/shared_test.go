@@ -111,7 +111,7 @@ func TestAllocateOtherPairSkipsSharedTable(t *testing.T) {
 
 // TestBestCandidateMatchesLiteral pins Algorithm 3's pruned analytic
 // pick to the literal loop over every candidate (Allocator.Picks), bit
-// for bit, under the square, coupler and chimera region policies, at
+// for bit, under the square, coupler and chimera reaches, at
 // σ ∈ {0, 0.01, 0.03}, with and without an incumbent, over partly and
 // fully assigned layouts whose frequencies are drawn on the grid, from
 // the 5-frequency scheme (mostly off the grid) and uniformly, with some

@@ -76,7 +76,7 @@ func TestCacheSharesTopologyAcrossNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	five, err := flow.SeriesFiveFreq(c, 2)
+	five, err := flow.SeriesConfig(c, core.ConfigEff5Freq, 2, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

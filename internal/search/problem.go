@@ -13,7 +13,6 @@ import (
 	"qproc/internal/core"
 	"qproc/internal/freq"
 	"qproc/internal/lattice"
-	"qproc/internal/topology"
 )
 
 // freqCandidates is the shared (immutable) candidate frequency grid.
@@ -44,10 +43,9 @@ type baseLayout struct {
 // safely.
 type space struct {
 	circ *circuit.Circuit
-	// family is the effective topology family (square when the options
-	// name none); region is its frequency-interaction region policy.
-	family topology.Family
-	region func(adj [][]int, q int) []int
+	// reach is the topology family's frequency-interaction reach
+	// (topology.Family.Reach), the distance a repair spreads from a move.
+	reach int
 	// auxCounts is opt.AuxCounts deduplicated, original order kept.
 	auxCounts []int
 	bases     map[int]*baseLayout
@@ -74,20 +72,13 @@ func (sp *space) problem(opt Options) *Problem { return &Problem{space: sp, opt:
 func newSpace(c *circuit.Circuit, opt Options) (*space, error) {
 	sp := &space{circ: c, bases: map[int]*baseLayout{},
 		memo: collision.NewMarginals(opt.Params, opt.Sigma)}
-	sp.family = opt.Family
-	if sp.family == nil {
-		sp.family = topology.Square{}
-	}
-	sp.region = freq.Region
-	if !topology.IsSquare(sp.family) {
-		sp.region = sp.family.Region
-	}
 	// The seed allocations come from the design flow's own allocator, so
 	// the aux-k=0 seed state is the same design the exhaustive series
 	// evaluates at k=0.
 	flow := core.NewFlow(opt.Seed)
 	flow.Family = opt.Family
 	al := flow.Allocator()
+	sp.reach = al.Reach
 	for _, aux := range opt.AuxCounts {
 		if _, dup := sp.bases[aux]; dup {
 			continue
@@ -308,13 +299,13 @@ func bestFreqFor(inc *collision.Incremental, q int) (best float64, bestE float64
 }
 
 // repairState re-scores st after repairing the regions around the seed
-// qubits (their family frequency-interaction neighbourhoods), excluding
+// qubits (the qubits within the family's reach of each), excluding
 // the qubits in keep (whose frequencies a move just pinned).
 func (p *Problem) repairState(st *State, seeds []int, keep map[int]bool) {
 	adj := st.inc.Adj()
 	region := map[int]bool{}
 	for _, q := range seeds {
-		for _, r := range p.region(adj, q) {
+		for _, r := range freq.Region(adj, q, p.reach) {
 			if !keep[r] {
 				region[r] = true
 			}

@@ -134,7 +134,6 @@ func (f Chimera) BaseLayout(c *circuit.Circuit, aux int) (*arch.Architecture, *p
 	return base, p, nil
 }
 
-// Region is the distance-2 frequency-interaction region: chimera
-// couplers are fixed resonators like the paper's, so the collision
-// conditions reach over the same two hops.
-func (f Chimera) Region(adj [][]int, q int) []int { return regionAt(adj, q, 2) }
+// Reach is 2: chimera couplers are fixed resonators like the paper's, so
+// the collision conditions reach over the same two hops.
+func (Chimera) Reach() int { return 2 }

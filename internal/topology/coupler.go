@@ -14,7 +14,7 @@ import (
 // tunable pairwise coupler, and no multi-qubit buses at all — resonator
 // bus squares are a fixed-coupling construct. Tunable couplers are
 // switched off around idle spectators, so a qubit's frequency-
-// interaction region is only its direct neighbourhood (distance 1)
+// interaction reach is only its direct neighbourhood (distance 1)
 // instead of the paper's distance 2.
 type Coupler struct{}
 
@@ -57,7 +57,6 @@ func (Coupler) BaseLayout(c *circuit.Circuit, aux int) (*arch.Architecture, *pro
 	return base, p, nil
 }
 
-// Region is the distance-1 frequency-interaction region: tunable
-// couplers detune idle spectator couplings, so only directly coupled
-// qubits interact.
-func (Coupler) Region(adj [][]int, q int) []int { return regionAt(adj, q, 1) }
+// Reach is 1: tunable couplers detune idle spectator couplings, so only
+// directly coupled qubits interact.
+func (Coupler) Reach() int { return 1 }

@@ -5,7 +5,6 @@ import (
 
 	"qproc/internal/arch"
 	"qproc/internal/circuit"
-	"qproc/internal/freq"
 	"qproc/internal/layout"
 	"qproc/internal/profile"
 )
@@ -44,5 +43,6 @@ func (Square) BaseLayout(c *circuit.Circuit, aux int) (*arch.Architecture, *prof
 	return base, p, nil
 }
 
-// Region is the paper's distance-2 frequency-interaction region.
-func (Square) Region(adj [][]int, q int) []int { return freq.Region(adj, q) }
+// Reach is 2, the paper's: conditions 1-4 act between coupled qubits,
+// conditions 5-7 through a common neighbour.
+func (Square) Reach() int { return 2 }

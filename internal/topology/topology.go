@@ -1,8 +1,8 @@
 // Package topology makes coupling-graph families pluggable: the paper's
 // square lattice, Bunyk et al.'s Chimera annealer grid, and Li & Jin's
 // tunable-coupler pairwise grid are all expressed behind one Family
-// interface — how qubits are laid out for a program and how far a
-// qubit's frequency-interaction region reaches. Whether multi-qubit bus
+// interface — how qubits are laid out for a program, and the
+// frequency-interaction reach the family declares. Whether multi-qubit bus
 // squares exist is decided by package arch from the family name the
 // layout carries: square layouts have the paper's unit squares, every
 // other family none. The collision, yield, mapping and search machinery
@@ -12,7 +12,6 @@ package topology
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -34,11 +33,11 @@ type Family interface {
 	// bus-selection subroutine scores squares against. Families with
 	// fixed chips reject aux > 0.
 	BaseLayout(c *circuit.Circuit, aux int) (*arch.Architecture, *profile.Profile, error)
-	// Region returns qubit q plus every qubit whose frequency can
-	// interact with q's — the set Algorithm 3 scores candidates against
-	// and the search repairs after a local move. adj is the coupling
-	// graph of the architecture under design.
-	Region(adj [][]int, q int) []int
+	// Reach returns the coupling distance within which two qubits'
+	// frequencies interact, 1 or 2. Algorithm 3 scores a candidate
+	// against, and the search repairs after a local move, the qubits
+	// within it (freq.Region).
+	Reach() int
 }
 
 // Names lists the family spellings Parse accepts.
@@ -99,28 +98,4 @@ func Canon(name string) string {
 		return ""
 	}
 	return f.Name()
-}
-
-// regionAt returns q plus every qubit within coupling distance radius of
-// q, ascending. Radius 2 reproduces freq.Region: conditions 1-4 need
-// distance 1, conditions 5-7 a common neighbour.
-func regionAt(adj [][]int, q, radius int) []int {
-	in := make([]bool, len(adj))
-	in[q] = true
-	out := []int{q}
-	// out[lo:] is the frontier: the qubits first reached at distance d.
-	for d, lo := 0, 0; d < radius; d++ {
-		hi := len(out)
-		for _, u := range out[lo:hi] {
-			for _, v := range adj[u] {
-				if !in[v] {
-					in[v] = true
-					out = append(out, v)
-				}
-			}
-		}
-		lo = hi
-	}
-	sort.Ints(out)
-	return out
 }

@@ -14,14 +14,15 @@ func TestParseAndCanon(t *testing.T) {
 		in    string
 		name  string
 		canon string
+		reach int
 	}{
-		{"", "square", ""},
-		{"square", "square", ""},
-		{" square ", "square", ""},
-		{"coupler", "coupler", "coupler"},
-		{"chimera", "chimera(2,2,4)", "chimera(2,2,4)"},
-		{"chimera(3,2,4)", "chimera(3,2,4)", "chimera(3,2,4)"},
-		{"chimera(1, 1, 2)", "chimera(1,1,2)", "chimera(1,1,2)"},
+		{"", "square", "", 2},
+		{"square", "square", "", 2},
+		{" square ", "square", "", 2},
+		{"coupler", "coupler", "coupler", 1},
+		{"chimera", "chimera(2,2,4)", "chimera(2,2,4)", 2},
+		{"chimera(3,2,4)", "chimera(3,2,4)", "chimera(3,2,4)", 2},
+		{"chimera(1, 1, 2)", "chimera(1,1,2)", "chimera(1,1,2)", 2},
 	}
 	for _, c := range cases {
 		f, err := Parse(c.in)
@@ -30,6 +31,9 @@ func TestParseAndCanon(t *testing.T) {
 		}
 		if f.Name() != c.name {
 			t.Errorf("Parse(%q).Name() = %q, want %q", c.in, f.Name(), c.name)
+		}
+		if f.Reach() != c.reach {
+			t.Errorf("Parse(%q).Reach() = %d, want %d", c.in, f.Reach(), c.reach)
 		}
 		if got := Canon(c.in); got != c.canon {
 			t.Errorf("Canon(%q) = %q, want %q", c.in, got, c.canon)
@@ -177,8 +181,7 @@ func TestChimeraArch(t *testing.T) {
 }
 
 // TestCouplerArch builds the coupler base architecture: same placement
-// as square, pairwise couplers only, no multi-qubit bus sites, and a
-// distance-1 frequency region.
+// as square, pairwise couplers only, and no multi-qubit bus sites.
 func TestCouplerArch(t *testing.T) {
 	c := testCircuit(t)
 	a, _, err := Coupler{}.BaseLayout(c, 0)
@@ -203,22 +206,6 @@ func TestCouplerArch(t *testing.T) {
 	}
 	if sites := a.CandidateSquares(); len(sites) != 0 {
 		t.Errorf("coupler exposes %d bus sites, want none", len(sites))
-	}
-	adj := a.AdjList()
-	for q := range adj {
-		region := Coupler{}.Region(adj, q)
-		want := map[int]bool{q: true}
-		for _, n := range adj[q] {
-			want[n] = true
-		}
-		if len(region) != len(want) {
-			t.Fatalf("qubit %d: region %v, want distance-1 set of size %d", q, region, len(want))
-		}
-		for _, r := range region {
-			if !want[r] {
-				t.Fatalf("qubit %d: region member %d is not distance <= 1", q, r)
-			}
-		}
 	}
 }
 
@@ -269,46 +256,6 @@ func TestSquareProhibitedSites(t *testing.T) {
 		for _, q := range b.Qubits {
 			if q < 0 || q >= n {
 				t.Fatalf("bus %v references invalid qubit %d", b, q)
-			}
-		}
-	}
-}
-
-// TestRegionMatchesRadius cross-checks the chimera distance-2 region
-// against a brute-force BFS on a small chip.
-func TestRegionMatchesRadius(t *testing.T) {
-	f, err := NewChimera(2, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coords, edges := f.Layout()
-	adj := make([][]int, len(coords))
-	for _, e := range edges {
-		adj[e[0]] = append(adj[e[0]], e[1])
-		adj[e[1]] = append(adj[e[1]], e[0])
-	}
-	for q := range adj {
-		region := f.Region(adj, q)
-		dist := map[int]int{q: 0}
-		frontier := []int{q}
-		for d := 1; d <= 2; d++ {
-			var next []int
-			for _, u := range frontier {
-				for _, v := range adj[u] {
-					if _, ok := dist[v]; !ok {
-						dist[v] = d
-						next = append(next, v)
-					}
-				}
-			}
-			frontier = next
-		}
-		if len(region) != len(dist) {
-			t.Fatalf("qubit %d: region size %d, want %d", q, len(region), len(dist))
-		}
-		for _, r := range region {
-			if _, ok := dist[r]; !ok {
-				t.Fatalf("qubit %d: region member %d beyond distance 2", q, r)
 			}
 		}
 	}
