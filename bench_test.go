@@ -402,8 +402,9 @@ func BenchmarkEstimate(b *testing.B) {
 // --- ablation and micro benches -------------------------------------
 
 // BenchmarkIncrementalScore compares the incremental analytic surrogate
-// against one-shot recomputation for a single-qubit frequency move — the
-// inner loop of the guided search.
+// against one-shot recomputation for a committed single-qubit frequency
+// move, as the guided search makes after each coordinate-descent pick
+// (MovePlan ranks the candidates themselves).
 func BenchmarkIncrementalScore(b *testing.B) {
 	a := arch.NewBaseline(arch.IBM20Q4Bus)
 	al := freq.NewAllocator(1)
@@ -436,12 +437,7 @@ func BenchmarkAblationFreqScoring(b *testing.B) {
 		b.Fatal(err)
 	}
 	c := bench.Build()
-	flow := core.NewFlow(1)
-	p, err := flow.Profile(c)
-	if err != nil {
-		b.Fatal(err)
-	}
-	topo, err := flow.Layout(p, "ablation")
+	topo, _, err := core.NewFlow(1).BaseLayout(c, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -226,21 +226,19 @@ func TestAnalyticGuardsBitIdentical(t *testing.T) {
 	}
 }
 
-// fullRescore is the term-cache oracle: a fresh scorer compiled from the
-// same assignment, whose every bundle was scored from scratch.
+// fullRescore is the incremental scorer's oracle: a fresh scorer compiled
+// from the same assignment, whose every bundle was scored from scratch.
 func fullRescore(inc *Incremental, adj [][]int, sigma float64, p Params) *Incremental {
 	return NewIncremental(adj, inc.Freqs(), sigma, p)
 }
 
-// TestTermCacheBitIdentical drives a long-lived scorer — whose bundles
-// increasingly come from the term-level fast path (spectator-only moves
-// re-add cached marginals) — against fresh full recompiles after every
-// update. Scores must agree to the last bit, and the fast path must have
-// actually fired (otherwise the test proves nothing).
+// TestTermCacheBitIdentical drives a long-lived scorer — previews,
+// committed moves and clones, its bundles re-scored from the memo rows
+// its earlier moves filled — against fresh full recompiles after every
+// update. Scores must agree to the last bit.
 func TestTermCacheBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	p := DefaultParams()
-	partials := uint64(0)
 	for trial := 0; trial < 40; trial++ {
 		n := 4 + rng.Intn(10)
 		adj := randomGraph(rng, n)
@@ -260,14 +258,10 @@ func TestTermCacheBitIdentical(t *testing.T) {
 			if got, want := inc.Score(), fullRescore(inc, adj, 0.03, p).Score(); got != want {
 				t.Fatalf("trial %d step %d: committed %.17g != fresh %.17g", trial, step, got, want)
 			}
-			if step%7 == 0 { // clones must carry the term cache correctly
+			if step%7 == 0 { // clones must carry the bundle scores correctly
 				inc = inc.Clone()
 			}
 		}
-		partials += inc.Partials()
-	}
-	if partials == 0 {
-		t.Fatal("term-level fast path never fired")
 	}
 }
 

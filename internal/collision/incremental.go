@@ -1,5 +1,10 @@
 package collision
 
+import (
+	"math"
+	"sync/atomic"
+)
+
 // Incremental maintains the analytic expected-collision count of one
 // coupling graph under a mutable frequency assignment, re-scoring only the
 // terms a frequency change can affect. The guided design-space search
@@ -19,22 +24,12 @@ package collision
 // qubit. Orientation flips caused by an update are handled naturally:
 // affected bundles are re-scored from scratch, re-deriving their control.
 //
-// Within a bundle, the individual term values (the pair marginal and each
-// spectator marginal) are cached. A move of a qubit that is not an
-// endpoint of the bundle's edge cannot flip the orientation or perturb the
-// pair term — it can only change that qubit's own spectator term (or no
-// term at all, when the qubit neighbours only the target). Such moves
-// recompute the one affected marginal and re-add the cached terms in the
-// original summation order, which yields the same float64 as a full
-// re-scoring — erf-free for every untouched term. The closed-form
-// marginals dominate the surrogate's cost, so this term-level reuse is
-// where the coordinate-descent inner loop wins its time back.
-//
-// The marginals themselves are read through a Marginals memo: each
-// qubit's memo index (memoIndex) is kept beside its frequency, so a
-// lookup needs no rounding. The memo covers the grid and the 5-frequency
-// seed scheme; only a frequency outside that set falls back to the
-// formula.
+// The marginals are read through a Marginals memo, the scorer's only
+// cache of them: each qubit's memo index (memoIndex) is kept beside its
+// frequency, so a lookup needs no rounding, and a bundle reads its
+// spectator terms from one memo row in place (scoreBundle). The memo
+// covers the grid and the 5-frequency seed scheme; only a frequency
+// outside that set falls back to the formula.
 //
 // The total is summed over bundles in edge-index order on every Score
 // call, so it is a pure function of the current frequencies — no
@@ -50,21 +45,12 @@ type Incremental struct {
 	idx []int8
 	// edgeE holds the current bundle score per kernel edge.
 	edgeE []float64
-	// terms caches the current marginal values of every bundle:
-	// terms[termOff[e]] is edge e's pair term and the following slots its
-	// spectator terms, in the order of the spectators Kernel.Orient
-	// returns for the current control. Slots are sized for the worse of
-	// the two orientations.
-	termOff []int32
-	terms   []float64
 	// mark/stamp deduplicate bundle re-scores within one update; scratch
 	// holds previewed bundle scores without committing them to edgeE.
 	mark     []int
 	stamp    int
 	scratch  []float64
 	rescored uint64
-	// partials counts the re-scores served by the term-level fast path.
-	partials uint64
 }
 
 // NewIncremental compiles the incremental scorer for the coupling graph
@@ -86,97 +72,47 @@ func NewIncrementalWith(adj [][]int, freqs []float64, memo *Marginals) *Incremen
 		freqs:   append([]float64(nil), freqs...),
 		idx:     make([]int8, len(freqs)),
 		edgeE:   make([]float64, m),
-		termOff: make([]int32, m+1),
 		mark:    make([]int, m),
 		scratch: make([]float64, m),
 	}
-	for e := 0; e < m; e++ {
-		// One pair slot plus the spectator slots of the larger of the two
-		// orientations' spectator lists.
-		ed := k.edges[e]
-		spec := max(ed.offB-ed.offA, ed.end-ed.offB)
-		inc.termOff[e+1] = inc.termOff[e] + 1 + spec
-	}
-	inc.terms = make([]float64, inc.termOff[m])
 	for q, f := range freqs {
 		inc.idx[q] = int8(memoIndex(f))
 	}
 	for e := range inc.edgeE {
-		inc.edgeE[e] = inc.scoreBundle(e, true)
+		inc.edgeE[e] = inc.scoreBundle(e)
 	}
 	return inc
 }
 
 // scoreBundle computes every marginal of edge e from the current
 // frequencies — pair conditions in the current orientation plus every
-// spectator triple around the control — and returns their sum. commit
-// writes the term values back to the cache; previews leave it alone.
-func (inc *Incremental) scoreBundle(e int, commit bool) float64 {
+// spectator triple around the control — and returns their sum. The
+// spectator slots of the bundle's (control, target) pair form one memo
+// row, MemoSize apart, read in place as MovePlan's addRow reads its
+// rows; an empty slot or a spectator off the memo goes through
+// Spectator's fill path.
+func (inc *Incremental) scoreBundle(e int) float64 {
 	ctl, tgt, specs := inc.kern.Orient(e, inc.freqs)
-	fj, fk := inc.freqs[ctl], inc.freqs[tgt]
-	j, k := int(inc.idx[ctl]), int(inc.idx[tgt])
-	terms := inc.terms[inc.termOff[e]:]
-	s := inc.memo.Pair(fj, fk, j, k)
-	if commit {
-		terms[0] = s
+	m, freqs, idx := inc.memo, inc.freqs, inc.idx
+	fj, fk := freqs[ctl], freqs[tgt]
+	j, k := int(idx[ctl]), int(idx[tgt])
+	s := m.Pair(fj, fk, j, k)
+	var row []atomic.Uint64
+	if m.specs != nil && inMemo(j, k) {
+		row = m.specs[j*MemoSize*MemoSize+k:]
 	}
-	for n, i := range specs {
-		v := inc.memo.Spectator(fj, inc.freqs[i], fk, j, int(inc.idx[i]), k)
-		if commit {
-			terms[1+n] = v
+	for _, i := range specs {
+		ii := int(idx[i])
+		if row != nil && ii >= 0 {
+			if b := row[ii*MemoSize].Load(); b != 0 {
+				s += math.Float64frombits(b &^ filled)
+				continue
+			}
 		}
-		s += v
+		s += m.spectatorMiss(fj, freqs[i], fk, j, ii, k)
 	}
 	inc.rescored++
 	return s
-}
-
-// resumBundle re-adds edge e's cached terms in the committed order —
-// the same float additions scoreBundle performed — optionally with the
-// spectator term of qubit swapQ replaced by swapV (swapQ < 0 disables
-// the swap). specs is the current control's spectator list; the caller
-// guarantees the cached terms are current.
-func (inc *Incremental) resumBundle(e int, specs []int32, swapQ int, swapV float64) float64 {
-	terms := inc.terms[inc.termOff[e]:]
-	s := terms[0]
-	for j, i := range specs {
-		v := terms[1+j]
-		if int(i) == swapQ {
-			v = swapV
-		}
-		s += v
-	}
-	return s
-}
-
-// rescoreFor re-scores bundle e after qubit q's frequency changed,
-// using the term-level fast path when q is not an endpoint: the
-// orientation and every other marginal are unchanged, so only q's own
-// spectator term (if the current control even sees q) needs a fresh
-// closed form. commit controls whether the new term and bundle score are
-// written back.
-func (inc *Incremental) rescoreFor(e, q int, commit bool) float64 {
-	if ed := &inc.kern.edges[e]; q == int(ed.a) || q == int(ed.b) {
-		return inc.scoreBundle(e, commit)
-	}
-	inc.rescored++
-	inc.partials++
-	ctl, tgt, specs := inc.kern.Orient(e, inc.freqs)
-	for j, i := range specs {
-		if int(i) != q {
-			continue
-		}
-		v := inc.memo.Spectator(inc.freqs[ctl], inc.freqs[q], inc.freqs[tgt],
-			int(inc.idx[ctl]), int(inc.idx[q]), int(inc.idx[tgt]))
-		if commit {
-			inc.terms[int(inc.termOff[e])+1+j] = v
-			return inc.resumBundle(e, specs, -1, 0)
-		}
-		return inc.resumBundle(e, specs, q, v)
-	}
-	// q neighbours only the target: no term involves it and the score is
-	// unchanged (a full re-score would recompute identical marginals).
-	return inc.edgeE[e]
 }
 
 // Score returns the expected collision count of the current assignment,
@@ -202,28 +138,18 @@ func (inc *Incremental) Freqs() []float64 {
 }
 
 // Set updates the frequencies of the given qubits (vals aligned with
-// qubits) and re-scores every dependent bundle exactly once. Bundles
-// where every moved qubit is a non-endpoint take the term-level fast
-// path; the rest re-derive their orientation and every marginal.
+// qubits) and re-scores every dependent bundle exactly once.
 func (inc *Incremental) Set(qubits []int, vals []float64) {
 	for i, q := range qubits {
 		inc.freqs[q] = vals[i]
 		inc.idx[q] = int8(memoIndex(vals[i]))
 	}
 	inc.stamp++
-	if len(qubits) == 1 {
-		q := qubits[0]
-		for _, e := range inc.kern.Deps(q) {
-			inc.mark[e] = inc.stamp
-			inc.edgeE[e] = inc.rescoreFor(int(e), q, true)
-		}
-		return
-	}
 	for _, q := range qubits {
 		for _, e := range inc.kern.Deps(q) {
 			if inc.mark[e] != inc.stamp {
 				inc.mark[e] = inc.stamp
-				inc.edgeE[e] = inc.scoreBundle(int(e), true)
+				inc.edgeE[e] = inc.scoreBundle(int(e))
 			}
 		}
 	}
@@ -244,9 +170,8 @@ func (inc *Incremental) Set1(q int, f float64) {
 
 // Preview1 returns the Score the assignment would have with qubit q moved
 // to f, leaving the scorer unchanged. It scores each dependent bundle
-// once into a scratch slot — through the term-level fast path where q is
-// a non-endpoint — and sums all bundles in edge order with the scratch
-// values substituted: the same values in the same order a
+// once into a scratch slot and sums all bundles in edge order with the
+// scratch values substituted: the same values in the same order a
 // Set1 + Score + restoring Set1 round-trip would produce (so results are
 // bit-identical to that spelling), with no committed state to restore.
 // The guided search's coordinate descent calls it only to verify the
@@ -261,7 +186,7 @@ func (inc *Incremental) Preview1(q int, f float64) float64 {
 	inc.stamp++
 	for _, e := range inc.kern.Deps(q) {
 		inc.mark[e] = inc.stamp
-		inc.scratch[e] = inc.rescoreFor(int(e), q, false)
+		inc.scratch[e] = inc.scoreBundle(int(e))
 	}
 	inc.freqs[q], inc.idx[q] = old, oldIdx
 	total := 0.0
@@ -284,7 +209,6 @@ func (inc *Incremental) Clone() *Incremental {
 	c.freqs = append([]float64(nil), inc.freqs...)
 	c.idx = append([]int8(nil), inc.idx...)
 	c.edgeE = append([]float64(nil), inc.edgeE...)
-	c.terms = append([]float64(nil), inc.terms...)
 	c.mark = make([]int, len(inc.edgeE))
 	c.scratch = make([]float64, len(inc.edgeE))
 	c.stamp = 0
@@ -294,7 +218,3 @@ func (inc *Incremental) Clone() *Incremental {
 // Rescored reports how many bundle scorings the instance has performed
 // (including the initial compile), for tests and diagnostics.
 func (inc *Incremental) Rescored() uint64 { return inc.rescored }
-
-// Partials reports how many of the bundle scorings took the term-level
-// fast path (one marginal recomputed instead of the whole bundle).
-func (inc *Incremental) Partials() uint64 { return inc.partials }

@@ -1,8 +1,10 @@
 package collision
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -131,4 +133,86 @@ func TestIncrementalClone(t *testing.T) {
 	if math.Abs(clone.Score()-want) > 1e-9 {
 		t.Fatalf("clone score %g, full recompute %g", clone.Score(), want)
 	}
+}
+
+// TestIncrementalSharedMemoMatchesFormula has several goroutines walk
+// scorers over one shared, lazily filled memo — Set1, multi-qubit Set,
+// Preview1 and Clone — while each mirrors its walk on a scorer whose
+// memo has no tables, so that every term is priced by the formula.
+// Frequencies come from the grid, the off-grid 5-frequency values and
+// values off the memo, so one bundle mixes slotted and unslotted
+// spectators, and its row reads race the other walks' fills. Every score
+// must equal the formula walk's bit for bit. CI runs it under
+// -race -count=10.
+func TestIncrementalSharedMemoMatchesFormula(t *testing.T) {
+	p := DefaultParams()
+	const sigma = 0.03
+	shared := NewMarginals(p, sigma)
+	formula := &Marginals{params: p, sigma: sigma}
+	pool := append(Grid(), memoFreqs[GridSize:]...)
+	pool = append(pool, 5.0049, 5.1337, 5.21, 5.2999, 5.3333)
+	const workers = 6
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			errs[w] = walkSharedMemo(rand.New(rand.NewSource(int64(40+w))), shared, formula, pool)
+		}(w)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Errorf("worker %d: %v", w, err)
+		}
+	}
+}
+
+// walkSharedMemo runs one worker of TestIncrementalSharedMemoMatchesFormula:
+// random graphs and moves drawn from pool, scored through memo and
+// through formula in lockstep.
+func walkSharedMemo(rng *rand.Rand, memo, formula *Marginals, pool []float64) error {
+	draw := func() float64 { return pool[rng.Intn(len(pool))] }
+	for trial := 0; trial < 12; trial++ {
+		n := 4 + rng.Intn(10)
+		adj := randomGraph(rng, n)
+		freqs := make([]float64, n)
+		for q := range freqs {
+			freqs[q] = draw()
+		}
+		got := NewIncrementalWith(adj, freqs, memo)
+		want := NewIncrementalWith(adj, freqs, formula)
+		for step := 0; step < 60; step++ {
+			var g, w float64
+			var op string
+			switch q := rng.Intn(n); rng.Intn(4) {
+			case 0:
+				f := draw()
+				op = fmt.Sprintf("preview1 q%d=%v", q, f)
+				g, w = got.Preview1(q, f), want.Preview1(q, f)
+			case 1:
+				f := draw()
+				op = fmt.Sprintf("set1 q%d=%v", q, f)
+				got.Set1(q, f)
+				want.Set1(q, f)
+			case 2:
+				qs := []int{q, (q + 1 + rng.Intn(n-1)) % n}
+				vs := []float64{draw(), draw()}
+				op = fmt.Sprintf("set %v=%v", qs, vs)
+				got.Set(qs, vs)
+				want.Set(qs, vs)
+			case 3:
+				op = "clone"
+				got, want = got.Clone(), want.Clone()
+			}
+			if math.Float64bits(g) != math.Float64bits(w) {
+				return fmt.Errorf("trial %d step %d %s: memo %.17g, formula %.17g", trial, step, op, g, w)
+			}
+			if g, w := got.Score(), want.Score(); math.Float64bits(g) != math.Float64bits(w) {
+				return fmt.Errorf("trial %d step %d %s: score %.17g, formula %.17g", trial, step, op, g, w)
+			}
+		}
+	}
+	return nil
 }

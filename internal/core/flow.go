@@ -24,7 +24,6 @@ import (
 	"qproc/internal/circuit"
 	"qproc/internal/freq"
 	"qproc/internal/lattice"
-	"qproc/internal/layout"
 	"qproc/internal/profile"
 	"qproc/internal/topology"
 )
@@ -128,22 +127,6 @@ func (f *Flow) Allocator() *freq.Allocator {
 	return al
 }
 
-// Profile profiles the program (it must be in the decomposed basis).
-func (f *Flow) Profile(c *circuit.Circuit) (*profile.Profile, error) {
-	return profile.New(c)
-}
-
-// Layout runs Algorithm 1 and returns the architecture skeleton: placed
-// qubits joined by 2-qubit buses, no frequencies yet.
-func (f *Flow) Layout(p *profile.Profile, name string) (*arch.Architecture, error) {
-	coords := layout.Normalize(layout.Place(p))
-	a, err := arch.New(name, coords)
-	if err != nil {
-		return nil, fmt.Errorf("core: layout: %w", err)
-	}
-	return a, nil
-}
-
 // Series runs the full flow (eff-full) and returns one design per
 // 4-qubit-bus count k = 0..K, where K is the number of squares
 // Algorithm 2 selects before running out of beneficial squares (or
@@ -189,9 +172,6 @@ func (f *Flow) SeriesConfig(c *circuit.Circuit, cfg Config, maxBuses, aux, sampl
 // generators and the starting point the guided design-space search
 // mutates.
 func (f *Flow) BaseLayout(c *circuit.Circuit, aux int) (*arch.Architecture, *profile.Profile, error) {
-	if aux < 0 {
-		return nil, nil, fmt.Errorf("core: negative aux qubit count %d", aux)
-	}
 	base, p, err := f.family().BaseLayout(c, aux)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %w", err)
@@ -235,11 +215,7 @@ func (f *Flow) SeriesRandomBus(c *circuit.Circuit, maxBuses, samples int) ([]*De
 	if !topology.IsSquare(f.Family) {
 		return nil, fmt.Errorf("core: configuration %s supports the square family only, not %s", ConfigEffRdBus, f.Family.Name())
 	}
-	p, err := f.Profile(c)
-	if err != nil {
-		return nil, err
-	}
-	base, err := f.Layout(p, "")
+	base, _, err := f.BaseLayout(c, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -269,11 +245,7 @@ func (f *Flow) LayoutOnly(c *circuit.Circuit) ([]*Design, error) {
 	if !topology.IsSquare(f.Family) {
 		return nil, fmt.Errorf("core: configuration %s supports the square family only, not %s", ConfigEffLayoutOnly, f.Family.Name())
 	}
-	p, err := f.Profile(c)
-	if err != nil {
-		return nil, err
-	}
-	base, err := f.Layout(p, "")
+	base, _, err := f.BaseLayout(c, 0)
 	if err != nil {
 		return nil, err
 	}

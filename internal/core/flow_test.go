@@ -4,9 +4,11 @@ import (
 	"strings"
 	"testing"
 
+	"qproc/internal/arch"
 	"qproc/internal/bus"
 	"qproc/internal/gen"
 	"qproc/internal/lattice"
+	"qproc/internal/layout"
 	"qproc/internal/mapper"
 	"qproc/internal/profile"
 	"qproc/internal/yield"
@@ -206,12 +208,7 @@ func TestLayoutNativeSupport(t *testing.T) {
 	for _, name := range []string{"UCCSD_ansatz_8", "misex1_241", "rd84_142"} {
 		b, _ := gen.Get(name)
 		c := b.Build()
-		f := quickFlow()
-		p, err := f.Profile(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := f.Layout(p, name)
+		a, p, err := quickFlow().BaseLayout(c, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +270,7 @@ func TestSeriesMatchesDirectSubroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := f.Layout(p, "manual")
+	a, err := arch.New("manual", layout.Normalize(layout.Place(p)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,15 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"qproc/internal/arch"
 	"qproc/internal/core"
+	"qproc/internal/gen"
 	"qproc/internal/profile"
+	"qproc/internal/topology"
 )
 
 // testRunner returns a runner with a small Monte-Carlo budget; all code
@@ -162,6 +166,86 @@ func TestFig9(t *testing.T) {
 	for _, want := range []string{"(1)", "(2)", "(3)", "(4)", "16 qubits", "20 qubits", "##"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("Fig9 output missing %q", want)
+		}
+	}
+}
+
+// TestRenderDesignDrawsCouplings renders a chimera(1,2,2) design, whose
+// coordinates are only a drawing embedding, and reads the drawing back:
+// every "--" and "|" it draws must join two coupled qubits, and every
+// coupling must be drawn or listed after the drawing.
+func TestRenderDesignDrawsCouplings(t *testing.T) {
+	fam, err := topology.NewChimera(1, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := gen.Get("sym6_145")
+	f := core.NewFlow(1)
+	f.Family = fam
+	ds, err := f.Series(b.Build(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := ds[0].Arch
+	out := RenderDesign(a)
+	const header = "couplings off the lattice:"
+	drawing, listed, _ := strings.Cut(out, header)
+	rows := strings.Split(strings.TrimSuffix(drawing, "\n"), "\n")[1:]
+	coupled := map[arch.Edge]bool{}
+	for _, e := range a.Edges() {
+		coupled[e] = true
+	}
+	shown := map[arch.Edge]bool{}
+	draw := func(p, q int, where string) {
+		e := arch.Edge{A: min(p, q), B: max(p, q)}
+		if p < 0 || q < 0 || !coupled[e] {
+			t.Errorf("%s draws %d-%d, which is not a coupling:\n%s", where, p, q, out)
+		}
+		shown[e] = true
+	}
+	// A node cell is 9 wide and followed by a 2-wide connector.
+	const cell, step = 9, 11
+	nodes := func(row string) []int {
+		var ids []int
+		for x := 0; x < len(row); x += step {
+			var id int
+			if _, err := fmt.Sscanf(row[x:x+cell], "q%d", &id); err != nil {
+				id = -1 // an empty node
+			}
+			ids = append(ids, id)
+		}
+		return ids
+	}
+	var above []int
+	for r, row := range rows {
+		if r%2 == 1 {
+			continue // an edge row, read with the node row below it
+		}
+		ids := nodes(row)
+		for x := 0; x+1 < len(ids); x++ {
+			if row[x*step+cell:x*step+step] == "--" {
+				draw(ids[x], ids[x+1], fmt.Sprintf("row %d", r))
+			}
+		}
+		if r > 0 {
+			for x, id := range ids {
+				if strings.Contains(rows[r-1][x*step:x*step+cell], "|") {
+					draw(above[x], id, fmt.Sprintf("row %d", r-1))
+				}
+			}
+		}
+		above = ids
+	}
+	for _, pair := range strings.Fields(listed) {
+		var p, q int
+		if _, err := fmt.Sscanf(pair, "%d-%d", &p, &q); err != nil || !coupled[arch.Edge{A: p, B: q}] {
+			t.Errorf("listed %q is not a coupling", pair)
+		}
+		shown[arch.Edge{A: p, B: q}] = true
+	}
+	for e := range coupled {
+		if !shown[e] {
+			t.Errorf("coupling %d-%d is neither drawn nor listed:\n%s", e.A, e.B, out)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"qproc/internal/arch"
@@ -109,126 +111,107 @@ func Fig9() string {
 // renderLattice draws an architecture as ASCII art: qubit frequency
 // index at each occupied node, '#' marking squares with 4-qubit buses.
 func renderLattice(a *arch.Architecture) string {
-	occ := a.Occupied()
-	min, max, ok := occ.Bounds()
-	if !ok {
-		return "(empty)\n"
-	}
-	multi := map[lattice.Square]bool{}
-	for _, sq := range a.MultiBusSquares() {
-		multi[sq] = true
-	}
-	var b strings.Builder
-	for y := max.Y; y >= min.Y; y-- {
-		// Node row.
-		for x := min.X; x <= max.X; x++ {
-			c := lattice.Coord{X: x, Y: y}
-			if q, here := a.QubitAt(c); here {
-				label := "?"
-				if a.Freqs != nil {
-					idx := int((a.Freqs[q]-arch.FiveFreqBase)/arch.FiveFreqStep + 0.5)
-					label = fmt.Sprintf("%d", idx+1)
-				}
-				b.WriteString(label)
-			} else {
-				b.WriteString(".")
-			}
-			if x < max.X {
-				right := lattice.Coord{X: x + 1, Y: y}
-				_, hasL := a.QubitAt(c)
-				_, hasR := a.QubitAt(right)
-				if hasL && hasR {
-					b.WriteString("--")
-				} else {
-					b.WriteString("  ")
-				}
-			}
+	return drawLattice(a, func(q int) string {
+		if a.Freqs == nil {
+			return "?"
 		}
-		b.WriteByte('\n')
-		if y > min.Y {
-			// Edge/square row.
-			for x := min.X; x <= max.X; x++ {
-				c := lattice.Coord{X: x, Y: y}
-				below := lattice.Coord{X: x, Y: y - 1}
-				_, hasT := a.QubitAt(c)
-				_, hasB := a.QubitAt(below)
-				if hasT && hasB {
-					b.WriteString("|")
-				} else {
-					b.WriteString(" ")
-				}
-				if x < max.X {
-					if multi[lattice.Square{Origin: lattice.Coord{X: x, Y: y - 1}}] {
-						b.WriteString("##")
-					} else {
-						b.WriteString("  ")
-					}
-				}
-			}
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
+		return strconv.Itoa(int((a.Freqs[q]-arch.FiveFreqBase)/arch.FiveFreqStep+0.5) + 1)
+	}, ".", "|")
 }
 
 // RenderDesign draws a generated architecture with frequencies in GHz.
 func RenderDesign(a *arch.Architecture) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", a)
-	occ := a.Occupied()
-	min, max, ok := occ.Bounds()
+	return fmt.Sprintln(a) + drawLattice(a, func(q int) string {
+		if a.Freqs == nil {
+			return fmt.Sprintf("q%-2d      ", q)
+		}
+		return fmt.Sprintf("q%-2d[%4.2f]", q, a.Freqs[q])
+	}, "  .      ", "   |     ")
+}
+
+// drawLattice draws a's qubits at their lattice nodes, top row first:
+// node(q) at an occupied node, empty at a free one. Two lattice
+// neighbours are joined only when the design couples them: by "--"
+// within a row, and by the cell down (as wide as empty) below the upper
+// one. "##" marks a multi-qubit bus square and stands for its diagonal
+// couplings too. A graph family's coordinates are only a drawing
+// embedding (topology.Chimera.Layout), so the couplings the drawing
+// does not show are listed after it.
+func drawLattice(a *arch.Architecture, node func(q int) string, empty, down string) string {
+	lo, hi, ok := a.Occupied().Bounds()
 	if !ok {
-		return b.String()
+		return ""
 	}
+	adj := a.AdjList()
+	shown := map[arch.Edge]bool{}
 	multi := map[lattice.Square]bool{}
-	for _, sq := range a.MultiBusSquares() {
-		multi[sq] = true
+	for _, bus := range a.Buses {
+		if bus.Kind != arch.MultiQubitBus {
+			continue
+		}
+		multi[bus.Square] = true
+		for i, p := range bus.Qubits {
+			for _, q := range bus.Qubits[i+1:] {
+				shown[arch.Edge{A: p, B: q}] = true
+			}
+		}
 	}
-	for y := max.Y; y >= min.Y; y-- {
-		for x := min.X; x <= max.X; x++ {
+	// edge returns on when the nodes at c and d hold coupled qubits, and
+	// off otherwise.
+	edge := func(c, d lattice.Coord, on, off string) string {
+		p, okP := a.QubitAt(c)
+		q, okQ := a.QubitAt(d)
+		if !okP || !okQ || !slices.Contains(adj[p], q) {
+			return off
+		}
+		shown[arch.Edge{A: min(p, q), B: max(p, q)}] = true
+		return on
+	}
+	up := strings.Repeat(" ", len(down))
+	var b strings.Builder
+	for y := hi.Y; y >= lo.Y; y-- {
+		for x := lo.X; x <= hi.X; x++ {
 			c := lattice.Coord{X: x, Y: y}
 			if q, here := a.QubitAt(c); here {
-				if a.Freqs != nil {
-					fmt.Fprintf(&b, "q%-2d[%4.2f]", q, a.Freqs[q])
-				} else {
-					fmt.Fprintf(&b, "q%-2d      ", q)
-				}
+				b.WriteString(node(q))
 			} else {
-				b.WriteString("  .      ")
+				b.WriteString(empty)
 			}
-			if x < max.X {
-				right := lattice.Coord{X: x + 1, Y: y}
-				_, hasL := a.QubitAt(c)
-				_, hasR := a.QubitAt(right)
-				if hasL && hasR {
-					b.WriteString("--")
+			if x < hi.X {
+				b.WriteString(edge(c, lattice.Coord{X: x + 1, Y: y}, "--", "  "))
+			}
+		}
+		b.WriteByte('\n')
+		if y == lo.Y {
+			break
+		}
+		for x := lo.X; x <= hi.X; x++ {
+			b.WriteString(edge(lattice.Coord{X: x, Y: y}, lattice.Coord{X: x, Y: y - 1}, down, up))
+			if x < hi.X {
+				if multi[lattice.Square{Origin: lattice.Coord{X: x, Y: y - 1}}] {
+					b.WriteString("##")
 				} else {
 					b.WriteString("  ")
 				}
 			}
 		}
 		b.WriteByte('\n')
-		if y > min.Y {
-			for x := min.X; x <= max.X; x++ {
-				c := lattice.Coord{X: x, Y: y}
-				below := lattice.Coord{X: x, Y: y - 1}
-				_, hasT := a.QubitAt(c)
-				_, hasB := a.QubitAt(below)
-				if hasT && hasB {
-					b.WriteString("   |     ")
-				} else {
-					b.WriteString("         ")
-				}
-				if x < max.X {
-					if multi[lattice.Square{Origin: lattice.Coord{X: x, Y: y - 1}}] {
-						b.WriteString("##")
-					} else {
-						b.WriteString("  ")
-					}
-				}
-			}
-			b.WriteByte('\n')
+	}
+	line, off := "couplings off the lattice:", 0
+	for _, e := range a.Edges() {
+		if shown[e] {
+			continue
 		}
+		pair := fmt.Sprintf(" %d-%d", e.A, e.B)
+		if len(line)+len(pair) > 72 {
+			b.WriteString(line + "\n")
+			line = " "
+		}
+		line += pair
+		off++
+	}
+	if off > 0 {
+		b.WriteString(line + "\n")
 	}
 	return b.String()
 }

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"qproc/internal/collision"
 	"qproc/internal/lattice"
 	"qproc/internal/yield"
 )
@@ -256,12 +255,7 @@ func (ev *evaluator) warm(lc *LaneCheckpoint) error {
 		return fmt.Errorf("%w: last-eval state: %v", ErrBadCheckpoint, err)
 	}
 	if inc, ok := ev.est.(*yield.IncrementalEstimator); ok {
-		adj := st.Arch.AdjList()
-		key, cached := ev.canon[st.topoKey]
-		if !cached {
-			key = collision.TopoKey(adj)
-			ev.canon[st.topoKey] = key
-		}
+		key, adj := ev.topology(st)
 		inc.Warm(key, adj, st.Freqs(), lc.CondChecked, lc.CondSkipped)
 	}
 	ev.lastEval = st

@@ -92,13 +92,20 @@ func newEvaluator(p *Problem, cache *yield.NoiseCache) *evaluator {
 // same compiled kernel to every lane and job that visits the topology,
 // whatever search-local recipe produced it.
 func (ev *evaluator) mcYield(st *State) float64 {
-	adj := st.Arch.AdjList()
+	key, adj := ev.topology(st)
+	return ev.est.Estimate(key, adj, st.Freqs())
+}
+
+// topology returns st's canonical topology key, memoised in canon, and
+// its coupling graph, which st's analytic scorer already holds.
+func (ev *evaluator) topology(st *State) (key string, adj [][]int) {
+	adj = st.inc.Adj()
 	key, ok := ev.canon[st.topoKey]
 	if !ok {
 		key = collision.TopoKey(adj)
 		ev.canon[st.topoKey] = key
 	}
-	return ev.est.Estimate(key, adj, st.Freqs())
+	return key, adj
 }
 
 // condStats reports the cumulative Monte-Carlo condition-bundle

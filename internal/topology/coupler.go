@@ -5,7 +5,6 @@ import (
 
 	"qproc/internal/arch"
 	"qproc/internal/circuit"
-	"qproc/internal/layout"
 	"qproc/internal/profile"
 )
 
@@ -21,36 +20,20 @@ type Coupler struct{}
 // Name returns "coupler".
 func (Coupler) Name() string { return "coupler" }
 
-// BaseLayout places the program with Algorithm 1 (aux qubits supported,
-// as in the square family) and couples occupied edges pairwise. The
-// architecture carries the "coupler" family tag, so no multi-qubit bus
-// sites exist on it.
+// BaseLayout places the program as the square family does (Algorithm 1,
+// aux qubits supported) and puts a tunable coupler on each of its
+// 2-qubit buses, in their canonical order. The architecture carries the
+// "coupler" family tag, so no multi-qubit bus sites exist on it.
 func (Coupler) BaseLayout(c *circuit.Circuit, aux int) (*arch.Architecture, *profile.Profile, error) {
-	if aux < 0 {
-		return nil, nil, fmt.Errorf("topology: negative aux qubit count %d", aux)
-	}
-	p, err := profile.New(c)
+	sq, p, err := Square{}.BaseLayout(c, aux)
 	if err != nil {
 		return nil, nil, err
-	}
-	coords := layout.Place(p)
-	if aux > 0 {
-		auxCoords := layout.AddAux(coords, aux)
-		coords = append(coords, auxCoords...)
-		p = p.WithAux(len(auxCoords))
-	}
-	coords = layout.Normalize(coords)
-	// Edges on occupied lattice neighbours, in the same canonical order
-	// arch.New generates them.
-	sq, err := arch.New("", coords)
-	if err != nil {
-		return nil, nil, fmt.Errorf("topology: layout: %w", err)
 	}
 	var edges [][2]int
 	for _, b := range sq.Buses {
 		edges = append(edges, [2]int{b.Qubits[0], b.Qubits[1]})
 	}
-	base, err := arch.NewGraph("", "coupler", coords, edges)
+	base, err := arch.NewGraph("", "coupler", sq.Coords, edges)
 	if err != nil {
 		return nil, nil, fmt.Errorf("topology: coupler: %w", err)
 	}
